@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Split one order across N shards, then merge and verify the union.
 
-Each shard solves every N-th SAT instance, writes its own row file + report,
+Each shard uncompresses every N-th instance, writes its own row file + report,
 and the merge step re-canonicalizes the union and checks shard coverage —
 the same flow as `goodmat solve --shard i/N` + `goodmat report`, usable as a
 template for spreading shards over separate machines.
@@ -21,7 +21,6 @@ def main() -> int:
     parser.add_argument("n", type=int)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     out = args.out or Path(f"shards{args.n}")
@@ -29,7 +28,7 @@ def main() -> int:
         print(f"--- shard {i}/{args.shards} ---")
         code = run_cli([
             "solve", str(args.n), "--shard", f"{i}/{args.shards}",
-            "--out", str(out), "--seed", str(args.seed),
+            "--out", str(out),
         ])
         if code != 0:
             print(f"shard {i} failed with exit code {code}", file=sys.stderr)

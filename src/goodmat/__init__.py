@@ -3,10 +3,12 @@
 The search pipeline factors the problem as
 
     rowsums → PSD-filtered candidates → compression matching →
-    SAT uncompression (CDCL + spectral theory callback) → canonicalization
+    uncompression by an exact PAF-key join → canonicalization
 
 and every reported matrix is re-certified by exact integer arithmetic plus
-the skew Hadamard construction of order 4n.
+the skew Hadamard construction of order 4n.  The paper's SAT route to the
+uncompression step (CNF + CDCL with a spectral theory callback) is kept as
+the reference implementation and DIMACS exporter.
 """
 
 from .candidates import CandidateSets, generate_candidates

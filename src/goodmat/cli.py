@@ -5,14 +5,14 @@ Subcommands mirror the pipeline stages plus verification utilities:
   rowsums n              signed rowsum triples for order n
   candidates n           compressed candidate sets s_sk / s_sy
   match n                matched compressed quadruples S_q
-  solve n [--shard i/N]  encode + solve (optionally one shard of) the instances
+  solve n [--shard i/N]  uncompress (optionally one shard of) the instances
   enumerate n            the full pipeline: all inequivalent good matrices
   verify FILE            check quads in a row file against all certificates
   hadamard FILE          build + verify the order-4n skew Hadamard matrices
   oracle n               brute-force ground truth for n ≤ 15
   report DIR             merge shard outputs in DIR into one report
 
-Exit status: 0 on success, 1 on verification failure or exhausted budgets,
+Exit status: 0 on success, 1 on verification failure or internal error,
 2 on usage errors.
 """
 
@@ -20,25 +20,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .candidates import generate_candidates, write_compressed_rows
 from .diophantine import signed_rowsums
 from .equiv import canonical_form, dedup
-from .errors import (
-    GoodmatError,
-    InvalidInputError,
-    ParseError,
-    PartialResultError,
-)
+from .errors import GoodmatError, InvalidInputError, ParseError
 from .matching import match_quadruples, write_quadruples
 from .pipeline import (
     FilterConfig,
     SearchReport,
     brute_force_oracle,
     build_skew_hadamard,
-    enumerate_good_matrices,
+    enumerate_prepared,
     prepare_instances,
     recover_amicable,
     solution_digest,
@@ -61,9 +57,6 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except PartialResultError as exc:
-        print(f"partial result: {exc}", file=sys.stderr)
-        return 1
     except (InvalidInputError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -94,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="directory for s_q.txt")
     p.set_defaults(handler=_cmd_match)
 
-    p = sub.add_parser("solve", help="solve the SAT instances (optionally one shard)")
+    p = sub.add_parser("solve", help="uncompress the instances (optionally one shard)")
     _add_search_args(p)
     p.add_argument("--shard", type=_parse_shard, default=None, metavar="i/N",
-                   help="solve only instances with index ≡ i (mod N)")
+                   help="uncompress only instances with index ≡ i (mod N)")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("enumerate", help="run the full enumeration pipeline")
@@ -127,10 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for SAT instances")
-    p.add_argument("--max-conflicts", type=int, default=None,
-                   help="per-instance conflict budget (default: unlimited)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes that uncompress the instances")
     p.add_argument("--allow-large", action="store_true",
                    help="permit orders beyond the desk-scale limit")
     p.add_argument("--dimacs", action="store_true",
@@ -196,7 +187,9 @@ def _run_search(args, shard) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    instance_quads, _, _ = prepare_instances(args.n, allow_large=args.allow_large)
+    start = time.perf_counter()
+    prepared = prepare_instances(args.n, allow_large=args.allow_large)
+    instance_quads = prepared[0]
     if shard is not None:
         instance_quads = instance_quads[shard[0] :: shard[1]]
     instances = [build_instance(cq) for cq in instance_quads]
@@ -207,20 +200,9 @@ def _run_search(args, shard) -> int:
         for idx, inst in enumerate(instances):
             (out / f"instance-{tag}-{idx}.cnf").write_text(export_dimacs(inst))
 
-    partial = None
-    try:
-        quads, report = enumerate_good_matrices(
-            args.n,
-            shard=shard,
-            seed=args.seed,
-            jobs=args.jobs,
-            max_conflicts=args.max_conflicts,
-            allow_large=args.allow_large,
-        )
-    except PartialResultError as exc:
-        quads, report, partial = exc.solutions, exc.report, exc
-        if report is None:
-            raise
+    quads, report = enumerate_prepared(
+        args.n, prepared, start=start, shard=shard, jobs=args.jobs
+    )
     rows_path = out / f"solutions-{tag}.rows"
     with open(rows_path, "w") as fp:
         write_quads(fp, (cq.quad for cq in quads))
@@ -231,10 +213,6 @@ def _run_search(args, shard) -> int:
     print(f"wrote {rows_path}")
     print(f"wrote {report_path}")
     print(f"wrote {manifest_path}")
-    if partial is not None:
-        print(f"warning: conflict budget exhausted; results are not exhaustive "
-              f"({partial})", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -309,7 +287,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report_paths = sorted(args.dir.glob("report-*.json"))
+    report_paths = sorted(
+        p for p in args.dir.glob("report-*.json") if not p.name.endswith("-merged.json")
+    )
     if not report_paths:
         print(f"error: no report-*.json files in {args.dir}", file=sys.stderr)
         return 2

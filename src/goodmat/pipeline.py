@@ -5,8 +5,8 @@ The enumeration pipeline for an odd order n divisible by 3:
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    2^d sweep → compressed candidate sets s_sk, s_sy;
   3. match_quadruples:       pair filter + exact sort-join → S_q;
-  4. canonical_compressed dedup → one SAT instance per compressed class;
-  5. solve_all per instance (CDCL + PSD theory callback) → defining quads;
+  4. canonical_compressed dedup → one instance per compressed class;
+  5. uncompress each instance by the full-length PAF-key join → defining quads;
   6. canonical_form dedup → the sorted list of inequivalent good matrices.
 
 Verification is deliberately independent of the search code: it materializes
@@ -14,7 +14,7 @@ the circulant matrices and checks the defining identity, amicability after
 row reversal, and the 4n-order skew Hadamard block construction with exact
 integer matrix arithmetic.  The brute-force oracle re-derives small orders
 (n ≤ 15) from nothing but the PAF certificate, bypassing candidates/matching
-/satsearch entirely.
+/uncompress entirely.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,9 +33,8 @@ import numpy as np
 from .candidates import CandidateSets, generate_candidates
 from .diophantine import signed_rowsums
 from .equiv import CanonicalQuad, canonical_compressed, canonical_form, dedup, quad_key
-from .errors import ConstructionError, InvalidInputError, PartialResultError
+from .errors import ConstructionError, InvalidInputError
 from .matching import match_quadruples
-from .satsearch import AuditRecord, build_instance, solve_all
 from .seqcore import (
     CompressedQuad,
     DefiningQuad,
@@ -44,6 +44,7 @@ from .seqcore import (
     make_symmetric,
 )
 from .spectral import EPS, paf_certificate, paf_vector
+from .uncompress import uncompress_all
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -56,26 +57,29 @@ UNLIMITED_MAX_ORDER = 39
 class FilterConfig:
     """Switches for every pruning device that is not part of the exact core.
 
-    The first four flags are *filters*: float spectral/rowsum screens that
-    discard candidates early.  They are redundant with the exact integer
-    checks (PAF certificate, exact matching identity), so disabling them must
-    not change the solution set, only the running time — a tested property
-    of the pipeline (see ``no_filters``).
+    psd_candidates, rowsum_candidates and psd_pairs are *filters*: float
+    spectral/rowsum screens that discard candidates early, at compressed
+    length in the sweep and matching and, for the two PSD flags, at full
+    length in uncompression (row and pair screens before the join).  They
+    are redundant with the exact integer checks (PAF certificate, exact
+    matching identity), so disabling them must not change the solution set,
+    only the running time — a tested property of the pipeline (see
+    ``no_filters``).
 
-    The last two flags are not filters but proved reductions: the product-rule
-    clauses encode a theorem about every solution, and the compressed-level
-    dedup collapses provably equivalent instances.  They too are toggleable
-    (and toggling them is exercised at small orders), but turning both off
-    makes the solver enumerate the raw model space of the compression
-    constraints, which is astronomically larger — that is a complexity
-    consequence, not a correctness one.
+    dedup_instances is a proved reduction: the compressed-level dedup
+    collapses provably equivalent instances.
+
+    prefix_checks and parity_clauses only affect the SAT reference path
+    (satsearch.build_instance / solve_all): the 1/2/3-row PSD checks in its
+    theory callback and its product-rule clauses.  The search itself never
+    runs SAT, so they do not change what enumerate_good_matrices does.
     """
 
-    psd_candidates: bool = True   # per-row PSD bound in the 2^d sweep
+    psd_candidates: bool = True   # per-row PSD bound: sweep and full preimages
     rowsum_candidates: bool = True  # rowsum membership for symmetric rows
-    psd_pairs: bool = True        # pairwise PSD bound before the join
-    prefix_checks: bool = True    # 1/2/3-row PSD checks in the callback
-    parity_clauses: bool = True   # product-rule clauses in the encoding
+    psd_pairs: bool = True        # pairwise PSD bound before both joins
+    prefix_checks: bool = True    # SAT reference only: PSD checks in the callback
+    parity_clauses: bool = True   # SAT reference only: product-rule clauses
     dedup_instances: bool = True  # compressed-level equivalence dedup
 
     @classmethod
@@ -196,16 +200,6 @@ def prepare_instances(
     return instances, cands, timings
 
 
-def _solve_one(args) -> tuple[list[DefiningQuad], dict]:
-    cq, n, parity, prefix_checks, eps, seed, max_conflicts = args
-    instance = build_instance(cq, parity=parity)
-    quads = solve_all(
-        instance, seed=seed, max_conflicts=max_conflicts,
-        eps=eps, prefix_checks=prefix_checks,
-    )
-    return quads, instance.stats
-
-
 def enumerate_good_matrices(
     n: int,
     *,
@@ -214,20 +208,41 @@ def enumerate_good_matrices(
     shard: Optional[tuple[int, int]] = None,
     seed: int = 0,
     jobs: int = 1,
-    max_conflicts: Optional[int] = None,
     allow_large: bool = False,
-    audit: Optional[list[AuditRecord]] = None,
 ) -> tuple[list[CanonicalQuad], SearchReport]:
     """Run the full pipeline; returns (sorted canonical quads, report).
 
     With shard=(i, N), only instances with index ≡ i (mod N) in the sorted
-    deduped instance list are solved: N shards jointly cover the search
-    exactly once and their union equals the unsharded result.
+    deduped instance list are uncompressed: N shards jointly cover the search
+    exactly once and their union equals the unsharded result.  jobs > 1
+    spreads the instances over that many worker processes.  seed no longer
+    affects the search (uncompression is a deterministic join); it is kept
+    for callers that pass it.
     """
     start = time.perf_counter()
-    instance_quads, _, timings = prepare_instances(
-        n, eps=eps, filters=filters, allow_large=allow_large
+    prepared = prepare_instances(n, eps=eps, filters=filters, allow_large=allow_large)
+    return enumerate_prepared(
+        n, prepared, start=start, eps=eps, filters=filters, shard=shard, jobs=jobs
     )
+
+
+def enumerate_prepared(
+    n: int,
+    prepared: tuple[list[CompressedQuad], CandidateSets, dict[str, float]],
+    *,
+    start: float,
+    eps: float = EPS,
+    filters: FilterConfig = FilterConfig(),
+    shard: Optional[tuple[int, int]] = None,
+    jobs: int = 1,
+) -> tuple[list[CanonicalQuad], SearchReport]:
+    """Stages 5–6 on the output of prepare_instances: uncompress each
+    instance by the PAF-key join, then dedup to canonical forms.
+
+    start is the perf_counter() value the report's wall time counts from.
+    """
+    instance_quads, _, timings = prepared
+    timings = dict(timings)
     if shard is not None:
         i, total = shard
         if not (0 <= i < total):
@@ -235,63 +250,35 @@ def enumerate_good_matrices(
         instance_quads = instance_quads[i::total]
 
     t0 = time.perf_counter()
-    raw_solutions: list[DefiningQuad] = []
-    partial = False
-    stats_total = {"conflicts": 0, "decisions": 0, "propagations": 0,
-                   "restarts": 0, "theory_clauses": 0, "raw_models": 0}
-    try:
-        if jobs > 1 and audit is None:
-            args = [
-                (cq, n, filters.parity_clauses, filters.prefix_checks,
-                 eps, seed, max_conflicts)
-                for cq in instance_quads
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for quads, stats in pool.map(_solve_one, args, chunksize=4):
-                    raw_solutions.extend(quads)
-                    _accumulate(stats_total, stats)
-        else:
-            for cq in instance_quads:
-                instance = build_instance(cq, parity=filters.parity_clauses)
-                quads = solve_all(
-                    instance, seed=seed, max_conflicts=max_conflicts,
-                    eps=eps, prefix_checks=filters.prefix_checks, audit=audit,
-                )
-                raw_solutions.extend(quads)
-                _accumulate(stats_total, instance.stats)
-    except PartialResultError as exc:
-        raw_solutions.extend(exc.solutions)
-        partial = True
+    run = partial(uncompress_all, eps=eps, row_filter=filters.psd_candidates,
+                  pair_filter=filters.psd_pairs)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(run, [instance_quads[j::jobs] for j in range(jobs)]))
+    else:
+        parts = [run(instance_quads)]
+    found = [quads for part in parts for quads in part]
     timings["solving"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    canonical = dedup(raw_solutions, canonical_form)
+    # one representative per class and instance, as the SAT path's solve_all returns
+    per_instance = [dedup(quads, canonical_form) for quads in found]
+    canonical = dedup((c for classes in per_instance for c in classes), lambda c: c)
     timings["postprocess"] = time.perf_counter() - t0
 
     report = SearchReport(
         n=n,
         wall_time_s=time.perf_counter() - start,
         instance_count=len(instance_quads),
-        solutions_found=len(raw_solutions),
+        solutions_found=sum(map(len, per_instance)),
         inequivalent_count=len(canonical),
         stage_seconds=timings,
-        solver_stats=stats_total,
+        solver_stats={"raw_models": sum(map(len, found))},
         shard=shard,
-        exhaustive=(shard is None and not partial),
+        exhaustive=shard is None,
         digest=solution_digest(canonical),
     )
-    if partial:
-        raise PartialResultError(
-            f"enumeration of order {n} exceeded its conflict budget",
-            solutions=canonical,
-            report=report,
-        )
     return canonical, report
-
-
-def _accumulate(total: dict, stats: dict) -> None:
-    for key in total:
-        total[key] += stats.get(key, 0)
 
 
 # ── independent verification family ─────────────────────────────────────────

@@ -1,0 +1,141 @@
+"""Uncompression: every quad of defining rows above one compressed quadruple.
+
+This is the compression/uncompression scheme of Đoković and Kotsireas
+(Compression of periodic complementary sequences and applications, Des.
+Codes Cryptogr. 2015), run with the sort-join that matching already uses at
+compressed length — one join technique at two lengths:
+
+  (i)   enumerate the preimages of each compressed row directly.  Entry k of
+        a compression is x_k + x_{k+m} + x_{k+2m}; the mirror x_j = ±x_{n−j}
+        ties group k to group m−k, so only groups 0..(m−1)/2 are free.
+        Group 0 holds x_0 = +1 and x_{2m} = ±x_m: a skew row has 2 choices
+        there, a symmetric row is forced.  Every other group has 1 choice
+        when |c′_k| = 3 and 3 choices when |c′_k| = 1;
+  (ii)  keep the rows inside the row PSD bound and the A×B and C×D pairs
+        inside the pairwise bound (both float filters, both optional);
+  (iii) key A×B by PAF_A(k) + PAF_B(k), k = 1..⌊n/2⌋, key C×D by the
+        negation, and join equal keys;
+  (iv)  confirm each hit with the full exact PAF sum and the PAF certificate.
+        The key equality implies both, so a failure is a bug: InternalError.
+
+C×D is the ordered product even when C′ = D′, so the quads found for one
+instance are exactly the certified models of its SAT encoding (satsearch,
+kept as the reference and for DIMACS export).
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .errors import InternalError
+from .matching import _all_pairs, _cross_chunks, _filtered_pairs, _join_runs, _paf_matrix
+from .seqcore import CompressedQuad, DefiningQuad, Row
+from .spectral import EPS, dft_basis, paf_certificate
+
+#: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
+_TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int64)
+
+#: Per-run cache: (compressed row, is skew) → (preimages, their PSD, their PAF).
+RowCache = dict[tuple[Row, bool], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def preimages(crow: Sequence[int], skew: bool) -> np.ndarray:
+    """Every skew (or symmetric) ±1 row with first entry +1 that
+    3-compresses to crow, one per line of a (count × 3m) int64 array."""
+    m = len(crow)
+    n = 3 * m
+    sign = -1 if skew else 1
+    rows = np.ones((1, n), dtype=np.int64)
+    for k in range((m + 1) // 2):
+        choice = _TRIPLES[_TRIPLES.sum(axis=1) == crow[k]]
+        if k == 0:  # x_0 = +1, and index m mirrors onto 2m
+            choice = choice[(choice[:, 0] == 1) & (choice[:, 2] == sign * choice[:, 1])]
+        picked = np.tile(choice, (len(rows), 1))
+        rows = np.repeat(rows, len(choice), axis=0)
+        pos = np.array([k, k + m, k + 2 * m])
+        rows[:, pos] = picked
+        if k > 0:
+            rows[:, n - pos] = sign * picked
+    # groups m−k were filled by mirroring; keep the rows they compress right
+    compressed = rows[:, :m] + rows[:, m : 2 * m] + rows[:, 2 * m :]
+    return rows[(compressed == np.asarray(crow)).all(axis=1)]
+
+
+def uncompress(
+    cq: CompressedQuad,
+    *,
+    eps: float = EPS,
+    row_filter: bool = True,
+    pair_filter: bool = True,
+    cache: Optional[RowCache] = None,
+) -> list[DefiningQuad]:
+    """All certified quads whose 3-compression is cq."""
+    n = 3 * cq.m
+    bound = 4 * n + eps
+    if cache is None:
+        cache = {}
+    blocks = [
+        _row_data(crow, r == 0, bound, row_filter, cache)
+        for r, crow in enumerate(cq.rows())
+    ]
+    if any(len(rows) == 0 for rows, _, _ in blocks):
+        return []
+    (a, psd_a, paf_a), (b, psd_b, paf_b), (c, psd_c, paf_c), (d, psd_d, paf_d) = blocks
+
+    if pair_filter:
+        ab_i, ab_j = _filtered_pairs(psd_a, psd_b, bound, symmetric=False)
+        cd_i, cd_j = _filtered_pairs(psd_c, psd_d, bound, symmetric=False)
+    else:
+        ab_i, ab_j = _all_pairs(len(a), len(b), symmetric=False)
+        cd_i, cd_j = _all_pairs(len(c), len(d), symmetric=False)
+
+    half = n // 2
+    keys_ab = paf_a[ab_i, 1 : half + 1] + paf_b[ab_j, 1 : half + 1]
+    keys_cd = -(paf_c[cd_i, 1 : half + 1] + paf_d[cd_j, 1 : half + 1])
+
+    found: list[DefiningQuad] = []
+    for ab_run, cd_run in _join_runs(keys_ab, keys_cd):
+        for a_sel, c_sel in _cross_chunks(ab_run, cd_run):
+            ia, jb = ab_i[a_sel], ab_j[a_sel]
+            ic, jd = cd_i[c_sel], cd_j[c_sel]
+            total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
+            if not (total[:, 1:] == 0).all():
+                raise InternalError(f"PAF key join accepted a non-good quad above {cq}")
+            for quad in zip(a[ia].tolist(), b[jb].tolist(), c[ic].tolist(), d[jd].tolist()):
+                quad = DefiningQuad(*map(tuple, quad))
+                if not paf_certificate(quad):
+                    raise InternalError(f"joined quad fails the PAF certificate: {quad}")
+                found.append(quad)
+    return found
+
+
+def uncompress_all(
+    instances: Sequence[CompressedQuad],
+    *,
+    eps: float = EPS,
+    row_filter: bool = True,
+    pair_filter: bool = True,
+) -> list[list[DefiningQuad]]:
+    """uncompress for each instance in turn, sharing one row cache."""
+    cache: RowCache = {}
+    return [
+        uncompress(cq, eps=eps, row_filter=row_filter, pair_filter=pair_filter, cache=cache)
+        for cq in instances
+    ]
+
+
+def _row_data(
+    crow: Row, skew: bool, bound: float, row_filter: bool, cache: RowCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    hit = cache.get((crow, skew))
+    if hit is None:
+        rows = preimages(crow, skew)
+        psd = np.abs(rows.astype(np.float64) @ dft_basis(rows.shape[1])) ** 2
+        if row_filter:
+            keep = (psd <= bound).all(axis=1)
+            rows, psd = rows[keep], psd[keep]
+        hit = cache[crow, skew] = (rows, psd, _paf_matrix(rows))
+    return hit

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from goodmat import cli, pipeline
 from goodmat.cli import run_cli
 from goodmat.pipeline import SearchReport
 from goodmat.satsearch import parse_dimacs
@@ -115,6 +116,35 @@ def test_report_flags_missing_shard(tmp_path, capsys):
     assert not merged.exhaustive
 
 
+def test_report_ignores_an_earlier_merge(tmp_path, capsys):
+    for i in range(3):
+        run(capsys, "solve", 15, "--shard", f"{i}/3", "--out", tmp_path)
+    assert run(capsys, "report", tmp_path)[0] == 0
+    for path in tmp_path.glob("*-shard1of3.*"):
+        path.unlink()
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "merged 2 reports" in out and "INCOMPLETE" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive
+
+
+def test_search_prepares_instances_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = pipeline.prepare_instances
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prepare_instances", counting)
+    monkeypatch.setattr(cli, "prepare_instances", counting)
+    code, out, _ = run(capsys, "enumerate", 9, "--out", tmp_path)
+    assert code == 0 and "inequivalent=1" in out
+    assert len(calls) == 1
+    assert len(json.loads((tmp_path / "manifest-n9.json").read_text())) == 2
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -140,15 +170,6 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "failed verification" in err
-
-
-def test_budget_overrun_exits_1_with_partial_outputs(tmp_path, capsys):
-    code, out, err = run(capsys, "enumerate", 15, "--max-conflicts", 1,
-                         "--out", tmp_path)
-    assert code == 1
-    assert "not exhaustive" in err
-    report = SearchReport.from_json((tmp_path / "report-n15.json").read_text())
-    assert report.exhaustive is False
 
 
 def test_mixed_order_report_dir_exits_2(tmp_path, capsys):
