@@ -32,7 +32,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("runs"))
     parser.add_argument("--stretch", action="store_true",
-                        help="include n = 33, 39 (about a minute on one core)")
+                        help="include n = 33, 39 (about 20 s on one core)")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 

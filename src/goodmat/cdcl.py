@@ -26,7 +26,7 @@ import random
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InternalError, ResourceLimitError
 
 _ACTIVITY_RESCALE = 1e100
 _RESTART_BASE = 100
@@ -293,7 +293,8 @@ class Solver:
         if not tc:
             return False
         nv = self.nvars
-        assert all(self.val[lit + nv] == -1 for lit in tc), "theory clause not falsified"
+        if not all(self.val[lit + nv] == -1 for lit in tc):
+            raise InternalError("theory clause not falsified")
         maxlev = max(self.levels[abs(lit)] for lit in tc)
         if maxlev == 0:
             return False

@@ -91,11 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_search_args(p)
     p.add_argument("--shard", type=_parse_shard, default=None, metavar="i/N",
                    help="uncompress only instances with index ≡ i (mod N)")
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("enumerate", help="run the full enumeration pipeline")
     _add_search_args(p)
-    p.set_defaults(handler=_cmd_enumerate, shard=None)
+    p.set_defaults(handler=_cmd_search, shard=None)
 
     p = sub.add_parser("verify", help="verify quads in a row file")
     p.add_argument("rowfile", type=Path)
@@ -172,15 +172,9 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    return _run_search(args, shard=args.shard)
-
-
-def _cmd_enumerate(args) -> int:
-    return _run_search(args, shard=None)
-
-
-def _run_search(args, shard) -> int:
+def _cmd_search(args) -> int:
+    """solve and enumerate: enumerate is solve without a shard."""
+    shard = args.shard
     tag = f"n{args.n}"
     if shard is not None:
         tag += f"-shard{shard[0]}of{shard[1]}"
@@ -308,12 +302,8 @@ def _cmd_report(args) -> int:
             merged_quads.extend(read_quads(fp))
     canonical = dedup(merged_quads, canonical_form)
 
-    shards = [r.shard for r in reports]
-    if any(s is None for s in shards):
-        covered = True  # an unsharded run covers everything by itself
-    else:
-        totals = {s[1] for s in shards}
-        covered = len(totals) == 1 and {s[0] for s in shards} == set(range(totals.pop()))
+    gap = _coverage_gap([r.shard or (0, 1) for r in reports])  # unsharded: shard 0 of 1
+    covered = gap is None
 
     merged = SearchReport(
         n=n,
@@ -321,8 +311,8 @@ def _cmd_report(args) -> int:
         instance_count=sum(r.instance_count for r in reports),
         solutions_found=sum(r.solutions_found for r in reports),
         inequivalent_count=len(canonical),
-        stage_seconds=_sum_stages(reports),
-        solver_stats=_sum_stats(reports),
+        stage_seconds=_sum_counts([r.stage_seconds for r in reports]),
+        solver_stats=_sum_counts([r.solver_stats for r in reports]),
         shard=None,
         exhaustive=covered,
         digest=solution_digest(canonical),
@@ -332,7 +322,7 @@ def _cmd_report(args) -> int:
         write_quads(fp, (cq.quad for cq in canonical))
     report_path = args.dir / f"report-n{n}-merged.json"
     report_path.write_text(merged.to_json())
-    coverage = "complete" if covered else "INCOMPLETE (missing shards?)"
+    coverage = "complete" if covered else f"INCOMPLETE ({gap})"
     print(f"merged {len(reports)} reports for n={n}: "
           f"inequivalent={merged.inequivalent_count}, coverage {coverage}")
     print(f"wrote {rows_path}")
@@ -340,17 +330,25 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _sum_stages(reports) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for r in reports:
-        for key, value in r.stage_seconds.items():
-            out[key] = out.get(key, 0.0) + value
-    return out
+def _coverage_gap(shards) -> str | None:
+    """Why the shard reports do not cover the search exactly once; None if they do."""
+    totals = {total for _, total in shards}
+    if len(totals) != 1:
+        return f"mixed shard totals {sorted(totals)}"
+    indices = [i for i, _ in shards]
+    repeated = sorted({i for i in indices if indices.count(i) > 1})
+    if repeated:
+        return f"duplicate shard index {', '.join(map(str, repeated))}"
+    total = totals.pop()
+    if set(indices) != set(range(total)):
+        return f"shard indices {sorted(indices)} do not cover 0..{total - 1}"
+    return None
 
 
-def _sum_stats(reports) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for r in reports:
-        for key, value in r.solver_stats.items():
+def _sum_counts(counts: list[dict]) -> dict:
+    """Key-wise sums of the reports' stage_seconds or solver_stats."""
+    out: dict = {}
+    for one in counts:
+        for key, value in one.items():
             out[key] = out.get(key, 0) + value
     return out

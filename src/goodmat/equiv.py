@@ -23,6 +23,14 @@ first entries stay pinned at +1 during the search): reorders of Bc, Cc, Dc
 and the induced index action j ↦ u·j mod m.  Every unit u mod n induces
 u mod m, and conversely every unit mod m lifts to one mod n (m | n), so
 acting with all units mod m is exactly the induced action, not a proxy.
+
+The compressed stages work on integer row codes instead of tuples: the code
+of a row is the base-4 number whose digits, most significant first, are
+(3 − e)/2 — so +3, +1, −1, −3 become 0, 1, 2, 3 (and a ±1 row uses 1, 2).
+Rows of one length have equally many digits, so numeric order on codes is
+exactly row_key order, and lexicographic order on (A, B, C, D) code rows is
+exactly quad_key order.  An int64 holds 31 base-4 digits, so codes need
+m ≤ 31 (n ≤ 93); longer rows raise InvalidInputError.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad, DefiningQuad, Row
@@ -50,8 +60,31 @@ def quad_key(quad: Sequence[Sequence[int]]):
     return tuple(-e for row in quad for e in row)
 
 
-def row_less(r1: Sequence[int], r2: Sequence[int]) -> bool:
-    return row_key(r1) < row_key(r2)
+#: Quads per block in canonical_codes, so its temporaries stay small.
+_CANON_CHUNK = 4096
+
+
+def _place_values(m: int) -> np.ndarray:
+    if m > 31:  # 31 base-4 digits fill 62 bits of an int64
+        raise InvalidInputError(f"row length {m} exceeds 31, the most an int64 row code holds")
+    return 4 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def row_codes(rows: np.ndarray) -> np.ndarray:
+    """Integer codes of the rows along the last axis: numeric order = row_key order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return ((3 - rows) // 2) @ _place_values(rows.shape[-1])
+
+
+def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
+    """The base-4 digits of length-m row codes, as int8 along a new last axis."""
+    return (codes[..., None] // _place_values(m) % 4).astype(np.int8)
+
+
+def decode_quads(codes: np.ndarray, m: int) -> list[CompressedQuad]:
+    """The compressed quads of an (N × 4) code array, in its row order."""
+    entries = 3 - 2 * _code_digits(codes, m).astype(np.int64)
+    return [CompressedQuad(*map(tuple, quad)) for quad in entries.tolist()]
 
 
 # ── the operations ──────────────────────────────────────────────────────────
@@ -120,41 +153,39 @@ def canonical_compressed(cq: CompressedQuad, n: int) -> CompressedQuad:
     m = n // 3
     if n % 3 != 0 or cq.m != m:
         raise InvalidInputError(f"compressed quad length {cq.m} does not match n={n}")
-    ac, bc, cc, dc = cq.rows()
-    best = None
-    best_key = None
-    for u in units(m):
-        pa = permute_row(ac, u)
-        rest = sorted((permute_row(bc, u), permute_row(cc, u), permute_row(dc, u)),
-                      key=row_key)
-        cand = CompressedQuad(pa, *rest)
-        key = quad_key(cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+    (best,) = decode_quads(canonical_codes(row_codes([cq.rows()]), m), m)
     return best
 
 
-def dedup(items: Iterable[T], canonicalizer: Callable[[T], object],
-          sort_key: Callable | None = None) -> list:
-    """One representative per canonical form, sorted by the global order.
+def canonical_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """canonical_compressed of every row of an (N × 4) code array, as codes.
 
-    The first occurrence of each class decides nothing (the canonical form is
-    the representative either way); it is kept only in the sense that later
-    equivalent items are ignored.
+    Each distinct row is re-encoded once per unit u, its int8 digits gathered
+    through j ↦ u·j mod m.  Then, in blocks of _CANON_CHUNK quads, every quad
+    looks up its four images under each u, sorts the B, C, D codes and keeps
+    the lexicographic minimum over u.
     """
-    seen: dict = {}
-    for item in items:
-        canon = canonicalizer(item)
-        if canon not in seen:
-            seen[canon] = canon
-    out = list(seen.values())
-    if sort_key is None:
-        sort_key = _default_sort_key
-    out.sort(key=sort_key)
+    place = _place_values(m)
+    perms = np.array([(u * np.arange(m)) % m for u in units(m)])
+    rows, where = np.unique(codes, return_inverse=True)
+    where = where.reshape(codes.shape)
+    images = (_code_digits(rows, m)[:, perms] @ place).T  # [k, r]: row r under unit k
+    out = np.empty_like(codes)
+    for lo in range(0, len(codes), _CANON_CHUNK):
+        cand = images[:, where[lo : lo + _CANON_CHUNK]]  # [k, quad, A/B/C/D]
+        for i, j in ((1, 2), (2, 3), (1, 2)):  # sort B, C, D: a 3-input network
+            cand[..., i], cand[..., j] = (np.minimum(cand[..., i], cand[..., j]),
+                                          np.maximum(cand[..., i], cand[..., j]))
+        # lexicographic minimum over k: narrow the tied units column by column
+        tied = np.ones(cand.shape[:2], dtype=bool)
+        for col in range(4):
+            value = np.where(tied, cand[..., col], np.iinfo(np.int64).max)
+            tied &= value == value.min(axis=0)
+        out[lo : lo + _CANON_CHUNK] = cand[tied.argmax(axis=0), np.arange(cand.shape[1])]
     return out
 
 
-def _default_sort_key(canon):
-    if isinstance(canon, CanonicalQuad):
-        return canon.sort_key()
-    return quad_key(canon)
+def dedup(items: Iterable[T], canonicalizer: Callable[[T], object]) -> list:
+    """One representative per canonical form, sorted by the global order."""
+    return sorted(set(map(canonicalizer, items)),
+                  key=lambda c: c.sort_key() if isinstance(c, CanonicalQuad) else quad_key(c))

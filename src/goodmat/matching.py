@@ -12,26 +12,32 @@ Testing all |s_sy|³ combinations directly is wasteful, so:
   (ii)  key AB by the integer vector (PAF_A′(k) + PAF_B′(k))_{k=1..⌊m/2⌋}
         and CD by its negation, so matching keys mean the four PAFs cancel
         at every 1 ≤ k < m (PAF(k) = PAF(m−k) covers the upper half);
-  (iii) sort both lists and join equal keys;
+  (iii) join equal keys: one lexsort over both key lists numbers the
+        distinct keys, and every AB pair is expanded against the CD pairs
+        of its number (join_equal_keys, which uncompression reuses at full
+        length);
   (iv)  confirm each joined quadruple with the exact integer identity before
-        emitting, restoring both (C′, D′) orientations.
+        emitting, in blocks of _EMIT_CHUNK hits, restoring both (C′, D′)
+        orientations.  Quads are kept as rows of integer codes (equiv's row
+        code), whose lexicographic order is quad_key order, so one
+        np.unique yields the sorted set.
 
-Keys are exact integer vectors under lexicographic order, so the join is
-bit-exact.  The pair filter is the only approximate step and it only ever
-discards pairs whose PSD sum exceeds the bound by more than ε — never a pair
-that can reach the exact equality.
+Keys are exact integer vectors compared column by column, never hashed or
+packed, so the join is bit-exact at either length.  The pair filter is the
+only approximate step and it only ever discards pairs whose PSD sum exceeds
+the bound by more than ε — never a pair that can reach the exact equality.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .candidates import CandidateSets
-from .equiv import quad_key, row_key
-from .errors import InvalidInputError, ParseError
-from .seqcore import CompressedQuad, Row
+from .equiv import decode_quads, row_codes
+from .errors import InvalidInputError
+from .seqcore import CompressedQuad, read_blocks, write_quads
 from .spectral import EPS, dft_basis, paf
 
 PafKey = tuple[int, ...]
@@ -60,16 +66,25 @@ def match_quadruples(
     satisfies the identity is present (downstream dedup reduces these to
     equivalence-class representatives).
     """
+    return decode_quads(match_codes(cands, n, eps=eps, pair_filter=pair_filter), cands.m)
+
+
+def match_codes(
+    cands: CandidateSets,
+    n: int,
+    *,
+    eps: float = EPS,
+    pair_filter: bool = True,
+) -> np.ndarray:
+    """match_quadruples as the sorted, unique (N × 4) array of row codes."""
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     m = cands.m
-    sk = sorted(cands.s_sk, key=row_key)
-    sy = sorted(cands.s_sy, key=row_key)
-    if not sk or not sy:
-        return []
-
-    sk_arr = np.array(sk, dtype=np.int64)
-    sy_arr = np.array(sy, dtype=np.int64)
+    if not cands.s_sk or not cands.s_sy:
+        return np.empty((0, 4), dtype=np.int64)
+    sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
+    sy_arr = np.array(sorted(cands.s_sy), dtype=np.int64)
+    code_sk, code_sy = row_codes(sk_arr), row_codes(sy_arr)
     paf_sk = _paf_matrix(sk_arr)
     paf_sy = _paf_matrix(sy_arr)
     rs_sy = sy_arr.sum(axis=1)
@@ -82,35 +97,56 @@ def match_quadruples(
         ab_i, ab_j = _filtered_pairs(psd_sk, psd_sy, bound, symmetric=False)
         cd_i, cd_j = _filtered_pairs(psd_sy, psd_sy, bound, symmetric=True)
     else:
-        ab_i, ab_j = _all_pairs(len(sk), len(sy), symmetric=False)
-        cd_i, cd_j = _all_pairs(len(sy), len(sy), symmetric=True)
+        ab_i, ab_j = _all_pairs(len(sk_arr), len(sy_arr), symmetric=False)
+        cd_i, cd_j = _all_pairs(len(sy_arr), len(sy_arr), symmetric=True)
 
     half = m // 2
     keys_ab = paf_sk[ab_i, 1 : half + 1] + paf_sy[ab_j, 1 : half + 1]
     keys_cd = -(paf_sy[cd_i, 1 : half + 1] + paf_sy[cd_j, 1 : half + 1])
+    hit_ab, hit_cd = join_equal_keys(keys_ab, keys_cd)
 
-    out: set[CompressedQuad] = set()
-    for ab_run, cd_run in _join_runs(keys_ab, keys_cd):
-        for a_sel, c_sel in _cross_chunks(ab_run, cd_run):
-            ia, jb = ab_i[a_sel], ab_j[a_sel]
-            ic, jd = cd_i[c_sel], cd_j[c_sel]
-            # exact confirmation: k = 0 rowsum identity + the full PAF sums
-            ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n
-            total = paf_sk[ia] + paf_sy[jb] + paf_sy[ic] + paf_sy[jd]
-            ok &= (total[:, 1:] == 0).all(axis=1)
-            for t in np.flatnonzero(ok):
-                a, b = sk[ia[t]], sy[jb[t]]
-                c, d = sy[ic[t]], sy[jd[t]]
-                out.add(CompressedQuad(a, b, c, d))
-                out.add(CompressedQuad(a, b, d, c))
-    return sorted(out, key=quad_key)
+    found = [np.empty((0, 4), dtype=np.int64)]
+    for lo in range(0, len(hit_ab), _EMIT_CHUNK):
+        ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
+        ia, jb, ic, jd = ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]
+        # exact confirmation: k = 0 rowsum identity + the full PAF sums
+        ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n
+        total = paf_sk[ia] + paf_sy[jb] + paf_sy[ic] + paf_sy[jd]
+        ok &= (total[:, 1:] == 0).all(axis=1)
+        a, b = code_sk[ia[ok]], code_sy[jb[ok]]
+        c, d = code_sy[ic[ok]], code_sy[jd[ok]]
+        found += [np.stack([a, b, c, d], axis=1), np.stack([a, b, d, c], axis=1)]
+    return np.unique(np.concatenate(found), axis=0)
+
+
+def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with keys_l[i] == keys_r[j], compared exactly.
+
+    One lexsort over both sides gives each distinct key a group id; each left
+    row then pairs with the right rows of its group.  Zero-width keys (m = 1)
+    are all equal, so everything joins.
+    """
+    nl = len(keys_l)
+    keys = np.concatenate([keys_l, keys_r])
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    sorted_keys = keys[order]
+    new_key = np.ones(len(keys), dtype=bool)
+    new_key[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    group = np.cumsum(new_key)
+    on_right = order >= nl
+    right, right_group = order[on_right] - nl, group[on_right]  # by group, ascending
+    left, left_group = order[~on_right], group[~on_right]
+    lo = np.searchsorted(right_group, left_group, side="left")
+    count = np.searchsorted(right_group, left_group, side="right") - lo
+    shift = np.repeat(lo - np.cumsum(count) + count, count)  # output slot → right slot
+    return np.repeat(left, count), right[shift + np.arange(len(shift))]
 
 
 def _paf_matrix(rows: np.ndarray) -> np.ndarray:
     """Integer PAF values, one row per input row, columns k = 0..m-1."""
     m = rows.shape[1]
-    cols = [(rows * np.roll(rows, -k, axis=1)).sum(axis=1) for k in range(m)]
-    return np.stack(cols, axis=1)
+    twice = np.concatenate([rows, rows], axis=1)  # twice[:, k : k + m] is the shift by k
+    return np.stack([(rows * twice[:, k : k + m]).sum(axis=1) for k in range(m)], axis=1)
 
 
 def _all_pairs(nl: int, nr: int, *, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -139,82 +175,15 @@ def _filtered_pairs(
     return np.concatenate(parts_i), np.concatenate(parts_j)
 
 
-def _join_runs(
-    keys_l: np.ndarray, keys_r: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Sort both key lists and yield (left indices, right indices) per equal key."""
-    if len(keys_l) == 0 or len(keys_r) == 0:
-        return
-    if keys_l.shape[1] == 0:  # m = 1: empty keys, everything joins
-        yield np.arange(len(keys_l)), np.arange(len(keys_r))
-        return
-    runs_l = _runs(keys_l)
-    runs_r = _runs(keys_r)
-    li = ri = 0
-    while li < len(runs_l) and ri < len(runs_r):
-        key_l, idx_l = runs_l[li]
-        key_r, idx_r = runs_r[ri]
-        if key_l == key_r:
-            yield idx_l, idx_r
-            li += 1
-            ri += 1
-        elif key_l < key_r:
-            li += 1
-        else:
-            ri += 1
-
-
-def _runs(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    change = np.flatnonzero((sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)) + 1
-    bounds = np.concatenate(([0], change, [len(keys)]))
-    return [
-        (tuple(sorted_keys[bounds[t]].tolist()), order[bounds[t] : bounds[t + 1]])
-        for t in range(len(bounds) - 1)
-    ]
-
-
-def _cross_chunks(
-    left: np.ndarray, right: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Cross product of two index arrays, yielded in bounded-size chunks."""
-    rows_per_chunk = max(1, _EMIT_CHUNK // max(1, len(right)))
-    for lo in range(0, len(left), rows_per_chunk):
-        sub = left[lo : lo + rows_per_chunk]
-        yield np.repeat(sub, len(right)), np.tile(right, len(sub))
-
-
 # ── persistence: one quadruple per record, four comma-separated rows ────────
 
 def write_quadruples(fp: TextIO, quads: Sequence[CompressedQuad]) -> None:
-    for q in quads:
-        for row in q.rows():
-            fp.write(",".join(str(e) for e in row) + "\n")
-        fp.write("\n")
+    write_quads(fp, quads, fmt=lambda row: ",".join(map(str, row)))
 
 
 def read_quadruples(fp: TextIO) -> list[CompressedQuad]:
-    quads: list[CompressedQuad] = []
-    block: list[Row] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if line:
-            try:
-                block.append(tuple(int(tok) for tok in line.split(",")))
-            except ValueError:
-                raise ParseError(f"bad compressed row on line {lineno}: {line!r}") from None
-            if len(block) > 4:
-                raise ParseError(f"more than four rows in a record (line {lineno})")
-        elif block:
-            quads.append(_finish(block, lineno))
-            block = []
-    if block:
-        quads.append(_finish(block, lineno))
-    return quads
+    return [CompressedQuad(*block) for block in read_blocks(fp, _parse_compressed_row)]
 
 
-def _finish(block: list[Row], lineno: int) -> CompressedQuad:
-    if len(block) != 4:
-        raise ParseError(f"record before line {lineno} has {len(block)} rows, expected 4")
-    return CompressedQuad(*block)
+def _parse_compressed_row(line: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in line.split(","))

@@ -4,8 +4,8 @@ The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    2^d sweep → compressed candidate sets s_sk, s_sy;
-  3. match_quadruples:       pair filter + exact sort-join → S_q;
-  4. canonical_compressed dedup → one instance per compressed class;
+  3. match_codes:            pair filter + exact PAF-key join → S_q as codes;
+  4. canonical_codes dedup → one instance per compressed class;
   5. uncompress each instance by the full-length PAF-key join → defining quads;
   6. canonical_form dedup → the sorted list of inequivalent good matrices.
 
@@ -32,9 +32,9 @@ import numpy as np
 
 from .candidates import CandidateSets, generate_candidates
 from .diophantine import signed_rowsums
-from .equiv import CanonicalQuad, canonical_compressed, canonical_form, dedup, quad_key
-from .errors import ConstructionError, InvalidInputError
-from .matching import match_quadruples
+from .equiv import CanonicalQuad, canonical_codes, canonical_form, decode_quads, dedup
+from .errors import ConstructionError, InternalError, InvalidInputError
+from .matching import match_codes
 from .seqcore import (
     CompressedQuad,
     DefiningQuad,
@@ -188,14 +188,13 @@ def prepare_instances(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    s_q = match_quadruples(cands, n, eps=eps, pair_filter=filters.psd_pairs)
+    s_q = match_codes(cands, n, eps=eps, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if filters.dedup_instances:
-        instances = dedup(s_q, lambda cq: canonical_compressed(cq, n))
-    else:
-        instances = sorted(set(s_q), key=quad_key)
+    if filters.dedup_instances:  # s_q is already sorted and unique
+        s_q = np.unique(canonical_codes(s_q, cands.m), axis=0)
+    instances = decode_quads(s_q, cands.m)
     timings["instance_dedup"] = time.perf_counter() - t0
     return instances, cands, timings
 
@@ -398,6 +397,7 @@ def brute_force_oracle(n: int) -> list[CanonicalQuad]:
             key = tuple(x + y for x, y in zip(pa, paf_of[b]))
             for c, dd in cd_index.get(key, ()):
                 quad = DefiningQuad(a, b, c, dd)
-                assert paf_certificate(quad)
+                if not paf_certificate(quad):
+                    raise InternalError(f"PAF key join accepted a non-good quad: {quad}")
                 found.append(quad)
     return dedup(found, canonical_form)

@@ -47,6 +47,7 @@ from .cdcl import Solver
 from .equiv import canonical_form
 from .errors import (
     InfeasibleInstanceError,
+    InternalError,
     InvalidInputError,
     ParseError,
     PartialResultError,
@@ -299,7 +300,8 @@ def _callback_core(
     quad = DefiningQuad(*(_unfold(r == 0, vals, n) for r, vals in assigned))
     certified = paf_certificate(quad)
     if certified:
-        assert CompressedQuad(*(compress3(row) for row in quad.rows())) == instance.source
+        if CompressedQuad(*(compress3(row) for row in quad.rows())) != instance.source:
+            raise InternalError(f"model {quad} does not compress to {instance.source}")
         if record is not None:
             record(quad)
     return _negation_clause(assigned, d, origin="blocking"), certified
@@ -433,7 +435,8 @@ def solve_all(
             f"instance for {instance.source} hit its conflict budget",
             solutions=_first_per_class(raw),
         ) from exc
-    assert not sat, "the blocking theory must reject every full assignment"
+    if sat:
+        raise InternalError("the blocking theory must reject every full assignment")
     instance.solutions.extend(raw)
     instance.stats = {
         "conflicts": solver.conflicts,

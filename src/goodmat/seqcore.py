@@ -17,7 +17,7 @@ Index arithmetic is always modulo n with representatives in {0, ..., n-1}.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import InvalidInputError, ParseError
 
@@ -176,27 +176,36 @@ def _bad(e):
     raise InvalidInputError(f"cannot format entry {e!r}; expected +1 or -1")
 
 
-def write_rows(fp: TextIO, rows: Iterable[Sequence[int]]) -> None:
-    """One row per line in ±-string form."""
-    for row in rows:
-        fp.write(format_row(row) + "\n")
+def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = format_row) -> None:
+    """Quads serialized as four consecutive lines A, B, C, D + a blank line;
+    fmt renders one row (±-strings by default)."""
+    for quad in quads:
+        for row in quad:
+            fp.write(fmt(row) + "\n")
+        fp.write("\n")
 
 
-def read_rows(fp: TextIO) -> list[Row]:
-    rows = []
-    for line in fp:
+def read_blocks(fp: TextIO, parse: Callable[[str], Row]) -> list[list[Row]]:
+    """The blank-line separated four-row blocks that write_quads writes.
+
+    A line that parse rejects (any ValueError) or a block of another size
+    raises ParseError.
+    """
+    blocks: list[list[Row]] = [[]]
+    for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if line:
-            rows.append(parse_row(line))
-    return rows
-
-
-def write_quads(fp: TextIO, quads: Iterable[DefiningQuad]) -> None:
-    """Quads serialized as four consecutive lines A, B, C, D + a blank line."""
-    for quad in quads:
-        for row in quad.rows():
-            fp.write(format_row(row) + "\n")
-        fp.write("\n")
+            try:
+                blocks[-1].append(parse(line))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        elif blocks[-1]:
+            blocks.append([])
+    blocks = [block for block in blocks if block]
+    for number, block in enumerate(blocks, start=1):
+        if len(block) != 4:
+            raise ParseError(f"block {number} has {len(block)} rows, expected 4")
+    return blocks
 
 
 def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:
@@ -204,28 +213,11 @@ def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:
     (used by `verify`, where a malformed quad is a verification failure, not
     a parse error)."""
     quads = []
-    block: list[Row] = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if line:
-            block.append(parse_row(line))
-            if len(block) > 4:
-                raise ParseError(f"more than four rows in a quad block (line {lineno})")
-        elif block:
-            quads.append(_finish_block(block, lineno, validate))
-            block = []
-    if block:
-        quads.append(_finish_block(block, lineno, validate))
+    for number, block in enumerate(read_blocks(fp, parse_row), start=1):
+        if len({len(row) for row in block}) != 1:
+            raise ParseError(f"block {number} mixes row lengths")
+        quads.append(validate_quad(DefiningQuad(*block)) if validate else DefiningQuad(*block))
     return quads
-
-
-def _finish_block(block: list[Row], lineno: int, validate: bool) -> DefiningQuad:
-    if len(block) != 4:
-        raise ParseError(f"quad block before line {lineno} has {len(block)} rows, expected 4")
-    if len({len(row) for row in block}) != 1:
-        raise ParseError(f"quad block before line {lineno} mixes row lengths")
-    quad = DefiningQuad(*block)
-    return validate_quad(quad) if validate else quad
 
 
 def iter_halves(d: int) -> Iterator[Row]:

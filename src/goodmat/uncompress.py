@@ -2,8 +2,8 @@
 
 This is the compression/uncompression scheme of Đoković and Kotsireas
 (Compression of periodic complementary sequences and applications, Des.
-Codes Cryptogr. 2015), run with the sort-join that matching already uses at
-compressed length — one join technique at two lengths:
+Codes Cryptogr. 2015), run with matching's exact PAF-key join
+(join_equal_keys) — one join at two lengths:
 
   (i)   enumerate the preimages of each compressed row directly.  Entry k of
         a compression is x_k + x_{k+m} + x_{k+2m}; the mirror x_j = ±x_{n−j}
@@ -14,7 +14,7 @@ compressed length — one join technique at two lengths:
   (ii)  keep the rows inside the row PSD bound and the A×B and C×D pairs
         inside the pairwise bound (both float filters, both optional);
   (iii) key A×B by PAF_A(k) + PAF_B(k), k = 1..⌊n/2⌋, key C×D by the
-        negation, and join equal keys;
+        negation, and join equal keys (⌊n/2⌋ columns, compared exactly);
   (iv)  confirm each hit with the full exact PAF sum and the PAF certificate.
         The key equality implies both, so a failure is a bug: InternalError.
 
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalError
-from .matching import _all_pairs, _cross_chunks, _filtered_pairs, _join_runs, _paf_matrix
+from .matching import _EMIT_CHUNK, _all_pairs, _filtered_pairs, _paf_matrix, join_equal_keys
 from .seqcore import CompressedQuad, DefiningQuad, Row
 from .spectral import EPS, dft_basis, paf_certificate
 
@@ -96,19 +96,19 @@ def uncompress(
     keys_ab = paf_a[ab_i, 1 : half + 1] + paf_b[ab_j, 1 : half + 1]
     keys_cd = -(paf_c[cd_i, 1 : half + 1] + paf_d[cd_j, 1 : half + 1])
 
+    hit_ab, hit_cd = join_equal_keys(keys_ab, keys_cd)
     found: list[DefiningQuad] = []
-    for ab_run, cd_run in _join_runs(keys_ab, keys_cd):
-        for a_sel, c_sel in _cross_chunks(ab_run, cd_run):
-            ia, jb = ab_i[a_sel], ab_j[a_sel]
-            ic, jd = cd_i[c_sel], cd_j[c_sel]
-            total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
-            if not (total[:, 1:] == 0).all():
-                raise InternalError(f"PAF key join accepted a non-good quad above {cq}")
-            for quad in zip(a[ia].tolist(), b[jb].tolist(), c[ic].tolist(), d[jd].tolist()):
-                quad = DefiningQuad(*map(tuple, quad))
-                if not paf_certificate(quad):
-                    raise InternalError(f"joined quad fails the PAF certificate: {quad}")
-                found.append(quad)
+    for lo in range(0, len(hit_ab), _EMIT_CHUNK):
+        ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
+        ia, jb, ic, jd = ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]
+        total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
+        if not (total[:, 1:] == 0).all():
+            raise InternalError(f"PAF key join accepted a non-good quad above {cq}")
+        for quad in zip(a[ia].tolist(), b[jb].tolist(), c[ic].tolist(), d[jd].tolist()):
+            quad = DefiningQuad(*map(tuple, quad))
+            if not paf_certificate(quad):
+                raise InternalError(f"joined quad fails the PAF certificate: {quad}")
+            found.append(quad)
     return found
 
 

@@ -129,6 +129,29 @@ def test_report_ignores_an_earlier_merge(tmp_path, capsys):
     assert not merged.exhaustive
 
 
+def test_report_flags_a_duplicate_shard_index(tmp_path, capsys):
+    for i in range(2):
+        run(capsys, "solve", 15, "--shard", f"{i}/2", "--out", tmp_path)
+    shard0 = (tmp_path / "report-n15-shard0of2.json").read_text()
+    (tmp_path / "report-n15-shard0of2-rerun.json").write_text(shard0)
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "merged 3 reports" in out
+    assert "INCOMPLETE" in out and "duplicate shard index 0" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive and merged.inequivalent_count == 11
+
+
+def test_report_flags_an_unsharded_run_next_to_shards(tmp_path, capsys):
+    run(capsys, "enumerate", 15, "--out", tmp_path)
+    run(capsys, "solve", 15, "--shard", "0/2", "--out", tmp_path)
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "INCOMPLETE" in out  # the unsharded run already covers shard 0 of 2
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive and merged.inequivalent_count == 11
+
+
 def test_search_prepares_instances_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = pipeline.prepare_instances

@@ -2,34 +2,56 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from goodmat import equiv
+from goodmat.candidates import generate_candidates
+from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import (
     CanonicalQuad,
     apply_automorphism,
+    canonical_codes,
     canonical_compressed,
     canonical_form,
+    decode_quads,
     dedup,
     negate_row,
     normalize_signs_and_order,
     permute_row,
     quad_key,
+    row_codes,
     row_key,
-    row_less,
     units,
 )
 from goodmat.errors import InvalidInputError
+from goodmat.matching import match_quadruples
 from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3
 
 
 # ── ordering convention: +1 before −1 ────────────────────────────────────────
 
 def test_row_order_prefers_plus():
-    assert row_less((1, 1, -1), (1, -1, 1))
-    assert not row_less((1, -1, 1), (1, 1, -1))
     assert sorted([(-1,), (1,)], key=row_key) == [(1,), (-1,)]
+
+
+@given(st.lists(st.tuples(*[st.sampled_from((3, 1, -1, -3))] * 5), min_size=4, max_size=20))
+def test_row_codes_realize_row_key_order(rows):
+    codes = row_codes(rows).tolist()
+    by_code = [row for _, row in sorted(zip(codes, rows))]
+    assert by_code == sorted(rows, key=row_key)
+    quads = np.array(codes[: len(codes) // 4 * 4]).reshape(-1, 4)
+    assert [r for q in decode_quads(quads, 5) for r in q] == rows[: quads.size]
+
+
+def test_row_codes_refuse_rows_longer_than_31():
+    assert row_codes([[-3] * 31]) == 4 ** 31 - 1
+    with pytest.raises(InvalidInputError):
+        row_codes([[1] * 32])
+    with pytest.raises(InvalidInputError):
+        canonical_codes(np.zeros((1, 4), dtype=np.int64), 32)
 
 
 def test_row_key_orders_magnitudes():
@@ -124,6 +146,35 @@ def test_canonical_compressed_reorder_invariance():
     cq = CompressedQuad((1,), (3,), (-1,), (-1,))
     flipped = CompressedQuad((1,), (-1,), (3,), (-1,))
     assert canonical_compressed(cq, 3) == canonical_compressed(flipped, 3)
+
+
+def orbit_minimum(cq):
+    """canonical_compressed by brute force: every unit, B, C, D sorted."""
+    return min(
+        (CompressedQuad(permute_row(cq.ac, u),
+                        *sorted((permute_row(r, u) for r in cq.rows()[1:]), key=row_key))
+         for u in units(cq.m)),
+        key=quad_key,
+    )
+
+
+@given(st.data())
+def test_canonical_codes_equal_the_orbit_minimum(data):
+    m = data.draw(st.sampled_from((1, 3, 5, 7, 9, 11, 13)))
+    row = st.tuples(*[st.sampled_from((3, 1, -1, -3))] * m)
+    quads = data.draw(st.lists(st.builds(CompressedQuad, row, row, row, row),
+                               min_size=1, max_size=12))
+    got = decode_quads(canonical_codes(row_codes([q.rows() for q in quads]), m), m)
+    assert got == [orbit_minimum(q) for q in quads]
+    assert [canonical_compressed(q, 3 * m) for q in quads] == got
+
+
+def test_canonical_codes_across_blocks(monkeypatch):
+    n = 15
+    s_q = match_quadruples(generate_candidates(n, signed_rowsums(n)), n)
+    monkeypatch.setattr(equiv, "_CANON_CHUNK", 7)  # 264 quads: many blocks, a ragged last one
+    got = decode_quads(canonical_codes(row_codes([q.rows() for q in s_q]), 5), 5)
+    assert got == [orbit_minimum(q) for q in s_q]
 
 
 def test_canonical_compressed_checks_order():

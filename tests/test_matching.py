@@ -7,13 +7,22 @@ compressed goodness conditions directly (pure Python PAF + rowsums).
 import io
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError, ParseError
 from goodmat.equiv import quad_key
-from goodmat.matching import match_quadruples, paf_key, read_quadruples, write_quadruples
+from goodmat.matching import (
+    join_equal_keys,
+    match_quadruples,
+    paf_key,
+    read_quadruples,
+    write_quadruples,
+)
 from goodmat.seqcore import CompressedQuad
 
 
@@ -48,10 +57,29 @@ def test_matches_quadruple_loop_oracle(n):
 
 
 def test_frozen_sizes():
-    # Independently confirmed by the quadruple-loop oracle above (n ≤ 15).
-    for n, size in ((3, 3), (9, 24), (15, 264)):
+    # Confirmed by the quadruple-loop oracle above for n ≤ 15; recorded beyond.
+    for n, size in ((3, 3), (9, 24), (15, 264), (21, 1380), (27, 6678), (33, 50280)):
         cands = generate_candidates(n, signed_rowsums(n))
-        assert len(match_quadruples(cands, n)) == size
+        got = match_quadruples(cands, n)
+        assert len(got) == size
+        assert got == sorted(got, key=quad_key)
+
+
+def small_keys(width):
+    """Strategy: a (rows × width) int key array with many repeated keys."""
+    return st.lists(st.tuples(*[st.integers(-2, 2)] * width), max_size=12).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width))
+
+
+@given(st.data())
+def test_join_equals_the_nested_loop(data):
+    width = data.draw(st.integers(0, 3))  # width 0: the m = 1 keys, all equal
+    left, right = data.draw(small_keys(width)), data.draw(small_keys(width))
+    li, ri = join_equal_keys(left, right)
+    got = list(zip(li.tolist(), ri.tolist()))
+    want = {(i, j) for i in range(len(left)) for j in range(len(right))
+            if (left[i] == right[j]).all()}
+    assert len(got) == len(want) and set(got) == want
 
 
 def test_members_satisfy_exact_conditions():

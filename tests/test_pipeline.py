@@ -1,12 +1,15 @@
 """End-to-end enumeration, matrix verification, oracle, and reporting."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from goodmat.equiv import canonical_form
-from goodmat.errors import ConstructionError, InvalidInputError
+from goodmat import pipeline
+from goodmat.equiv import canonical_form, quad_key
+from goodmat.errors import ConstructionError, InternalError, InvalidInputError
+from goodmat.matching import match_quadruples
 from goodmat.pipeline import (
     FilterConfig,
     SearchReport,
@@ -94,6 +97,13 @@ def test_oracle_rejects_out_of_range():
         brute_force_oracle(6)
 
 
+def test_oracle_certificate_failure_raises_internal_error(monkeypatch):
+    # an exception, not an assert, so the check also holds under python -O
+    monkeypatch.setattr(pipeline, "paf_certificate", lambda quad: False)
+    with pytest.raises(InternalError):
+        brute_force_oracle(9)
+
+
 def test_oracle_results_are_certified():
     for canon in brute_force_oracle(9):
         assert canon.certified
@@ -123,6 +133,35 @@ def test_prepare_instances_counts():
     assert len(instances) == 2
     assert cands.n == 9
     assert set(timings) == {"rowsums", "candidates", "matching", "instance_dedup"}
+
+
+def instances_fingerprint(instances):
+    """SHA-256 of the sorted instances, one row per line as comma-separated
+    integers and a blank line after each quad (the benchmark's fingerprint)."""
+    h = hashlib.sha256()
+    for quad in sorted(instances):
+        for row in quad:
+            h.update(",".join(map(str, row)).encode() + b"\n")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,count,fingerprint", [
+    (15, 11, "80a6efe26234c75890b0e4f419d144dc16de9ccc5fe00355070641fd9a1ff19e"),
+    (33, 840, "0ef23faa60cef4b79dc9826c276da3c0abb73cc4564bbf0f61ba94a75b90ce38"),
+])
+def test_prepare_instances_fingerprint(n, count, fingerprint):
+    instances = prepare_instances(n)[0]
+    assert len(instances) == count
+    assert instances == sorted(instances, key=quad_key)
+    assert instances_fingerprint(instances) == fingerprint
+
+
+def test_undeduped_instances_are_the_sorted_s_q():
+    n = 15
+    instances, cands, _ = prepare_instances(n, filters=FilterConfig(dedup_instances=False))
+    s_q = match_quadruples(cands, n)
+    assert instances == sorted(set(s_q), key=quad_key) == s_q
 
 
 def test_sharded_union_equals_full():
