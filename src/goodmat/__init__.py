@@ -55,7 +55,7 @@ from .seqcore import (
     rowsum,
     write_quads,
 )
-from .spectral import EPS, paf_certificate, passes_psd_filter, psd_profile
+from .spectral import EPS, paf_certificate, passes_psd_filter
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "prepare_instances",
     "product_rule_holds",
     "psd_callback",
-    "psd_profile",
     "read_quads",
     "recover_amicable",
     "rowsum",

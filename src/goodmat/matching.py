@@ -38,7 +38,7 @@ from .candidates import CandidateSets
 from .equiv import decode_quads, row_codes
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad, read_blocks, write_quads
-from .spectral import EPS, dft_basis, paf
+from .spectral import EPS, mirror_psd, paf
 
 PafKey = tuple[int, ...]
 
@@ -91,9 +91,9 @@ def match_codes(
 
     bound = 4 * n + eps
     if pair_filter:
-        basis = dft_basis(m)
-        psd_sk = np.abs(sk_arr.astype(np.float64) @ basis) ** 2
-        psd_sy = np.abs(sy_arr.astype(np.float64) @ basis) ** 2
+        # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
+        psd_sk = mirror_psd(sk_arr, skew=True)
+        psd_sy = mirror_psd(sy_arr, skew=False)
         ab_i, ab_j = _filtered_pairs(psd_sk, psd_sy, bound, symmetric=False)
         cd_i, cd_j = _filtered_pairs(psd_sy, psd_sy, bound, symmetric=True)
     else:

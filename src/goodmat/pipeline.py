@@ -381,7 +381,7 @@ def brute_force_oracle(n: int) -> list[CanonicalQuad]:
     d = n // 2
     skews = [make_skew(h, n) for h in iter_halves(d)]
     syms = [make_symmetric(h, n) for h in iter_halves(d)]
-    paf_of = {row: paf_vector(row).values[1:] for row in set(skews) | set(syms)}
+    paf_of = {row: paf_vector(row)[1:] for row in set(skews) | set(syms)}
 
     cd_index: dict[tuple[int, ...], list[tuple]] = {}
     for c in syms:

@@ -7,6 +7,13 @@ For a sequence X of length n and omega = exp(2*pi*i/n),
     PAF_X(k) = sum_j x_j x_{j+k mod n}          (exact integer).
 
 Both are symmetric about n/2, so profiles store k = 0..floor(n/2) only.
+Rows that mirror themselves (x_{n-j} = x_j, or x_{n-j} = -x_j) have a real
+closed form over the half basis h = floor(n/2), j = 1..h:
+
+    symmetric:  PSD_X(k) = (x_0 + 2 sum_j x_j cos(2 pi j k / n))^2,
+    skew:       PSD_X(k) = x_0^2 + (2 sum_j x_j sin(2 pi j k / n))^2,
+
+which mirror_psd evaluates with one real matmul against half_basis(n).
 A quad of defining rows yields good matrices iff sum_X PSD_X(k) = 4n for all
 k, equivalently iff sum_X PAF_X(k) = 0 for all 1 <= k <= floor(n/2).  The
 filter uses the PSD form (any subset of rows must satisfy sum <= 4n) with a
@@ -16,7 +23,6 @@ form, so floating point can never drop a solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,25 +33,6 @@ from .seqcore import DefiningQuad
 
 #: Slack used for every floating-point comparison in the pipeline.
 EPS = 1e-2
-
-
-@dataclass(frozen=True)
-class SpectralProfile:
-    """PSD values at k = 0..floor(n/2), with the tolerance they carry."""
-
-    values: tuple[float, ...]
-    eps: float = EPS
-
-    @property
-    def max(self) -> float:
-        return max(self.values)
-
-
-@dataclass(frozen=True)
-class PafVector:
-    """Integer PAF values at k = 0..floor(n/2)."""
-
-    values: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -65,8 +52,31 @@ def psd_values(x: Sequence[int]) -> np.ndarray:
     return np.abs(spec) ** 2
 
 
-def psd_profile(x: Sequence[int]) -> SpectralProfile:
-    return SpectralProfile(tuple(psd_values(x).tolist()))
+@lru_cache(maxsize=None)
+def half_basis(n: int) -> np.ndarray:
+    """Real (h × 2(h+1)) matrix [2cos | 2sin], h = floor(n/2): entry j-1 of
+    column k is 2cos(2 pi j k / n), of column h+1+k it is 2sin(2 pi j k / n),
+    for j = 1..h and k = 0..h.
+    """
+    j = np.arange(1, n // 2 + 1)[:, None]
+    k = np.arange(n // 2 + 1)[None, :]
+    angle = 2 * np.pi * j * k / n
+    return np.hstack([2 * np.cos(angle), 2 * np.sin(angle)])
+
+
+def mirror_psd(rows: np.ndarray, skew: bool) -> np.ndarray:
+    """PSD at k = 0..floor(n/2) of rows of odd length n with x_{n-j} = x_j
+    (symmetric) or x_{n-j} = -x_j (skew) for j >= 1, one row per line.
+
+    Only x_0..x_h are read: the mirror half is taken on trust.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[1]
+    h = n // 2
+    basis = half_basis(n)[:, h + 1 :] if skew else half_basis(n)[:, : h + 1]
+    proj = rows[:, 1 : h + 1] @ basis
+    first = rows[:, :1]
+    return first**2 + proj**2 if skew else (first + proj) ** 2
 
 
 def full_psd_sum(x: Sequence[int]) -> float:
@@ -86,8 +96,9 @@ def paf(x: Sequence[int], k: int) -> int:
     return sum(x[j] * x[(j + k) % n] for j in range(n))
 
 
-def paf_vector(x: Sequence[int]) -> PafVector:
-    return PafVector(tuple(paf(x, k) for k in range(len(x) // 2 + 1)))
+def paf_vector(x: Sequence[int]) -> tuple[int, ...]:
+    """PAF_X(k) for k = 0..floor(n/2)."""
+    return tuple(paf(x, k) for k in range(len(x) // 2 + 1))
 
 
 def passes_psd_filter(rows: Sequence[Sequence[int]], n: int, eps: float = EPS) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InternalError
 from .matching import _EMIT_CHUNK, _all_pairs, _filtered_pairs, _paf_matrix, join_equal_keys
 from .seqcore import CompressedQuad, DefiningQuad, Row
-from .spectral import EPS, dft_basis, paf_certificate
+from .spectral import EPS, mirror_psd, paf_certificate
 
 #: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
 _TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int64)
@@ -133,7 +133,7 @@ def _row_data(
     hit = cache.get((crow, skew))
     if hit is None:
         rows = preimages(crow, skew)
-        psd = np.abs(rows.astype(np.float64) @ dft_basis(rows.shape[1])) ** 2
+        psd = mirror_psd(rows, skew)
         if row_filter:
             keep = (psd <= bound).all(axis=1)
             rows, psd = rows[keep], psd[keep]

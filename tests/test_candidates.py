@@ -5,10 +5,12 @@ row constructors) of the compressed candidate sets.
 """
 
 import cmath
+import hashlib
 import io
 
 import pytest
 
+from goodmat import candidates
 from goodmat.candidates import (
     CandidateSets,
     generate_candidates,
@@ -121,3 +123,61 @@ def test_read_compressed_rows_rejects_garbage():
         read_compressed_rows(io.StringIO("1, x, 3\n"))
     with pytest.raises(ParseError):
         read_compressed_rows(io.StringIO("1, 2, 3\n"))  # 2 not in the alphabet
+
+
+# ── the low-pattern table and its high blocks ───────────────────────────────
+
+def sets_digest(cands):
+    """SHA-256 of sorted s_sk then sorted s_sy, one row per line, a blank
+    line after each set (the benchmark's sweep digest)."""
+    h = hashlib.sha256()
+    for rows in (sorted(cands.s_sk), sorted(cands.s_sy)):
+        for row in rows:
+            h.update(",".join(map(str, row)).encode() + b"\n")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("filters", [True, False])
+def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
+    # 3 low bits leave 2^(d-3) high blocks (16 at n = 15, 128 at n = 21), and
+    # a merge after every 5 blocks, so the block offsets and merges all run
+    monkeypatch.setattr(candidates, "_LOW_BITS", 3)
+    monkeypatch.setattr(candidates, "_MERGE_EVERY", 5)
+    rowsums = signed_rowsums(n)
+    got = generate_candidates(n, rowsums, psd_filter=filters, rowsum_filter=filters)
+    want_sk, want_sy = oracle_candidates(n, rowsums, psd_filter=filters,
+                                         rowsum_filter=filters)
+    assert got.s_sk == want_sk and got.s_sy == want_sy
+
+
+@pytest.mark.parametrize("n, sizes, digest", [
+    # recorded from the complex-DFT sweep this kernel replaced
+    (27, (128, 197), "e223847992c62804d3cf62382aaf1f6313d7776552327c267f75b14dffd875ce"),
+    (33, (404, 678), "ab3a499ccd926a411d22d1714a9823cc7653cc48565d28d0f39cd98e9e652e46"),
+    (39, (1344, 1721), "726e6f48b73e992f0c6785368696ae7194fd33b0059b10d3e9c54c9e3b598f4c"),
+    (45, (4712, 6233), "b81fe1b983ec0e386a0bf79b735bf91fd86b747390d830b2e1b6177158125eaf"),
+])
+def test_frozen_sets_n27_to_n45(n, sizes, digest):
+    got = generate_candidates(n, signed_rowsums(n))
+    assert (len(got.s_sk), len(got.s_sy)) == sizes
+    assert sets_digest(got) == digest
+
+
+def test_high_signs_follow_the_counter_bits():
+    # d = 34 (n = 69): counter bits 32 and 33 lie past a uint32
+    d, low = 34, 15
+    for high in (0, 1, (1 << 17) | 5, (1 << 18) | (1 << 17), (1 << (d - low)) - 1):
+        counter = high << low
+        want = [1 - 2 * ((counter >> i) & 1) for i in range(low, d)]
+        assert candidates._high_signs(high, d, low).tolist() == want
+
+
+def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
+    def no_sweep(n):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(candidates, "half_basis", no_sweep)
+    with pytest.raises(InvalidInputError, match="exceeds 31"):
+        generate_candidates(99, signed_rowsums(99))  # m = 33

@@ -6,6 +6,7 @@ the numpy implementation under test.
 
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,11 +17,12 @@ from goodmat.spectral import (
     EPS,
     dft_basis,
     full_psd_sum,
+    half_basis,
+    mirror_psd,
     paf,
     paf_certificate,
     paf_vector,
     passes_psd_filter,
-    psd_profile,
     psd_values,
 )
 
@@ -76,9 +78,23 @@ def test_dft_basis_cached_and_shaped():
     assert dft_basis(9).shape == (9, 5)
 
 
-def test_psd_profile_max(known27):
-    prof = psd_profile(known27.a)
-    assert prof.max == pytest.approx(max(prof.values))
+def test_half_basis_cached_and_shaped():
+    assert half_basis(9) is half_basis(9)
+    assert half_basis(9).shape == (4, 10)
+    assert half_basis(1).shape == (0, 2)
+
+
+@given(st.integers(1, 22), st.booleans(), st.data())
+def test_mirror_psd_matches_psd_values(h, skew, data):
+    # a mirror row of odd length 2h + 1 (±1 entries, or ±1/±3 as after
+    # 3-compression): x_{n-j} = ±x_j for j = 1..h
+    first = data.draw(st.sampled_from((1, -1, 3, -3)))
+    half = data.draw(st.tuples(*([st.sampled_from((1, -1, 3, -3))] * h)))
+    sign = -1 if skew else 1
+    row = (first,) + half + tuple(sign * v for v in reversed(half))
+    got = mirror_psd(np.array([row]), skew)
+    assert got.shape == (1, h + 1)
+    assert np.allclose(got[0], psd_values(row), rtol=0, atol=1e-9)
 
 
 # ── PAF ──────────────────────────────────────────────────────────────────────
@@ -97,8 +113,8 @@ def test_paf_reflection_symmetry(x):
 
 def test_paf_vector_shape_and_zero_lag(known27):
     vec = paf_vector(known27.b)
-    assert len(vec.values) == 27 // 2 + 1
-    assert vec.values[0] == 27  # ±1 row: zero-lag autocorrelation is n
+    assert len(vec) == 27 // 2 + 1
+    assert vec[0] == 27  # ±1 row: zero-lag autocorrelation is n
 
 
 # ── the exact goodness certificate ───────────────────────────────────────────
