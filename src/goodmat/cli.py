@@ -302,7 +302,7 @@ def _cmd_report(args) -> int:
             merged_quads.extend(read_quads(fp))
     canonical = dedup(merged_quads, canonical_form)
 
-    gap = _coverage_gap([r.shard or (0, 1) for r in reports])  # unsharded: shard 0 of 1
+    gap = _coverage_gap(reports)
     covered = gap is None
 
     merged = SearchReport(
@@ -316,6 +316,7 @@ def _cmd_report(args) -> int:
         shard=None,
         exhaustive=covered,
         digest=solution_digest(canonical),
+        instances_fingerprint=reports[0].instances_fingerprint if covered else "",
     )
     rows_path = args.dir / f"solutions-n{n}-merged.rows"
     with open(rows_path, "w") as fp:
@@ -330,8 +331,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _coverage_gap(shards) -> str | None:
-    """Why the shard reports do not cover the search exactly once; None if they do."""
+def _coverage_gap(reports: list[SearchReport]) -> str | None:
+    """Why the shard reports do not cover one search exactly once; None if they do."""
+    fingerprints = {r.instances_fingerprint for r in reports}
+    if "" in fingerprints:
+        return "a report without an instance fingerprint"
+    if len(fingerprints) > 1:
+        return f"{len(fingerprints)} different instance fingerprints"
+    shards = [r.shard or (0, 1) for r in reports]  # unsharded: shard 0 of 1
     totals = {total for _, total in shards}
     if len(totals) != 1:
         return f"mixed shard totals {sorted(totals)}"

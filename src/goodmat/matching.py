@@ -9,23 +9,29 @@ Testing all |s_sy|³ combinations directly is wasteful, so:
 
   (i)   build the pair lists AB ⊆ s_sk × s_sy and CD ⊆ {(C′,D′) : C′ ≤ D′}
         that survive the pairwise PSD bound Σ PSD ≤ 4n + ε;
-  (ii)  key AB by the integer vector (PAF_A′(k) + PAF_B′(k))_{k=1..⌊m/2⌋}
-        and CD by its negation, so matching keys mean the four PAFs cancel
-        at every 1 ≤ k < m (PAF(k) = PAF(m−k) covers the upper half);
-  (iii) join equal keys: one lexsort over both key lists numbers the
-        distinct keys, and every AB pair is expanded against the CD pairs
-        of its number (join_equal_keys, which uncompression reuses at full
-        length);
-  (iv)  confirm each joined quadruple with the exact integer identity before
-        emitting, in blocks of _EMIT_CHUNK hits, restoring both (C′, D′)
-        orientations.  Quads are kept as rows of integer codes (equiv's row
-        code), whose lexicographic order is quad_key order, so one
-        np.unique yields the sorted set.
+  (ii)  key AB by the packed integer P_A′ + P_B′ and CD by −(P_C′ + P_D′),
+        where P packs PAF(1..K) of one row (packed_keys below), so equal keys
+        mean PAF_A′ + PAF_B′ + PAF_C′ + PAF_D′ = 0 at k = 1..K;
+  (iii) join equal keys (join_equal_keys, which uncompression reuses at full
+        length): sort one side, and every AB pair is expanded against the
+        run of CD pairs that carries its key;
+  (iv)  confirm each joined quadruple with the exact integer identity — the
+        rowsum identity and the full PAF sum at k = 1..⌊m/2⌋, which covers
+        the columns past K and, by PAF(k) = PAF(m−k), the upper half —
+        before emitting, in blocks of _EMIT_CHUNK hits, restoring both
+        (C′, D′) orientations.  Quads are kept as rows of integer codes
+        (equiv's row code), whose lexicographic order is quad_key order, so
+        one np.unique yields the sorted set.
 
-Keys are exact integer vectors compared column by column, never hashed or
-packed, so the join is bit-exact at either length.  The pair filter is the
-only approximate step and it only ever discards pairs whose PSD sum exceeds
-the bound by more than ε — never a pair that can reach the exact equality.
+Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
+so with B the largest PAF(0) in the tables, every column of a pair sum lies
+in [−2B, 2B], a complete set of balanced digits for the radix R = 4B + 1.
+P_x + P_y is therefore the unique balanced base-R number of the pair's first
+K columns, and equal packed keys mean equal columns 1..K.  K is the largest
+width with R^K < 2^62, so no sum of two keys overflows int64.  The pair
+filter is the only approximate step and it only ever discards pairs whose
+PSD sum exceeds the bound by more than ε — never a pair that can reach the
+exact equality.
 """
 
 from __future__ import annotations
@@ -38,19 +44,10 @@ from .candidates import CandidateSets
 from .equiv import decode_quads, row_codes
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad, read_blocks, write_quads
-from .spectral import EPS, mirror_psd, paf
-
-PafKey = tuple[int, ...]
+from .spectral import EPS, mirror_psd
 
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
-
-
-def paf_key(x: Sequence[int], y: Sequence[int]) -> PafKey:
-    """Join key: PAF_x(k) + PAF_y(k) for k = 1..⌊m/2⌋, exact integers."""
-    if len(x) != len(y):
-        raise InvalidInputError("paf_key needs rows of equal length")
-    return tuple(paf(x, k) + paf(y, k) for k in range(1, len(x) // 2 + 1))
 
 
 def match_quadruples(
@@ -79,7 +76,6 @@ def match_codes(
     """match_quadruples as the sorted, unique (N × 4) array of row codes."""
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
-    m = cands.m
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
@@ -100,10 +96,9 @@ def match_codes(
         ab_i, ab_j = _all_pairs(len(sk_arr), len(sy_arr), symmetric=False)
         cd_i, cd_j = _all_pairs(len(sy_arr), len(sy_arr), symmetric=True)
 
-    half = m // 2
-    keys_ab = paf_sk[ab_i, 1 : half + 1] + paf_sy[ab_j, 1 : half + 1]
-    keys_cd = -(paf_sy[cd_i, 1 : half + 1] + paf_sy[cd_j, 1 : half + 1])
-    hit_ab, hit_cd = join_equal_keys(keys_ab, keys_cd)
+    paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
+    key_sk, key_sy = packed_keys(paf_sk, paf_bound), packed_keys(paf_sy, paf_bound)
+    hit_ab, hit_cd = join_equal_keys(key_sk[ab_i] + key_sy[ab_j], -(key_sy[cd_i] + key_sy[cd_j]))
 
     found = [np.empty((0, 4), dtype=np.int64)]
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
@@ -119,34 +114,42 @@ def match_codes(
     return np.unique(np.concatenate(found), axis=0)
 
 
-def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j) with keys_l[i] == keys_r[j], compared exactly.
+def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:
+    """One int64 per row of a PAF table (columns k = 0..⌊len/2⌋):
+    Σ_{k=1..K} PAF(k)·R^(k−1).
 
-    One lexsort over both sides gives each distinct key a group id; each left
-    row then pairs with the right rows of its group.  Zero-width keys (m = 1)
-    are all equal, so everything joins.
+    R = 4·bound + 1, where bound ≥ |PAF(k)| for every k ≥ 1 of every row
+    (by Cauchy–Schwarz, any bound on PAF(0) is one), and K is the largest
+    width ≤ ⌊len/2⌋ with R^K < 2^62.  Tables packed with the same bound and
+    length share R and K, so the sum of any two of their keys is the exact
+    balanced base-R number of the pair's first K PAF-sum columns.
     """
-    nl = len(keys_l)
-    keys = np.concatenate([keys_l, keys_r])
-    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
-    sorted_keys = keys[order]
-    new_key = np.ones(len(keys), dtype=bool)
-    new_key[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    group = np.cumsum(new_key)
-    on_right = order >= nl
-    right, right_group = order[on_right] - nl, group[on_right]  # by group, ascending
-    left, left_group = order[~on_right], group[~on_right]
-    lo = np.searchsorted(right_group, left_group, side="left")
-    count = np.searchsorted(right_group, left_group, side="right") - lo
-    shift = np.repeat(lo - np.cumsum(count) + count, count)  # output slot → right slot
-    return np.repeat(left, count), right[shift + np.arange(len(shift))]
+    radix = 4 * int(bound) + 1
+    width = 0
+    while width < paf.shape[1] - 1 and radix ** (width + 1) < 1 << 62:
+        width += 1
+    return paf[:, 1 : width + 1] @ radix ** np.arange(width, dtype=np.int64)
+
+
+def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with keys_l[i] == keys_r[j], for 1-D int64 keys.
+
+    The right side is sorted once; both searchsorted bounds of each left key
+    give the run of right rows it pairs with, expanded by repeat.
+    """
+    order = np.argsort(keys_r, kind="stable")
+    sorted_r = keys_r[order]
+    lo = np.searchsorted(sorted_r, keys_l, side="left")
+    count = np.searchsorted(sorted_r, keys_l, side="right") - lo
+    shift = np.repeat(lo - np.cumsum(count) + count, count)  # output slot → sorted slot
+    return np.repeat(np.arange(len(keys_l)), count), order[shift + np.arange(len(shift))]
 
 
 def _paf_matrix(rows: np.ndarray) -> np.ndarray:
-    """Integer PAF values, one row per input row, columns k = 0..m-1."""
+    """Integer PAF values, one row per input row, columns k = 0..⌊len/2⌋."""
     m = rows.shape[1]
-    twice = np.concatenate([rows, rows], axis=1)  # twice[:, k : k + m] is the shift by k
-    return np.stack([(rows * twice[:, k : k + m]).sum(axis=1) for k in range(m)], axis=1)
+    shifts = (np.arange(m // 2 + 1)[:, None] + np.arange(m)) % m  # row k: j ↦ j + k
+    return np.einsum("rj,rkj->rk", rows, rows[:, shifts])
 
 
 def _all_pairs(nl: int, nr: int, *, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:

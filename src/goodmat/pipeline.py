@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,7 +47,7 @@ from .seqcore import (
 from .spectral import EPS, paf_certificate, paf_vector
 from .uncompress import uncompress_all
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Orders above this need an explicit opt-in (allow_large / --allow-large):
 #: beyond it the published search needed cluster-scale budgets.
@@ -96,7 +97,12 @@ class FilterConfig:
 
 @dataclass
 class SearchReport:
-    """What a run did: counts, timings, shard, and a digest of the answer."""
+    """What a run did: counts, timings, shard, and a digest of the answer.
+
+    instances_fingerprint identifies the full, unsharded instance list the
+    run drew its shard from (see instances_fingerprint), so shards of one
+    run agree on it and shards of different runs do not.
+    """
 
     n: int
     wall_time_s: float
@@ -108,6 +114,7 @@ class SearchReport:
     shard: Optional[tuple[int, int]] = None
     exhaustive: bool = True
     digest: str = ""
+    instances_fingerprint: str = ""
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json(self) -> str:
@@ -123,6 +130,7 @@ class SearchReport:
             "shard": list(self.shard) if self.shard else None,
             "exhaustive": self.exhaustive,
             "digest": self.digest,
+            "instances_fingerprint": self.instances_fingerprint,
         }
         return json.dumps(payload, indent=1) + "\n"
 
@@ -140,6 +148,7 @@ class SearchReport:
             shard=tuple(data["shard"]) if data.get("shard") else None,
             exhaustive=data.get("exhaustive", True),
             digest=data.get("digest", ""),
+            instances_fingerprint=data.get("instances_fingerprint", ""),
             schema_version=data.get("schema_version", REPORT_SCHEMA_VERSION),
         )
 
@@ -152,6 +161,17 @@ def solution_digest(quads: Sequence[CanonicalQuad]) -> str:
             buf.write(format_row(row) + "\n")
         buf.write("\n")
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def instances_fingerprint(instances: Sequence[CompressedQuad]) -> str:
+    """SHA-256 of the sorted instance list: one row per line as comma-separated
+    integers, a blank line after each quad."""
+    h = hashlib.sha256()
+    for quad in sorted(instances):
+        for row in quad.rows():
+            h.update(",".join(map(str, row)).encode() + b"\n")
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def _validate_order(n: int, allow_large: bool) -> None:
@@ -242,6 +262,7 @@ def enumerate_prepared(
     """
     instance_quads, _, timings = prepared
     timings = dict(timings)
+    fingerprint = instances_fingerprint(instance_quads)
     if shard is not None:
         i, total = shard
         if not (0 <= i < total):
@@ -256,7 +277,10 @@ def enumerate_prepared(
             parts = list(pool.map(run, [instance_quads[j::jobs] for j in range(jobs)]))
     else:
         parts = [run(instance_quads)]
-    found = [quads for part in parts for quads in part]
+    found = [quads for part, _ in parts for quads in part]
+    join_stats: Counter = Counter()
+    for _, part_stats in parts:
+        join_stats.update(part_stats)
     timings["solving"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -272,10 +296,11 @@ def enumerate_prepared(
         solutions_found=sum(map(len, per_instance)),
         inequivalent_count=len(canonical),
         stage_seconds=timings,
-        solver_stats={"raw_models": sum(map(len, found))},
+        solver_stats={"raw_models": sum(map(len, found)), **join_stats},
         shard=shard,
         exhaustive=shard is None,
         digest=solution_digest(canonical),
+        instances_fingerprint=fingerprint,
     )
     return canonical, report
 

@@ -13,10 +13,14 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key join
         when |c′_k| = 3 and 3 choices when |c′_k| = 1;
   (ii)  keep the rows inside the row PSD bound and the A×B and C×D pairs
         inside the pairwise bound (both float filters, both optional);
-  (iii) key A×B by PAF_A(k) + PAF_B(k), k = 1..⌊n/2⌋, key C×D by the
-        negation, and join equal keys (⌊n/2⌋ columns, compared exactly);
-  (iv)  confirm each hit with the full exact PAF sum and the PAF certificate.
-        The key equality implies both, so a failure is a bug: InternalError.
+  (iii) key A×B by P_A + P_B and C×D by −(P_C + P_D), where P is matching's
+        packed key of PAF(1..K) (packed_keys, with PAF(0) = n bounding every
+        other PAF value of a ±1 row), and join equal keys;
+  (iv)  confirm each hit with the full exact PAF sum at k = 1..⌊n/2⌋ and
+        keep the quads where it vanishes.  A packed key covers only the
+        first K columns (K = 8 of 19 at n = 39), so a hit that differs past
+        K is expected and dropped here.  Every kept quad must then pass the
+        PAF certificate; a failure is a bug: InternalError.
 
 C×D is the ordered product even when C′ = D′, so the quads found for one
 instance are exactly the certified models of its SAT encoding (satsearch,
@@ -25,21 +29,31 @@ kept as the reference and for DIMACS export).
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InternalError
-from .matching import _EMIT_CHUNK, _all_pairs, _filtered_pairs, _paf_matrix, join_equal_keys
+from .matching import (
+    _EMIT_CHUNK,
+    _all_pairs,
+    _filtered_pairs,
+    _paf_matrix,
+    join_equal_keys,
+    packed_keys,
+)
 from .seqcore import CompressedQuad, DefiningQuad, Row
 from .spectral import EPS, mirror_psd, paf_certificate
 
 #: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
 _TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int64)
 
-#: Per-run cache: (compressed row, is skew) → (preimages, their PSD, their PAF).
-RowCache = dict[tuple[Row, bool], tuple[np.ndarray, np.ndarray, np.ndarray]]
+#: Per-run cache: (compressed row, is skew) →
+#: (preimages, their PSD, their PAF, their packed PAF keys).
+RowData = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+RowCache = dict[tuple[Row, bool], RowData]
 
 
 def preimages(crow: Sequence[int], skew: bool) -> np.ndarray:
@@ -71,8 +85,14 @@ def uncompress(
     row_filter: bool = True,
     pair_filter: bool = True,
     cache: Optional[RowCache] = None,
+    stats: Optional[Counter] = None,
 ) -> list[DefiningQuad]:
-    """All certified quads whose 3-compression is cq."""
+    """All certified quads whose 3-compression is cq.
+
+    stats, when given, gains the join counters: pairs_ab and pairs_cd (pairs
+    after the pair filter) and key_hits (packed-key matches before the exact
+    PAF check).
+    """
     n = 3 * cq.m
     bound = 4 * n + eps
     if cache is None:
@@ -81,9 +101,10 @@ def uncompress(
         _row_data(crow, r == 0, bound, row_filter, cache)
         for r, crow in enumerate(cq.rows())
     ]
-    if any(len(rows) == 0 for rows, _, _ in blocks):
+    if any(len(rows) == 0 for rows, *_ in blocks):
         return []
-    (a, psd_a, paf_a), (b, psd_b, paf_b), (c, psd_c, paf_c), (d, psd_d, paf_d) = blocks
+    (a, psd_a, paf_a, key_a), (b, psd_b, paf_b, key_b) = blocks[:2]
+    (c, psd_c, paf_c, key_c), (d, psd_d, paf_d, key_d) = blocks[2:]
 
     if pair_filter:
         ab_i, ab_j = _filtered_pairs(psd_a, psd_b, bound, symmetric=False)
@@ -92,18 +113,16 @@ def uncompress(
         ab_i, ab_j = _all_pairs(len(a), len(b), symmetric=False)
         cd_i, cd_j = _all_pairs(len(c), len(d), symmetric=False)
 
-    half = n // 2
-    keys_ab = paf_a[ab_i, 1 : half + 1] + paf_b[ab_j, 1 : half + 1]
-    keys_cd = -(paf_c[cd_i, 1 : half + 1] + paf_d[cd_j, 1 : half + 1])
-
-    hit_ab, hit_cd = join_equal_keys(keys_ab, keys_cd)
+    hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
+    if stats is not None:
+        stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))
     found: list[DefiningQuad] = []
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
         ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
         ia, jb, ic, jd = ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]
         total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
-        if not (total[:, 1:] == 0).all():
-            raise InternalError(f"PAF key join accepted a non-good quad above {cq}")
+        ok = (total[:, 1:] == 0).all(axis=1)
+        ia, jb, ic, jd = ia[ok], jb[ok], ic[ok], jd[ok]
         for quad in zip(a[ia].tolist(), b[jb].tolist(), c[ic].tolist(), d[jd].tolist()):
             quad = DefiningQuad(*map(tuple, quad))
             if not paf_certificate(quad):
@@ -118,18 +137,24 @@ def uncompress_all(
     eps: float = EPS,
     row_filter: bool = True,
     pair_filter: bool = True,
-) -> list[list[DefiningQuad]]:
-    """uncompress for each instance in turn, sharing one row cache."""
+) -> tuple[list[list[DefiningQuad]], dict[str, int]]:
+    """uncompress for each instance in turn, sharing one row cache.
+
+    Returns the quads of each instance and the summed join counters.
+    """
     cache: RowCache = {}
-    return [
-        uncompress(cq, eps=eps, row_filter=row_filter, pair_filter=pair_filter, cache=cache)
+    stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
+    found = [
+        uncompress(cq, eps=eps, row_filter=row_filter, pair_filter=pair_filter,
+                   cache=cache, stats=stats)
         for cq in instances
     ]
+    return found, dict(stats)
 
 
 def _row_data(
     crow: Row, skew: bool, bound: float, row_filter: bool, cache: RowCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> RowData:
     hit = cache.get((crow, skew))
     if hit is None:
         rows = preimages(crow, skew)
@@ -137,5 +162,7 @@ def _row_data(
         if row_filter:
             keep = (psd <= bound).all(axis=1)
             rows, psd = rows[keep], psd[keep]
-        hit = cache[crow, skew] = (rows, psd, _paf_matrix(rows))
+        paf = _paf_matrix(rows)
+        key = packed_keys(paf, rows.shape[1])  # |PAF(k)| ≤ PAF(0) = n
+        hit = cache[crow, skew] = (rows, psd, paf, key)
     return hit

@@ -102,6 +102,9 @@ def test_solve_shards_and_report_merge(tmp_path, capsys):
     assert "inequivalent=11" in out and "coverage complete" in out
     merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
     assert merged.exhaustive and merged.inequivalent_count == 11
+    _, whole = pipeline.enumerate_good_matrices(15)
+    assert merged.solver_stats == whole.solver_stats  # shard counters sum to the whole
+    assert merged.instances_fingerprint == whole.instances_fingerprint
     with open(tmp_path / "solutions-n15-merged.rows") as fp:
         assert len(read_quads(fp)) == 11
 
@@ -150,6 +153,41 @@ def test_report_flags_an_unsharded_run_next_to_shards(tmp_path, capsys):
     assert "INCOMPLETE" in out  # the unsharded run already covers shard 0 of 2
     merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
     assert not merged.exhaustive and merged.inequivalent_count == 11
+
+
+def write_shard(out, n, shard, filters):
+    """What `goodmat solve n --shard i/N` writes, for a run with these filters."""
+    quads, report = pipeline.enumerate_good_matrices(n, shard=shard, filters=filters)
+    tag = f"n{n}-shard{shard[0]}of{shard[1]}"
+    (out / f"report-{tag}.json").write_text(report.to_json())
+    with open(out / f"solutions-{tag}.rows", "w") as fp:
+        write_quads(fp, (cq.quad for cq in quads))
+
+
+def test_report_flags_shards_of_different_instance_lists(tmp_path, capsys):
+    # shard 0 of the deduped instances and shard 1 of the undeduped S_q do not
+    # cover one search between them
+    write_shard(tmp_path, 15, (0, 2), pipeline.FilterConfig())
+    write_shard(tmp_path, 15, (1, 2), pipeline.FilterConfig(dedup_instances=False))
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "INCOMPLETE (2 different instance fingerprints)" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive and merged.instances_fingerprint == ""
+
+
+def test_report_flags_a_shard_without_fingerprint(tmp_path, capsys):
+    for i in range(2):
+        run(capsys, "solve", 15, "--shard", f"{i}/2", "--out", tmp_path)
+    path = tmp_path / "report-n15-shard1of2.json"
+    data = json.loads(path.read_text())
+    del data["instances_fingerprint"]  # as a report of schema version 1 reads
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "INCOMPLETE (a report without an instance fingerprint)" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive
 
 
 def test_search_prepares_instances_once(tmp_path, capsys, monkeypatch):

@@ -17,9 +17,10 @@ from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError, ParseError
 from goodmat.equiv import quad_key
 from goodmat.matching import (
+    _paf_matrix,
     join_equal_keys,
     match_quadruples,
-    paf_key,
+    packed_keys,
     read_quadruples,
     write_quadruples,
 )
@@ -65,21 +66,57 @@ def test_frozen_sizes():
         assert got == sorted(got, key=quad_key)
 
 
-def small_keys(width):
-    """Strategy: a (rows × width) int key array with many repeated keys."""
-    return st.lists(st.tuples(*[st.integers(-2, 2)] * width), max_size=12).map(
-        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width))
+#: Strategy: a 1-D int64 key array with many repeated keys.
+small_keys = st.lists(st.integers(-3, 3), max_size=12).map(
+    lambda keys: np.array(keys, dtype=np.int64))
 
 
-@given(st.data())
-def test_join_equals_the_nested_loop(data):
-    width = data.draw(st.integers(0, 3))  # width 0: the m = 1 keys, all equal
-    left, right = data.draw(small_keys(width)), data.draw(small_keys(width))
+@given(small_keys, small_keys)
+def test_join_equals_the_nested_loop(left, right):
     li, ri = join_equal_keys(left, right)
     got = list(zip(li.tolist(), ri.tolist()))
     want = {(i, j) for i in range(len(left)) for j in range(len(right))
-            if (left[i] == right[j]).all()}
+            if left[i] == right[j]}
     assert len(got) == len(want) and set(got) == want
+
+
+def balanced_digits(value, radix, width):
+    """The width digits in [−radix//2, radix//2] of value, least significant first."""
+    digits = []
+    for _ in range(width):
+        digit = value % radix
+        digit -= radix if digit > radix // 2 else 0
+        digits.append(digit)
+        value = (value - digit) // radix
+    assert value == 0  # nothing left above the top digit
+    return digits
+
+
+@given(st.data())
+def test_packed_pair_keys_are_the_exact_prefix_columns(data):
+    bound = data.draw(st.sampled_from([1, 2, 45, 1000, 10**6]), label="bound")
+    half = data.draw(st.integers(0, 8), label="half")  # 0: the m = 1 table, all keys equal
+    entry = st.one_of(st.sampled_from([-bound, bound]), st.integers(-bound, bound))
+    rows = data.draw(st.lists(st.lists(entry, min_size=half, max_size=half),
+                              min_size=1, max_size=6), label="rows")
+    paf = np.array([[bound] + r for r in rows], dtype=np.int64).reshape(len(rows), half + 1)
+    key = packed_keys(paf, bound)
+    radix = 4 * bound + 1
+    width = min(half, max(k for k in range(64) if radix**k < 2**62))  # wider tables: a prefix
+    sums = {}
+    for i, j in itertools.product(range(len(rows)), repeat=2):
+        columns = (paf[i, 1 : width + 1] + paf[j, 1 : width + 1]).tolist()
+        packed = int(key[i]) + int(key[j])
+        assert balanced_digits(packed, radix, width) == columns
+        assert balanced_digits(-packed, radix, width) == [-c for c in columns]
+        sums.setdefault(packed, set()).add(tuple(columns))
+    assert all(len(columns) == 1 for columns in sums.values())  # injective on the prefix
+
+
+def test_paf_matrix_is_the_half_table():
+    rows = np.array([[1, 3, -1, 1, 3, -1, 1], [1, -1, -1, 1, 1, -1, -1]], dtype=np.int64)
+    want = [[oracle_paf(r, k) for k in range(7 // 2 + 1)] for r in rows.tolist()]
+    assert _paf_matrix(rows).tolist() == want
 
 
 def test_members_satisfy_exact_conditions():
@@ -116,13 +153,6 @@ def test_rejects_mismatched_order():
 def test_empty_candidates_give_empty_match():
     cands = generate_candidates(9, frozenset())
     assert match_quadruples(cands, 9) == []
-
-
-def test_paf_key_is_exact_prefix():
-    row = (1, 3, -1, 1, 3, -1, 1)  # m = 7
-    key = paf_key(row, row)
-    assert len(key) == 7 // 2
-    assert key == tuple(2 * oracle_paf(row, k) for k in range(1, 4))
 
 
 def test_quadruple_file_round_trip():

@@ -157,6 +157,15 @@ def test_prepare_instances_fingerprint(n, count, fingerprint):
     assert instances_fingerprint(instances) == fingerprint
 
 
+def test_report_fingerprints_the_whole_instance_list():
+    instances = prepare_instances(15)[0]
+    fingerprints = {enumerate_good_matrices(15, shard=shard)[1].instances_fingerprint
+                    for shard in (None, (0, 2), (1, 2))}
+    assert fingerprints == {instances_fingerprint(instances)}
+    undeduped = enumerate_good_matrices(15, filters=FilterConfig(dedup_instances=False))[1]
+    assert undeduped.instances_fingerprint not in fingerprints
+
+
 def test_undeduped_instances_are_the_sorted_s_q():
     n = 15
     instances, cands, _ = prepare_instances(n, filters=FilterConfig(dedup_instances=False))
@@ -215,9 +224,10 @@ def test_frozen_digest_n3():
 
 
 def test_parallel_jobs_match_sequential():
-    seq, _ = enumerate_good_matrices(15, jobs=1)
-    par, _ = enumerate_good_matrices(15, jobs=2)
+    seq, seq_report = enumerate_good_matrices(15, jobs=1)
+    par, par_report = enumerate_good_matrices(15, jobs=2)
     assert seq == par
+    assert par_report.solver_stats == seq_report.solver_stats
 
 
 def test_order_validation():
@@ -237,11 +247,14 @@ def test_report_json_round_trip():
     assert loaded == SearchReport.from_json(loaded.to_json())
     for field in ("n", "instance_count", "solutions_found",
                   "inequivalent_count", "solver_stats", "shard",
-                  "exhaustive", "digest"):
+                  "exhaustive", "digest", "instances_fingerprint"):
         assert getattr(loaded, field) == getattr(report, field)
     assert report.solver_stats["raw_models"] >= report.solutions_found > 0
+    stats = report.solver_stats
+    assert stats["key_hits"] >= stats["raw_models"]
+    assert min(stats["pairs_ab"], stats["pairs_cd"]) > 0
     data = json.loads(report.to_json())
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["exhaustive"] is True
 
 

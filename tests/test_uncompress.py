@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from goodmat import uncompress as uncompress_module
@@ -41,13 +42,46 @@ def test_preimages_of_an_impossible_compression_are_empty():
 @pytest.mark.parametrize("n", [9, 15, 21])
 def test_join_equals_sat_per_instance(n, cfg):
     instances = prepare_instances(n, filters=cfg)[0]
-    joined = uncompress_all(instances, row_filter=cfg.psd_candidates,
-                            pair_filter=cfg.psd_pairs)
+    joined, _ = uncompress_all(instances, row_filter=cfg.psd_candidates,
+                               pair_filter=cfg.psd_pairs)
     assert len(joined) == len(instances)
     for cq, got in zip(instances, joined):
         inst = build_instance(cq, parity=cfg.parity_clauses)
         solve_all(inst, prefix_checks=cfg.prefix_checks)
         assert sorted(got) == sorted(inst.solutions), f"instance {cq}"
+
+
+#: Raw models per instance index (the others have none), recorded before the
+#: join keys were packed into one integer.
+RAW_MODELS = {
+    27: (186, {1: 3, 10: 6, 32: 3, 60: 3, 66: 3, 68: 3, 72: 3, 75: 3, 83: 3, 85: 3,
+               135: 3, 168: 3}),
+    33: (840, {134: 2, 169: 2, 301: 2, 405: 2, 473: 2, 499: 2, 504: 2, 549: 2, 575: 2,
+               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RAW_MODELS))
+def test_frozen_raw_models_per_instance(n):
+    count, raw = RAW_MODELS[n]
+    instances = prepare_instances(n)[0]
+    found, stats = uncompress_all(instances)
+    assert len(found) == count
+    assert {i: len(quads) for i, quads in enumerate(found) if quads} == raw
+    assert stats["key_hits"] >= sum(raw.values())
+    assert stats["pairs_ab"] > 0 and stats["pairs_cd"] > 0
+
+
+def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
+    # Keys of width 0 match every A×B pair with every C×D pair, as a packed
+    # prefix does when the pairs differ only past its last column.
+    instances = prepare_instances(15)[0]
+    want, stats = uncompress_all(instances)
+    monkeypatch.setattr(uncompress_module, "packed_keys",
+                        lambda paf, bound: np.zeros(len(paf), dtype=np.int64))
+    got, wide = uncompress_all(instances)
+    assert got == want
+    assert wide["key_hits"] > stats["key_hits"] >= sum(map(len, want))
 
 
 def test_failed_certificate_raises_internal_error(monkeypatch):
