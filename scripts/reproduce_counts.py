@@ -2,8 +2,9 @@
 """Reproduce the inequivalent-count table and verify every matrix found.
 
 Runs the full pipeline for each order, compares against the expected counts,
-re-certifies all solutions (definition, PAF certificate, product rule,
-amicability, skew Hadamard construction), and writes row files + reports.
+re-certifies all solutions with pipeline.CHECKS (definition, PAF certificate,
+product rule, amicability, skew Hadamard construction), and writes row files
+and reports.
 
     python3 scripts/reproduce_counts.py --out runs/
     python3 scripts/reproduce_counts.py --stretch --out runs/   # adds 33, 39
@@ -14,15 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from goodmat.pipeline import (
-    build_skew_hadamard,
-    enumerate_good_matrices,
-    recover_amicable,
-    verify_definition,
-)
-from goodmat.satsearch import product_rule_holds
+from goodmat.pipeline import CHECKS, enumerate_good_matrices
 from goodmat.seqcore import write_quads
-from goodmat.spectral import paf_certificate
 
 EXPECTED = {3: 1, 9: 1, 15: 11, 21: 10, 27: 13}
 STRETCH = {33: 15, 39: 5}
@@ -49,15 +43,7 @@ def main() -> int:
         quads, report = enumerate_good_matrices(n, jobs=args.jobs)
         elapsed = time.perf_counter() - start
 
-        verified = 0
-        for canon in quads:
-            quad = canon.quad
-            ok = (verify_definition(quad) and paf_certificate(quad)
-                  and product_rule_holds(quad))
-            if ok:
-                recover_amicable(quad)
-                build_skew_hadamard(quad)
-                verified += 1
+        verified = sum(all(check(c.quad) for _, check in CHECKS) for c in quads)
 
         ok = len(quads) == want and verified == len(quads)
         all_ok &= ok

@@ -33,6 +33,7 @@ from .pipeline import (
     circulant,
     enumerate_good_matrices,
     prepare_instances,
+    product_rule_holds,
     recover_amicable,
     verify_definition,
 )
@@ -41,7 +42,6 @@ from .satsearch import (
     CnfInstance,
     build_instance,
     export_dimacs,
-    product_rule_holds,
     psd_callback,
     solve_all,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diophantine import RowsumTriple, rowsum_components
 from .equiv import _place_values, decode_rows, row_codes
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError
 from .seqcore import Row
 from .spectral import EPS, half_basis
 
@@ -138,20 +138,3 @@ def write_compressed_rows(fp: TextIO, rows: Iterable[Row]) -> None:
     for row in rows:
         fp.write(",".join(str(e) for e in row) + "\n")
 
-
-def read_compressed_rows(fp: TextIO) -> list[Row]:
-    out = []
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = tuple(int(tok) for tok in line.split(","))
-        except ValueError:
-            raise ParseError(f"bad compressed row on line {lineno}: {line!r}") from None
-        if not set(row) <= {-3, -1, 1, 3}:
-            raise ParseError(
-                f"entry outside the 3-compression alphabet on line {lineno}: {line!r}"
-            )
-        out.append(row)
-    return out

@@ -19,6 +19,7 @@ Exit status: 0 on success, 1 on verification failure or internal error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -30,19 +31,16 @@ from .equiv import canonical_form, dedup
 from .errors import GoodmatError, InvalidInputError, ParseError
 from .matching import match_quadruples, write_quadruples
 from .pipeline import (
-    FilterConfig,
+    CHECKS,
     SearchReport,
     brute_force_oracle,
     build_skew_hadamard,
     enumerate_prepared,
     prepare_instances,
-    recover_amicable,
     solution_digest,
-    verify_definition,
 )
-from .satsearch import build_instance, export_dimacs, product_rule_holds, write_manifest
+from .satsearch import build_instance, export_dimacs
 from .seqcore import format_row, read_quads, write_quads
-from .spectral import paf_certificate
 
 
 def main() -> None:
@@ -186,13 +184,13 @@ def _cmd_search(args) -> int:
     instance_quads = prepared[0]
     if shard is not None:
         instance_quads = instance_quads[shard[0] :: shard[1]]
-    instances = [build_instance(cq) for cq in instance_quads]
+    manifest = [{"id": idx, "quad": [list(row) for row in cq.rows()]}
+                for idx, cq in enumerate(instance_quads)]
     manifest_path = out / f"manifest-{tag}.json"
-    with open(manifest_path, "w") as fp:
-        write_manifest(instances, fp)
-    if args.dimacs:
-        for idx, inst in enumerate(instances):
-            (out / f"instance-{tag}-{idx}.cnf").write_text(export_dimacs(inst))
+    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
+    if args.dimacs:  # the .cnf headers carry the variable and clause counts
+        for idx, cq in enumerate(instance_quads):
+            (out / f"instance-{tag}-{idx}.cnf").write_text(export_dimacs(build_instance(cq)))
 
     quads, report = enumerate_prepared(
         args.n, prepared, start=start, shard=shard, jobs=args.jobs
@@ -210,23 +208,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-_CHECKS = (
-    ("definition", lambda q: verify_definition(q)),
-    ("paf", lambda q: paf_certificate(q)),
-    ("product", lambda q: product_rule_holds(q)),
-    ("amicable", lambda q: _no_raise(recover_amicable, q)),
-    ("hadamard", lambda q: _no_raise(build_skew_hadamard, q)),
-)
-
-
-def _no_raise(fn, quad) -> bool:
-    try:
-        fn(quad)
-        return True
-    except GoodmatError:
-        return False
-
-
 def _cmd_verify(args) -> int:
     with open(args.rowfile) as fp:
         quads = read_quads(fp, validate=False)
@@ -235,7 +216,7 @@ def _cmd_verify(args) -> int:
         return 2
     failures = 0
     for idx, quad in enumerate(quads):
-        results = [(name, check(quad)) for name, check in _CHECKS]
+        results = [(name, check(quad)) for name, check in CHECKS]
         ok = all(flag for _, flag in results)
         failures += 0 if ok else 1
         detail = " ".join(f"{name}={'OK' if flag else 'FAIL'}" for name, flag in results)

@@ -1,27 +1,19 @@
-"""Compressed-quadruple matching: the pair-filter + sort-join stage.
+"""Compressed-quadruple matching, and the PAF-key quad join it shares with
+uncompression.
 
 A compressed quadruple (A′, B′, C′, D′) ∈ s_sk × s_sy³ can belong to good
 matrices only if Σ PSD(k) = 4n at every k, equivalently (exactly, in
 integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
-Testing all |s_sy|³ combinations directly is wasteful, so:
-
-  (i)   build the pair lists AB ⊆ s_sk × s_sy and CD ⊆ {(C′,D′) : C′ ≤ D′}
-        that survive the pairwise PSD bound Σ PSD ≤ 4n + ε;
-  (ii)  key AB by the packed integer P_A′ + P_B′ and CD by −(P_C′ + P_D′),
-        where P packs PAF(1..K) of one row (packed_keys below), so equal keys
-        mean PAF_A′ + PAF_B′ + PAF_C′ + PAF_D′ = 0 at k = 1..K;
-  (iii) join equal keys (join_equal_keys, which uncompression reuses at full
-        length): sort one side, and every AB pair is expanded against the
-        run of CD pairs that carries its key;
-  (iv)  confirm each joined quadruple with the exact integer identity — the
-        rowsum identity and the full PAF sum at k = 1..⌊m/2⌋, which covers
-        the columns past K and, by PAF(k) = PAF(m−k), the upper half —
-        before emitting, in blocks of _EMIT_CHUNK hits, restoring both
-        (C′, D′) orientations.  Quads are kept as rows of integer codes
-        (equiv's row code), whose lexicographic order is quad_key order, so
-        one np.unique yields the sorted set.
+Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
+join_quads — pair screen, packed-key join, exact PAF confirmation — on
+A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ {(C′, D′) : C′ ≤ D′}, keeps the joined
+quadruples that satisfy the rowsum identity and emits both (C′, D′)
+orientations.  Quads are kept as rows of integer codes (equiv's row code),
+whose lexicographic order is quad_key order, so one np.unique yields the
+sorted set.  Uncompression runs the same join on the full-length preimages
+of one instance.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
 so with B the largest PAF(0) in the tables, every column of a pair sum lies
@@ -36,18 +28,23 @@ exact equality.
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from collections import Counter
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .candidates import CandidateSets
 from .equiv import decode_quads, row_codes
 from .errors import InvalidInputError
-from .seqcore import CompressedQuad, read_blocks, write_quads
+from .seqcore import CompressedQuad, write_quads
 from .spectral import EPS, mirror_psd
 
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
+
+#: One side of join_quads, one line per row: (PSD profiles, PAF table with
+#: columns k = 0..⌊len/2⌋, packed PAF keys).
+JoinSide = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def match_quadruples(
@@ -81,37 +78,73 @@ def match_codes(
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
     sy_arr = np.array(sorted(cands.s_sy), dtype=np.int64)
     code_sk, code_sy = row_codes(sk_arr), row_codes(sy_arr)
-    paf_sk = _paf_matrix(sk_arr)
-    paf_sy = _paf_matrix(sy_arr)
-    rs_sy = sy_arr.sum(axis=1)
-
-    bound = 4 * n + eps
-    if pair_filter:
-        # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
-        psd_sk = mirror_psd(sk_arr, skew=True)
-        psd_sy = mirror_psd(sy_arr, skew=False)
-        ab_i, ab_j = _filtered_pairs(psd_sk, psd_sy, bound, symmetric=False)
-        cd_i, cd_j = _filtered_pairs(psd_sy, psd_sy, bound, symmetric=True)
-    else:
-        ab_i, ab_j = _all_pairs(len(sk_arr), len(sy_arr), symmetric=False)
-        cd_i, cd_j = _all_pairs(len(sy_arr), len(sy_arr), symmetric=True)
-
+    paf_sk, paf_sy = paf_matrix(sk_arr), paf_matrix(sy_arr)
     paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
-    key_sk, key_sy = packed_keys(paf_sk, paf_bound), packed_keys(paf_sy, paf_bound)
-    hit_ab, hit_cd = join_equal_keys(key_sk[ab_i] + key_sy[ab_j], -(key_sy[cd_i] + key_sy[cd_j]))
+    # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
+    sk = (mirror_psd(sk_arr, skew=True), paf_sk, packed_keys(paf_sk, paf_bound))
+    sy = (mirror_psd(sy_arr, skew=False), paf_sy, packed_keys(paf_sy, paf_bound))
+    ia, jb, ic, jd = join_quads(sk, sy, sy, sy, 4 * n + eps, pair_filter=pair_filter,
+                                upper_cd=True)
 
-    found = [np.empty((0, 4), dtype=np.int64)]
+    rs_sy = sy_arr.sum(axis=1)
+    ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
+    a, b = code_sk[ia[ok]], code_sy[jb[ok]]
+    c, d = code_sy[ic[ok]], code_sy[jd[ok]]
+    # each quad next to its (C′, D′) swap: np.unique sorts that order faster
+    both = np.stack([a, b, c, d, a, b, d, c], axis=1).reshape(-1, 4)
+    return np.unique(both, axis=0)
+
+
+def join_quads(
+    a: JoinSide,
+    b: JoinSide,
+    c: JoinSide,
+    d: JoinSide,
+    bound: float,
+    *,
+    pair_filter: bool = True,
+    upper_cd: bool = False,
+    stats: Optional[Counter] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every index quad (i, j, k, l) into the tables a, b, c, d whose PAF
+    rows sum to zero at every column k ≥ 1, as four index arrays.
+
+      (i)   pair A×B and C×D — only k ≤ l with upper_cd — and, with
+            pair_filter, keep the pairs whose summed PSD profile stays
+            within bound everywhere;
+      (ii)  key each A×B pair by P_a + P_b and each C×D pair by
+            −(P_c + P_d), where P is the packed key of one row (packed_keys;
+            all four tables packed with the same bound), and join equal keys
+            (join_equal_keys): equal keys mean the PAF sums cancel at
+            columns 1..K;
+      (iii) confirm each hit, in blocks of _EMIT_CHUNK, with the full exact
+            PAF sum, which covers the columns past K.  A hit that differs
+            only there is expected and dropped.
+
+    stats, when given, gains pairs_ab and pairs_cd (pairs after the pair
+    screen) and key_hits (packed-key matches before the exact check).
+    """
+    (psd_a, paf_a, key_a), (psd_b, paf_b, key_b) = a, b
+    (psd_c, paf_c, key_c), (psd_d, paf_d, key_d) = c, d
+    if pair_filter:
+        ab_i, ab_j = _filtered_pairs(psd_a, psd_b, bound, upper=False)
+        cd_i, cd_j = _filtered_pairs(psd_c, psd_d, bound, upper=upper_cd)
+    else:
+        ab_i, ab_j = _all_pairs(len(key_a), len(key_b), upper=False)
+        cd_i, cd_j = _all_pairs(len(key_c), len(key_d), upper=upper_cd)
+
+    hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
+    if stats is not None:
+        stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))
+    found = [np.empty((4, 0), dtype=np.int64)]
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
         ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
-        ia, jb, ic, jd = ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]
-        # exact confirmation: k = 0 rowsum identity + the full PAF sums
-        ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n
-        total = paf_sk[ia] + paf_sy[jb] + paf_sy[ic] + paf_sy[jd]
-        ok &= (total[:, 1:] == 0).all(axis=1)
-        a, b = code_sk[ia[ok]], code_sy[jb[ok]]
-        c, d = code_sy[ic[ok]], code_sy[jd[ok]]
-        found += [np.stack([a, b, c, d], axis=1), np.stack([a, b, d, c], axis=1)]
-    return np.unique(np.concatenate(found), axis=0)
+        quads = np.stack([ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]])
+        ia, jb, ic, jd = quads
+        total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
+        found.append(quads[:, (total[:, 1:] == 0).all(axis=1)])
+    ia, jb, ic, jd = np.concatenate(found, axis=1)
+    return ia, jb, ic, jd
 
 
 def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:
@@ -145,32 +178,33 @@ def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray,
     return np.repeat(np.arange(len(keys_l)), count), order[shift + np.arange(len(shift))]
 
 
-def _paf_matrix(rows: np.ndarray) -> np.ndarray:
+def paf_matrix(rows: np.ndarray) -> np.ndarray:
     """Integer PAF values, one row per input row, columns k = 0..⌊len/2⌋."""
     m = rows.shape[1]
     shifts = (np.arange(m // 2 + 1)[:, None] + np.arange(m)) % m  # row k: j ↦ j + k
     return np.einsum("rj,rkj->rk", rows, rows[:, shifts])
 
 
-def _all_pairs(nl: int, nr: int, *, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    if symmetric:
-        return np.triu_indices(nl)
+def _all_pairs(nl: int, nr: int, *, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    if upper:
+        return np.triu_indices(nl, 0, nr)
     i = np.repeat(np.arange(nl), nr)
     j = np.tile(np.arange(nr), nl)
     return i, j
 
 
 def _filtered_pairs(
-    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, symmetric: bool
+    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, upper: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs whose summed PSD profile stays below the bound everywhere."""
-    parts_i, parts_j = [], []
+    """Index pairs (i ≤ j with upper) whose summed PSD profile stays below
+    the bound everywhere."""
+    parts_i, parts_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(psd_l), _PAIR_CHUNK):
         block = psd_l[lo : lo + _PAIR_CHUNK]
         ok = ((block[:, None, :] + psd_r[None, :, :]) <= bound).all(axis=2)
         ii, jj = np.nonzero(ok)
         ii = ii + lo
-        if symmetric:
+        if upper:
             keep = jj >= ii
             ii, jj = ii[keep], jj[keep]
         parts_i.append(ii)
@@ -182,11 +216,3 @@ def _filtered_pairs(
 
 def write_quadruples(fp: TextIO, quads: Sequence[CompressedQuad]) -> None:
     write_quads(fp, quads, fmt=lambda row: ",".join(map(str, row)))
-
-
-def read_quadruples(fp: TextIO) -> list[CompressedQuad]:
-    return [CompressedQuad(*block) for block in read_blocks(fp, _parse_compressed_row)]
-
-
-def _parse_compressed_row(line: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in line.split(","))

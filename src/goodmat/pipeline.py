@@ -4,17 +4,19 @@ The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    2^d sweep → compressed candidate sets s_sk, s_sy;
-  3. match_codes:            pair filter + exact PAF-key join → S_q as codes;
+  3. match_codes:            matching.join_quads at compressed length → S_q
+                             as codes;
   4. canonical_codes dedup → one instance per compressed class;
-  5. uncompress each instance by the full-length PAF-key join → defining quads;
+  5. uncompress each instance: join_quads at full length → defining quads;
   6. canonical_form dedup → the sorted list of inequivalent good matrices.
 
 Verification is deliberately independent of the search code: it materializes
 the circulant matrices and checks the defining identity, amicability after
 row reversal, and the 4n-order skew Hadamard block construction with exact
-integer matrix arithmetic.  The brute-force oracle re-derives small orders
-(n ≤ 15) from nothing but the PAF certificate, bypassing candidates/matching
-/uncompress entirely.
+integer matrix arithmetic.  CHECKS names every check; `goodmat verify` and
+scripts/reproduce_counts.py run that one table.  The brute-force oracle
+re-derives small orders (n ≤ 15) from nothing but the PAF certificate,
+bypassing candidates/matching/uncompress entirely.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .candidates import CandidateSets, generate_candidates
 from .diophantine import signed_rowsums
 from .equiv import CanonicalQuad, canonical_codes, canonical_form, decode_quads, dedup
-from .errors import ConstructionError, InternalError, InvalidInputError
+from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
 from .matching import match_codes
 from .seqcore import (
     CompressedQuad,
@@ -382,6 +384,32 @@ def build_skew_hadamard(quad: DefiningQuad) -> np.ndarray:
     if not (h + h.T == 2 * eye).all():
         raise ConstructionError("block matrix is not skew")
     return h
+
+
+def product_rule_holds(quad: DefiningQuad) -> bool:
+    """Entrywise check of a_k·b_k·c_k·d_k = −a_{2k mod n} for 1 ≤ k < n."""
+    a, b, c, d = quad.rows()
+    n = len(a)
+    return all(a[k] * b[k] * c[k] * d[k] == -a[(2 * k) % n] for k in range(1, n))
+
+
+def _no_raise(construct: Callable[[DefiningQuad], object], quad: DefiningQuad) -> bool:
+    try:
+        construct(quad)
+        return True
+    except GoodmatError:
+        return False
+
+
+#: Every independent check of one quad, as (name, check) pairs; a check
+#: returns False where its construction would raise.
+CHECKS: tuple[tuple[str, Callable[[DefiningQuad], bool]], ...] = (
+    ("definition", verify_definition),
+    ("paf", paf_certificate),
+    ("product", product_rule_holds),
+    ("amicable", partial(_no_raise, recover_amicable)),
+    ("hadamard", partial(_no_raise, build_skew_hadamard)),
+)
 
 
 # ── the brute-force oracle ──────────────────────────────────────────────────

@@ -35,11 +35,10 @@ with an unsatisfiable clause database.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -460,7 +459,7 @@ def _first_per_class(raw: Sequence[DefiningQuad]) -> list[DefiningQuad]:
     return out
 
 
-# ── DIMACS export / import and the instance manifest ────────────────────────
+# ── DIMACS export / import ──────────────────────────────────────────────────
 
 def export_dimacs(instance: CnfInstance, include_solution_blocking: bool = False) -> str:
     """Standard CNF text for the clause part of the instance.
@@ -519,24 +518,3 @@ def parse_dimacs(text: str) -> tuple[int, list[Clause]]:
         raise ParseError(f"header declared {declared} clauses, found {len(clauses)}")
     return nvars, clauses
 
-
-def write_manifest(instances: Sequence[CnfInstance], fp: TextIO) -> None:
-    """JSON manifest: instance id, compressed quadruple, variable/clause counts."""
-    entries = [
-        {
-            "id": idx,
-            "quad": [list(row) for row in inst.source.rows()],
-            "vars": inst.num_vars,
-            "clauses": len(inst.clauses),
-        }
-        for idx, inst in enumerate(instances)
-    ]
-    json.dump(entries, fp, indent=1)
-    fp.write("\n")
-
-
-def product_rule_holds(quad: DefiningQuad) -> bool:
-    """Entrywise check of a_k·b_k·c_k·d_k = −a_{2k mod n} for 1 ≤ k < n."""
-    a, b, c, d = quad.rows()
-    n = len(a)
-    return all(a[k] * b[k] * c[k] * d[k] == -a[(2 * k) % n] for k in range(1, n))

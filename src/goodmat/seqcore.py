@@ -130,11 +130,6 @@ def make_symmetric(half: Sequence[int], n: int) -> Row:
     return (PLUS,) + half + tuple(reversed(half))
 
 
-def skew_half(row: Sequence[int]) -> Row:
-    """Free entries (indices 1..d) of a full row; inverse of make_skew/symmetric."""
-    return tuple(row[1 : len(row) // 2 + 1])
-
-
 def compress3(x: Sequence[int]) -> Row:
     """3-compression: entry k is x_k + x_{k+m} + x_{k+2m} with m = n/3."""
     n = len(x)
@@ -185,35 +180,28 @@ def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = form
         fp.write("\n")
 
 
-def read_blocks(fp: TextIO, parse: Callable[[str], Row]) -> list[list[Row]]:
-    """The blank-line separated four-row blocks that write_quads writes.
+def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:
+    """Parse the blank-line separated four-row blocks that write_quads writes.
 
-    A line that parse rejects (any ValueError) or a block of another size
-    raises ParseError.
+    A line that is not a ±-string, a block of another size or one that mixes
+    row lengths raises ParseError.  validate=False defers invariant checking
+    to callers (used by `verify`, where a malformed quad is a verification
+    failure, not a parse error).
     """
     blocks: list[list[Row]] = [[]]
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if line:
             try:
-                blocks[-1].append(parse(line))
-            except ValueError as exc:
+                blocks[-1].append(parse_row(line))
+            except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
         elif blocks[-1]:
             blocks.append([])
-    blocks = [block for block in blocks if block]
-    for number, block in enumerate(blocks, start=1):
+    quads = []
+    for number, block in enumerate(filter(None, blocks), start=1):
         if len(block) != 4:
             raise ParseError(f"block {number} has {len(block)} rows, expected 4")
-    return blocks
-
-
-def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:
-    """Parse quad blocks; validate=False defers invariant checking to callers
-    (used by `verify`, where a malformed quad is a verification failure, not
-    a parse error)."""
-    quads = []
-    for number, block in enumerate(read_blocks(fp, parse_row), start=1):
         if len({len(row) for row in block}) != 1:
             raise ParseError(f"block {number} mixes row lengths")
         quads.append(validate_quad(DefiningQuad(*block)) if validate else DefiningQuad(*block))

@@ -2,8 +2,8 @@
 
 This is the compression/uncompression scheme of Đoković and Kotsireas
 (Compression of periodic complementary sequences and applications, Des.
-Codes Cryptogr. 2015), run with matching's exact PAF-key join
-(join_equal_keys) — one join at two lengths:
+Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
+(join_quads) — one join at two lengths:
 
   (i)   enumerate the preimages of each compressed row directly.  Entry k of
         a compression is x_k + x_{k+m} + x_{k+2m}; the mirror x_j = ±x_{n−j}
@@ -11,16 +11,13 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key join
         Group 0 holds x_0 = +1 and x_{2m} = ±x_m: a skew row has 2 choices
         there, a symmetric row is forced.  Every other group has 1 choice
         when |c′_k| = 3 and 3 choices when |c′_k| = 1;
-  (ii)  keep the rows inside the row PSD bound and the A×B and C×D pairs
-        inside the pairwise bound (both float filters, both optional);
-  (iii) key A×B by P_A + P_B and C×D by −(P_C + P_D), where P is matching's
-        packed key of PAF(1..K) (packed_keys, with PAF(0) = n bounding every
-        other PAF value of a ±1 row), and join equal keys;
-  (iv)  confirm each hit with the full exact PAF sum at k = 1..⌊n/2⌋ and
-        keep the quads where it vanishes.  A packed key covers only the
-        first K columns (K = 8 of 19 at n = 39), so a hit that differs past
-        K is expected and dropped here.  Every kept quad must then pass the
-        PAF certificate; a failure is a bug: InternalError.
+  (ii)  keep the rows inside the row PSD bound (a float filter, optional)
+        and cache each compressed row's preimages with their PSD, PAF table
+        and packed PAF keys (PAF(0) = n bounds every other PAF value of a
+        ±1 row);
+  (iii) join the four preimage tables with join_quads over the ordered
+        A×B and C×D products.  Every quad it returns must pass the PAF
+        certificate; a failure is a bug: InternalError.
 
 C×D is the ordered product even when C′ = D′, so the quads found for one
 instance are exactly the certified models of its SAT encoding (satsearch,
@@ -36,14 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InternalError
-from .matching import (
-    _EMIT_CHUNK,
-    _all_pairs,
-    _filtered_pairs,
-    _paf_matrix,
-    join_equal_keys,
-    packed_keys,
-)
+from .matching import join_quads, packed_keys, paf_matrix
 from .seqcore import CompressedQuad, DefiningQuad, Row
 from .spectral import EPS, mirror_psd, paf_certificate
 
@@ -89,9 +79,8 @@ def uncompress(
 ) -> list[DefiningQuad]:
     """All certified quads whose 3-compression is cq.
 
-    stats, when given, gains the join counters: pairs_ab and pairs_cd (pairs
-    after the pair filter) and key_hits (packed-key matches before the exact
-    PAF check).
+    stats, when given, gains join_quads' counters pairs_ab, pairs_cd and
+    key_hits.
     """
     n = 3 * cq.m
     bound = 4 * n + eps
@@ -103,31 +92,14 @@ def uncompress(
     ]
     if any(len(rows) == 0 for rows, *_ in blocks):
         return []
-    (a, psd_a, paf_a, key_a), (b, psd_b, paf_b, key_b) = blocks[:2]
-    (c, psd_c, paf_c, key_c), (d, psd_d, paf_d, key_d) = blocks[2:]
-
-    if pair_filter:
-        ab_i, ab_j = _filtered_pairs(psd_a, psd_b, bound, symmetric=False)
-        cd_i, cd_j = _filtered_pairs(psd_c, psd_d, bound, symmetric=False)
-    else:
-        ab_i, ab_j = _all_pairs(len(a), len(b), symmetric=False)
-        cd_i, cd_j = _all_pairs(len(c), len(d), symmetric=False)
-
-    hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
-    if stats is not None:
-        stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))
+    hits = join_quads(*(data[1:] for data in blocks), bound, pair_filter=pair_filter,
+                      stats=stats)
     found: list[DefiningQuad] = []
-    for lo in range(0, len(hit_ab), _EMIT_CHUNK):
-        ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
-        ia, jb, ic, jd = ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]
-        total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
-        ok = (total[:, 1:] == 0).all(axis=1)
-        ia, jb, ic, jd = ia[ok], jb[ok], ic[ok], jd[ok]
-        for quad in zip(a[ia].tolist(), b[jb].tolist(), c[ic].tolist(), d[jd].tolist()):
-            quad = DefiningQuad(*map(tuple, quad))
-            if not paf_certificate(quad):
-                raise InternalError(f"joined quad fails the PAF certificate: {quad}")
-            found.append(quad)
+    for quad in zip(*(rows[i].tolist() for (rows, *_), i in zip(blocks, hits))):
+        quad = DefiningQuad(*map(tuple, quad))
+        if not paf_certificate(quad):
+            raise InternalError(f"joined quad fails the PAF certificate: {quad}")
+        found.append(quad)
     return found
 
 
@@ -162,7 +134,7 @@ def _row_data(
         if row_filter:
             keep = (psd <= bound).all(axis=1)
             rows, psd = rows[keep], psd[keep]
-        paf = _paf_matrix(rows)
+        paf = paf_matrix(rows)
         key = packed_keys(paf, rows.shape[1])  # |PAF(k)| ≤ PAF(0) = n
         hit = cache[crow, skew] = (rows, psd, paf, key)
     return hit

@@ -24,10 +24,11 @@ from goodmat.pipeline import (
     build_skew_hadamard,
     enumerate_good_matrices,
     prepare_instances,
+    product_rule_holds,
     recover_amicable,
     verify_definition,
 )
-from goodmat.satsearch import build_instance, product_rule_holds, solve_all, var_id
+from goodmat.satsearch import build_instance, solve_all, var_id
 from goodmat.seqcore import DefiningQuad, compress3
 from goodmat.spectral import EPS, full_psd_sum, paf_certificate, psd_values
 

@@ -55,6 +55,19 @@ def test_enumerate_full_run(tmp_path, capsys):
     assert len(json.loads(manifest.read_text())) == 2
 
 
+def test_enumerate_builds_no_cnf_without_dimacs(tmp_path, capsys, monkeypatch):
+    def refuse(cq, **kwargs):
+        raise AssertionError("CNF built without --dimacs")
+
+    monkeypatch.setattr(cli, "build_instance", refuse)
+    code, _, _ = run(capsys, "enumerate", 15, "--out", tmp_path)
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest-n15.json").read_text())
+    instances = pipeline.prepare_instances(15)[0]
+    assert manifest == [{"id": idx, "quad": [list(row) for row in cq.rows()]}
+                        for idx, cq in enumerate(instances)]
+
+
 def test_enumerate_dimacs_export(tmp_path, capsys):
     code, _, _ = run(capsys, "enumerate", 9, "--out", tmp_path, "--dimacs")
     assert code == 0

@@ -6,6 +6,7 @@ compressed goodness conditions directly (pure Python PAF + rowsums).
 
 import io
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
-from goodmat.errors import InvalidInputError, ParseError
+from goodmat.errors import InvalidInputError
 from goodmat.equiv import quad_key
 from goodmat.matching import (
-    _paf_matrix,
     join_equal_keys,
+    join_quads,
     match_quadruples,
     packed_keys,
-    read_quadruples,
+    paf_matrix,
     write_quadruples,
 )
 from goodmat.seqcore import CompressedQuad
@@ -80,6 +81,45 @@ def test_join_equals_the_nested_loop(left, right):
     assert len(got) == len(want) and set(got) == want
 
 
+def join_side(rows, length, paf_bound):
+    """One join_quads side (PSD, PAF table, packed keys) of rows of one length."""
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    paf = paf_matrix(table)
+    return np.abs(np.fft.fft(table, axis=1)) ** 2, paf, packed_keys(paf, paf_bound)
+
+
+@given(st.data())
+def test_join_quads_equals_the_nested_loop(data):
+    length = data.draw(st.integers(1, 7), label="length")
+    row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
+    tables = [data.draw(st.lists(row, max_size=4), label=name) for name in "abcd"]
+    upper_cd = data.draw(st.booleans(), label="upper_cd")
+    if upper_cd and data.draw(st.booleans(), label="d is c"):
+        tables[3] = tables[2]  # as in matching: one table on both C×D sides
+    pair_filter = data.draw(st.booleans(), label="pair_filter")
+    bound = data.draw(st.floats(0, 200), label="bound")
+    paf_bound = max((sum(e * e for e in r) for t in tables for r in t), default=1)
+    if data.draw(st.booleans(), label="one-column keys"):
+        paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
+    sides = [join_side(t, length, paf_bound) for t in tables]
+    stats = Counter()
+    got = join_quads(*sides, bound, pair_filter=pair_filter, upper_cd=upper_cd, stats=stats)
+    got = list(zip(*(idx.tolist() for idx in got)))
+
+    def pairs(x, y, upper):
+        return [(i, j) for i in range(len(tables[x])) for j in range(len(tables[y]))
+                if not (upper and i > j)
+                and not (pair_filter and (sides[x][0][i] + sides[y][0][j] > bound).any())]
+
+    ab, cd = pairs(0, 1, False), pairs(2, 3, upper_cd)
+    want = {(i, j, k, l) for (i, j), (k, l) in itertools.product(ab, cd)
+            if all(sum(oracle_paf(t[x], s) for t, x in zip(tables, (i, j, k, l))) == 0
+                   for s in range(1, length // 2 + 1))}
+    assert len(got) == len(want) and set(got) == want
+    assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
+    assert stats["key_hits"] >= len(want)
+
+
 def balanced_digits(value, radix, width):
     """The width digits in [−radix//2, radix//2] of value, least significant first."""
     digits = []
@@ -116,7 +156,7 @@ def test_packed_pair_keys_are_the_exact_prefix_columns(data):
 def test_paf_matrix_is_the_half_table():
     rows = np.array([[1, 3, -1, 1, 3, -1, 1], [1, -1, -1, 1, 1, -1, -1]], dtype=np.int64)
     want = [[oracle_paf(r, k) for k in range(7 // 2 + 1)] for r in rows.tolist()]
-    assert _paf_matrix(rows).tolist() == want
+    assert paf_matrix(rows).tolist() == want
 
 
 def test_members_satisfy_exact_conditions():
@@ -162,10 +202,4 @@ def test_quadruple_file_round_trip():
     ]
     buf = io.StringIO()
     write_quadruples(buf, quads)
-    buf.seek(0)
-    assert read_quadruples(buf) == quads
-
-
-def test_read_quadruples_rejects_ragged():
-    with pytest.raises(ParseError):
-        read_quadruples(io.StringIO("1\n3\n-1\n\n"))
+    assert buf.getvalue() == "1\n3\n-1\n-1\n\n1\n-1\n3\n-1\n\n"

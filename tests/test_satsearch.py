@@ -23,6 +23,7 @@ from goodmat.errors import (
     PartialResultError,
 )
 from goodmat.matching import match_quadruples
+from goodmat.pipeline import product_rule_holds
 from goodmat.satsearch import (
     Assignment,
     CnfInstance,
@@ -33,11 +34,9 @@ from goodmat.satsearch import (
     export_dimacs,
     fold_index,
     parse_dimacs,
-    product_rule_holds,
     psd_callback,
     solve_all,
     var_id,
-    write_manifest,
 )
 from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3, make_skew, make_symmetric
 
@@ -315,7 +314,7 @@ def test_audit_records_are_sound():
             assert rec.recorded
 
 
-# ── DIMACS and manifest interchange ──────────────────────────────────────────
+# ── DIMACS interchange ───────────────────────────────────────────────────────
 
 def test_dimacs_round_trip():
     inst = instance_for(9)
@@ -368,15 +367,3 @@ def test_parse_dimacs_validation():
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
 
-
-def test_write_manifest():
-    import json
-
-    inst = instance_for(9)
-    buf = io.StringIO()
-    write_manifest([inst], buf)
-    data = json.loads(buf.getvalue())
-    assert len(data) == 1
-    assert data[0]["vars"] == inst.num_vars
-    assert data[0]["clauses"] == len(inst.clauses)
-    assert data[0]["id"] == 0

@@ -1,4 +1,5 @@
-"""Uncompression by the full-length PAF-key join, against the SAT reference."""
+"""Uncompression by the full-length PAF-key join, against a brute force over the
+preimage product and against the SAT reference."""
 
 import os
 import subprocess
@@ -12,7 +13,8 @@ from goodmat import uncompress as uncompress_module
 from goodmat.errors import InternalError
 from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.satsearch import build_instance, solve_all
-from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
+from goodmat.seqcore import DefiningQuad, compress3, iter_halves, make_skew, make_symmetric
+from goodmat.spectral import paf_certificate
 from goodmat.uncompress import preimages, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
@@ -49,6 +51,30 @@ def test_join_equals_sat_per_instance(n, cfg):
         inst = build_instance(cq, parity=cfg.parity_clauses)
         solve_all(inst, prefix_checks=cfg.prefix_checks)
         assert sorted(got) == sorted(inst.solutions), f"instance {cq}"
+
+
+def full_paf(rows):
+    """PAF at every lag 1..n−1 of each row, by the definition."""
+    return np.stack([(rows * np.roll(rows, -k, axis=1)).sum(axis=1)
+                     for k in range(1, rows.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("filters", [True, False], ids=["filters", "no_filters"])
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_join_equals_the_preimage_product_per_instance(n, filters):
+    # The reference: every quad of the four preimage sets whose PAF sums
+    # vanish at every lag — the PAF certificate, over the whole product at
+    # once.  No packing, no pair or row filter, no join.
+    for cq in prepare_instances(n)[0]:
+        tables = [preimages(crow, r == 0) for r, crow in enumerate(cq.rows())]
+        pa, pb, pc, pd = map(full_paf, tables)
+        total = (pa[:, None, None, None] + pb[None, :, None, None]
+                 + pc[None, None, :, None] + pd[None, None, None, :])
+        want = [DefiningQuad(*(tuple(t[i].tolist()) for t, i in zip(tables, idx)))
+                for idx in np.argwhere((total == 0).all(axis=-1))]
+        assert all(paf_certificate(quad) for quad in want)
+        got = uncompress_all([cq], row_filter=filters, pair_filter=filters)[0][0]
+        assert sorted(got) == sorted(want), f"instance {cq}"
 
 
 #: Raw models per instance index (the others have none), recorded before the
