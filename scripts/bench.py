@@ -4,13 +4,18 @@
 Each run is one enumerate_good_matrices(n) in a fresh interpreter, so no run
 inherits another's caches.  The runs go round the orders k times, and the file
 keeps, per order, the median of the wall time, of every stage_seconds entry
-and of the peak RSS, all runs' wall times, and the report's solver_stats and
-digest (which must agree across runs).  It also records the Python and numpy
-versions, the CPU, `git rev-parse HEAD` (and whether src/ differs from it)
-and the line count of src/.
+and of the peak RSS, all runs' wall times, and the report's solver_stats,
+digest, instances_fingerprint and exhaustive flag (which must agree across
+runs).  It also records the Python and numpy versions, the CPU,
+`git rev-parse HEAD` (and whether src/ differs from it) and the line count of
+src/.
 
     python3 scripts/bench.py --label packed-join        # n = 21, 27, 33, 39; k = 5
     python3 scripts/bench.py --label quick --orders 21 27 --repeats 3
+    python3 scripts/bench.py --label n51 --orders 51 --repeats 1 --allow-large --jobs 2
+
+peak_rss_mb is the run's own peak RSS; children_peak_rss_mb is the largest
+peak among the worker processes that --jobs > 1 starts (0 without them).
 
 goodmat is imported from the src/ directory of the checkout this script sits
 in, with numerical libraries pinned to one thread.  The file is written to the
@@ -35,9 +40,13 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD = """
 import json, resource, sys
 from goodmat.pipeline import enumerate_good_matrices
-_, report = enumerate_good_matrices(int(sys.argv[1]))
+n, allow_large, jobs = int(sys.argv[1]), sys.argv[2] == "1", int(sys.argv[3])
+_, report = enumerate_good_matrices(n, allow_large=allow_large, jobs=jobs)
+peak = {who: resource.getrusage(who).ru_maxrss / 1024
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
 print(json.dumps({"report": json.loads(report.to_json()),
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "peak_rss_mb": peak[resource.RUSAGE_SELF],
+                  "children_peak_rss_mb": peak[resource.RUSAGE_CHILDREN]}))
 """
 
 
@@ -47,9 +56,14 @@ def main() -> int:
     parser.add_argument("--orders", type=int, nargs="+", default=[21, 27, 33, 39])
     parser.add_argument("--repeats", type=int, default=5, help="runs per order (k)")
     parser.add_argument("--out", type=Path, default=ROOT)
+    parser.add_argument("--allow-large", action="store_true",
+                        help="pass allow_large=True, for orders above 39")
+    parser.add_argument("--jobs", type=int, default=1, help="uncompression worker processes")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -57,7 +71,8 @@ def main() -> int:
     runs: dict[int, list[dict]] = {n: [] for n in args.orders}
     for r in range(args.repeats):
         for n in args.orders:
-            proc = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
+            argv = [str(n), "1" if args.allow_large else "0", str(args.jobs)]
+            proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                                   capture_output=True, text=True, check=False)
             if proc.returncode != 0:
                 print(proc.stderr, file=sys.stderr)
@@ -70,6 +85,8 @@ def main() -> int:
         "label": args.label,
         "environment": environment(env),
         "repeats": args.repeats,
+        "jobs": args.jobs,
+        "allow_large": args.allow_large,
         "orders": {str(n): summarize(n, one) for n, one in runs.items()},
     }
     path = args.out / f"BENCH_{args.label}.json"
@@ -80,9 +97,11 @@ def main() -> int:
 
 def summarize(n: int, runs: list[dict]) -> dict:
     reports = [run["report"] for run in runs]
-    answers = {(r["digest"], json.dumps(r["solver_stats"], sort_keys=True)) for r in reports}
+    answers = {(r["digest"], r["instances_fingerprint"], r["exhaustive"],
+                json.dumps(r["solver_stats"], sort_keys=True)) for r in reports}
     if len(answers) != 1:
-        raise SystemExit(f"n={n}: runs disagree on the digest or solver_stats")
+        raise SystemExit(f"n={n}: runs disagree on the digest, instances, coverage "
+                         "or solver_stats")
     stages = reports[0]["stage_seconds"]
     return {
         "wall_s": round(statistics.median(r["wall_time_s"] for r in reports), 3),
@@ -90,10 +109,14 @@ def summarize(n: int, runs: list[dict]) -> dict:
         "stage_seconds": {s: round(statistics.median(r["stage_seconds"][s] for r in reports), 3)
                           for s in stages},
         "peak_rss_mb": round(statistics.median(run["peak_rss_mb"] for run in runs), 1),
+        "children_peak_rss_mb": round(
+            statistics.median(run["children_peak_rss_mb"] for run in runs), 1),
         "instances": reports[0]["instance_count"],
         "inequivalent": reports[0]["inequivalent_count"],
+        "exhaustive": reports[0]["exhaustive"],
         "solver_stats": reports[0]["solver_stats"],
         "digest": reports[0]["digest"],
+        "instances_fingerprint": reports[0]["instances_fingerprint"],
     }
 
 

@@ -181,16 +181,18 @@ def _cmd_search(args) -> int:
 
     start = time.perf_counter()
     prepared = prepare_instances(args.n, allow_large=args.allow_large)
-    instance_quads = prepared[0]
+    instances = prepared[0]
+    ids = range(len(instances))  # ids index the full instance list, shard or not
     if shard is not None:
-        instance_quads = instance_quads[shard[0] :: shard[1]]
-    manifest = [{"id": idx, "quad": [list(row) for row in cq.rows()]}
-                for idx, cq in enumerate(instance_quads)]
+        ids = ids[shard[0] :: shard[1]]
+    manifest = [{"id": idx, "quad": [list(row) for row in instances[idx].rows()]}
+                for idx in ids]
     manifest_path = out / f"manifest-{tag}.json"
     manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
     if args.dimacs:  # the .cnf headers carry the variable and clause counts
-        for idx, cq in enumerate(instance_quads):
-            (out / f"instance-{tag}-{idx}.cnf").write_text(export_dimacs(build_instance(cq)))
+        for idx in ids:
+            cnf = export_dimacs(build_instance(instances[idx]))
+            (out / f"instance-{tag}-{idx}.cnf").write_text(cnf)
 
     quads, report = enumerate_prepared(
         args.n, prepared, start=start, shard=shard, jobs=args.jobs

@@ -23,6 +23,10 @@ first entries stay pinned at +1 during the search): reorders of Bc, Cc, Dc
 and the induced index action j ↦ u·j mod m.  Every unit u mod n induces
 u mod m, and conversely every unit mod m lifts to one mod n (m | n), so
 acting with all units mod m is exactly the induced action, not a proxy.
+The compressed canonical form compares A′ first, and reorders leave A′
+alone, so its A′ is the minimum of A′'s orbit under the units: matching may
+skip every A′ that is not (pipeline.prepare_instances), since the canonical
+quad of each class keeps its place in S_q.
 
 The compressed stages work on integer row codes instead of tuples: the code
 of a row is the base-4 number whose digits, most significant first, are
@@ -165,16 +169,13 @@ def canonical_compressed(cq: CompressedQuad, n: int) -> CompressedQuad:
 def canonical_codes(codes: np.ndarray, m: int) -> np.ndarray:
     """canonical_compressed of every row of an (N × 4) code array, as codes.
 
-    Each distinct row is re-encoded once per unit u, its int8 digits gathered
-    through j ↦ u·j mod m.  Then, in blocks of _CANON_CHUNK quads, every quad
-    looks up its four images under each u, sorts the B, C, D codes and keeps
-    the lexicographic minimum over u.
+    Each distinct row is re-encoded once per unit u (unit_images).  Then, in
+    blocks of _CANON_CHUNK quads, every quad looks up its four images under
+    each u, sorts the B, C, D codes and keeps the lexicographic minimum over u.
     """
-    place = _place_values(m)
-    perms = np.array([(u * np.arange(m)) % m for u in units(m)])
     rows, where = np.unique(codes, return_inverse=True)
     where = where.reshape(codes.shape)
-    images = (_code_digits(rows, m)[:, perms] @ place).T  # [k, r]: row r under unit k
+    images = unit_images(rows, m)
     out = np.empty_like(codes)
     for lo in range(0, len(codes), _CANON_CHUNK):
         cand = images[:, where[lo : lo + _CANON_CHUNK]]  # [k, quad, A/B/C/D]
@@ -188,6 +189,26 @@ def canonical_codes(codes: np.ndarray, m: int) -> np.ndarray:
             tied &= value == value.min(axis=0)
         out[lo : lo + _CANON_CHUNK] = cand[tied.argmax(axis=0), np.arange(cand.shape[1])]
     return out
+
+
+def unit_images(codes: np.ndarray, m: int) -> np.ndarray:
+    """The codes of length-m rows under every index map j ↦ u·j mod m, as a
+    (|units(m)| × N) array: entry [k, r] is row r under units(m)[k].
+
+    Row 0 is the identity (u = 1), so images.min(axis=0) == codes marks the
+    rows that are the minimum of their orbit.
+    """
+    perms = np.array([(u * np.arange(m)) % m for u in units(m)])
+    return (_code_digits(codes, m)[:, perms] @ _place_values(m)).T
+
+
+def unique_rows(codes: np.ndarray) -> np.ndarray:
+    """np.unique(codes, axis=0) for a 2-D integer array: the distinct rows in
+    lexicographic order, by one lexsort and an adjacent-row difference mask."""
+    ordered = codes[np.lexsort(codes.T[::-1])]
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[keep]
 
 
 def dedup(items: Iterable[T], canonicalizer: Callable[[T], object]) -> list:

@@ -7,13 +7,14 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-join_quads — pair screen, packed-key join, exact PAF confirmation — on
-A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ {(C′, D′) : C′ ≤ D′}, keeps the joined
-quadruples that satisfy the rowsum identity and emits both (C′, D′)
-orientations.  Quads are kept as rows of integer codes (equiv's row code),
-whose lexicographic order is quad_key order, so one np.unique yields the
-sorted set.  Uncompression runs the same join on the full-length preimages
-of one instance.
+the steps of join_quads — pair screen, packed-key join, exact PAF
+confirmation — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ {(C′, D′) : C′ ≤ D′},
+partitioned by rowsum: only the partitions that can meet the k = 0 identity
+are paired at all, and that identity still confirms every hit.  It emits
+both (C′, D′) orientations.  Quads are kept as rows of integer codes (equiv's
+row code), whose lexicographic order is quad_key order, so one unique_rows
+yields the sorted set.  Uncompression runs join_quads on the full-length
+preimages of one instance.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
 so with B the largest PAF(0) in the tables, every column of a pair sum lies
@@ -34,7 +35,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .candidates import CandidateSets
-from .equiv import decode_quads, row_codes
+from .equiv import decode_quads, row_codes, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad, write_quads
 from .spectral import EPS, mirror_psd
@@ -70,7 +71,18 @@ def match_codes(
     eps: float = EPS,
     pair_filter: bool = True,
 ) -> np.ndarray:
-    """match_quadruples as the sorted, unique (N × 4) array of row codes."""
+    """match_quadruples as the sorted, unique (N × 4) array of row codes.
+
+    The join is partitioned by rowsum.  B′ rows are grouped by |rowsum|, so
+    each group fixes row(B′)², and each group's A′×B′ pairs are screened and
+    keyed once, then joined against the C′×D′ pairs of every rowsum partition
+    (r_C ≤ r_D, both values present in s_sy) with 1 + r_B² + r_C² + r_D² = 4n
+    — the upper triangle when r_C = r_D, the whole product otherwise.  Any
+    quad outside these partitions fails the k = 0 identity, so none that
+    satisfies it is lost, with or without the rowsum filter of the sweep, and
+    peak memory is set by one group instead of all of S_q.  The k = 0 identity
+    is still checked on every hit, as the exact confirmation.
+    """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
@@ -81,18 +93,33 @@ def match_codes(
     paf_sk, paf_sy = paf_matrix(sk_arr), paf_matrix(sy_arr)
     paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
-    sk = (mirror_psd(sk_arr, skew=True), paf_sk, packed_keys(paf_sk, paf_bound))
-    sy = (mirror_psd(sy_arr, skew=False), paf_sy, packed_keys(paf_sy, paf_bound))
-    ia, jb, ic, jd = join_quads(sk, sy, sy, sy, 4 * n + eps, pair_filter=pair_filter,
-                                upper_cd=True)
+    psd_sk, psd_sy = mirror_psd(sk_arr, skew=True), mirror_psd(sy_arr, skew=False)
+    sk = (psd_sk, paf_sk, packed_keys(paf_sk, paf_bound))
+    sy = (psd_sy, paf_sy, packed_keys(paf_sy, paf_bound))
+    bound = 4 * n + eps
 
     rs_sy = sy_arr.sum(axis=1)
-    ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
-    a, b = code_sk[ia[ok]], code_sy[jb[ok]]
-    c, d = code_sy[ic[ok]], code_sy[jd[ok]]
-    # each quad next to its (C′, D′) swap: np.unique sorts that order faster
-    both = np.stack([a, b, c, d, a, b, d, c], axis=1).reshape(-1, 4)
-    return np.unique(both, axis=0)
+    part = {r: np.flatnonzero(rs_sy == r) for r in np.unique(rs_sy).tolist()}
+    found = [np.empty((0, 4), dtype=np.int64)]
+    for t in np.unique(np.abs(rs_sy)).tolist():  # one B′ group per value of r_B²
+        fits = [(rc, rd) for rc in part for rd in part
+                if rc <= rd and 1 + t * t + rc * rc + rd * rd == 4 * n]
+        if not fits:
+            continue
+        group = np.flatnonzero(np.abs(rs_sy) == t)
+        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[group], bound, pair_filter=pair_filter)
+        cd = []
+        for rc, rd in fits:
+            cd_i, cd_j = _screen_pairs(psd_sy[part[rc]], psd_sy[part[rd]], bound,
+                                      pair_filter=pair_filter, upper=rc == rd)
+            cd.append((part[rc][cd_i], part[rd][cd_j]))
+        cd_i, cd_j = map(np.concatenate, zip(*cd))
+        ia, jb, ic, jd = _join_pairs(sk, sy, sy, sy, (ab_i, group[ab_j]), (cd_i, cd_j))
+        ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
+        a, b = code_sk[ia[ok]], code_sy[jb[ok]]
+        c, d = code_sy[ic[ok]], code_sy[jd[ok]]
+        found.append(np.stack([a, b, c, d, a, b, d, c], axis=1).reshape(-1, 4))
+    return unique_rows(np.concatenate(found))
 
 
 def join_quads(
@@ -111,7 +138,7 @@ def join_quads(
 
       (i)   pair A×B and C×D — only k ≤ l with upper_cd — and, with
             pair_filter, keep the pairs whose summed PSD profile stays
-            within bound everywhere;
+            within bound everywhere (_screen_pairs);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
             −(P_c + P_d), where P is the packed key of one row (packed_keys;
             all four tables packed with the same bound), and join equal keys
@@ -121,18 +148,40 @@ def join_quads(
             PAF sum, which covers the columns past K.  A hit that differs
             only there is expected and dropped.
 
-    stats, when given, gains pairs_ab and pairs_cd (pairs after the pair
-    screen) and key_hits (packed-key matches before the exact check).
+    Steps (ii)–(iii) are _join_pairs.  stats, when given, gains pairs_ab and
+    pairs_cd (pairs after the pair screen) and key_hits (packed-key matches
+    before the exact check).
     """
-    (psd_a, paf_a, key_a), (psd_b, paf_b, key_b) = a, b
-    (psd_c, paf_c, key_c), (psd_d, paf_d, key_d) = c, d
-    if pair_filter:
-        ab_i, ab_j = _filtered_pairs(psd_a, psd_b, bound, upper=False)
-        cd_i, cd_j = _filtered_pairs(psd_c, psd_d, bound, upper=upper_cd)
-    else:
-        ab_i, ab_j = _all_pairs(len(key_a), len(key_b), upper=False)
-        cd_i, cd_j = _all_pairs(len(key_c), len(key_d), upper=upper_cd)
+    ab = _screen_pairs(a[0], b[0], bound, pair_filter=pair_filter)
+    cd = _screen_pairs(c[0], d[0], bound, pair_filter=pair_filter, upper=upper_cd)
+    return _join_pairs(a, b, c, d, ab, cd, stats=stats)
 
+
+def _screen_pairs(
+    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, pair_filter: bool, upper: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j) of two PSD tables that _join_pairs takes: every
+    pair (i ≤ j with upper) or, with pair_filter, those whose summed PSD
+    profile stays within bound everywhere."""
+    if pair_filter:
+        return _filtered_pairs(psd_l, psd_r, bound, upper=upper)
+    return _all_pairs(len(psd_l), len(psd_r), upper=upper)
+
+
+def _join_pairs(
+    a: JoinSide,
+    b: JoinSide,
+    c: JoinSide,
+    d: JoinSide,
+    pairs_ab: tuple[np.ndarray, np.ndarray],
+    pairs_cd: tuple[np.ndarray, np.ndarray],
+    *,
+    stats: Optional[Counter] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Steps (ii)–(iii) of join_quads on given A×B and C×D index pairs."""
+    (_, paf_a, key_a), (_, paf_b, key_b) = a, b
+    (_, paf_c, key_c), (_, paf_d, key_d) = c, d
+    (ab_i, ab_j), (cd_i, cd_j) = pairs_ab, pairs_cd
     hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
     if stats is not None:
         stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))

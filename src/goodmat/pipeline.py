@@ -4,8 +4,9 @@ The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    2^d sweep → compressed candidate sets s_sk, s_sy;
-  3. match_codes:            matching.join_quads at compressed length → S_q
-                             as codes;
+  3. match_codes:            the quad join at compressed length, one rowsum
+                             partition at a time → S_q as codes (with dedup
+                             on, only the quads whose A′ is orbit-minimal);
   4. canonical_codes dedup → one instance per compressed class;
   5. uncompress each instance: join_quads at full length → defining quads;
   6. canonical_form dedup → the sorted list of inequivalent good matrices.
@@ -27,7 +28,7 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -35,7 +36,16 @@ import numpy as np
 
 from .candidates import CandidateSets, generate_candidates
 from .diophantine import signed_rowsums
-from .equiv import CanonicalQuad, canonical_codes, canonical_form, decode_quads, dedup
+from .equiv import (
+    CanonicalQuad,
+    canonical_codes,
+    canonical_form,
+    decode_quads,
+    dedup,
+    row_codes,
+    unique_rows,
+    unit_images,
+)
 from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
 from .matching import match_codes
 from .seqcore import (
@@ -193,7 +203,15 @@ def prepare_instances(
     filters: FilterConfig = FilterConfig(),
     allow_large: bool = False,
 ) -> tuple[list[CompressedQuad], CandidateSets, dict[str, float]]:
-    """Stages 1–4: rowsums, candidates, matching, compressed dedup."""
+    """Stages 1–4: rowsums, candidates, matching, compressed dedup.
+
+    With dedup_instances, matching gets only the A′ rows that are the minimum
+    of their orbit under j ↦ u·j mod m (equiv.unit_images).  That is exact:
+    S_q is closed under the compressed group, and canonical_codes puts the
+    orbit minimum first, so every class's canonical quad is still matched and
+    the dedup returns the same instances.  The returned candidate sets are
+    the full ones.  Without dedup the instances are the whole sorted S_q.
+    """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
 
@@ -210,12 +228,18 @@ def prepare_instances(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    s_q = match_codes(cands, n, eps=eps, pair_filter=filters.psd_pairs)
+    matched = cands
+    if filters.dedup_instances:  # every canonical quad has an orbit-minimal A′
+        sk = sorted(cands.s_sk)
+        codes = row_codes(np.array(sk, dtype=np.int64).reshape(len(sk), cands.m))
+        keep = codes == unit_images(codes, cands.m).min(axis=0)
+        matched = replace(cands, s_sk=frozenset(row for row, k in zip(sk, keep) if k))
+    s_q = match_codes(matched, n, eps=eps, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if filters.dedup_instances:  # s_q is already sorted and unique
-        s_q = np.unique(canonical_codes(s_q, cands.m), axis=0)
+        s_q = unique_rows(canonical_codes(s_q, cands.m))
     instances = decode_quads(s_q, cands.m)
     timings["instance_dedup"] = time.perf_counter() - t0
     return instances, cands, timings

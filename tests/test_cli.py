@@ -68,6 +68,18 @@ def test_enumerate_builds_no_cnf_without_dimacs(tmp_path, capsys, monkeypatch):
                         for idx, cq in enumerate(instances)]
 
 
+def test_shard_manifest_ids_index_the_full_instance_list(tmp_path, capsys):
+    code, _, _ = run(capsys, "solve", 15, "--shard", "1/2", "--out", tmp_path, "--dimacs")
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest-n15-shard1of2.json").read_text())
+    instances = pipeline.prepare_instances(15)[0]
+    assert [entry["id"] for entry in manifest] == [1, 3, 5, 7, 9]
+    for entry in manifest:
+        assert entry["quad"] == [list(row) for row in instances[entry["id"]].rows()]
+    cnfs = {p.name for p in tmp_path.glob("instance-n15-shard1of2-*.cnf")}
+    assert cnfs == {f"instance-n15-shard1of2-{i}.cnf" for i in (1, 3, 5, 7, 9)}
+
+
 def test_enumerate_dimacs_export(tmp_path, capsys):
     code, _, _ = run(capsys, "enumerate", 9, "--out", tmp_path, "--dimacs")
     assert code == 0

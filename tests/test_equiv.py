@@ -24,10 +24,12 @@ from goodmat.equiv import (
     quad_key,
     row_codes,
     row_key,
+    unique_rows,
+    unit_images,
     units,
 )
 from goodmat.errors import InvalidInputError
-from goodmat.matching import match_quadruples
+from goodmat.matching import match_codes, match_quadruples
 from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3
 
 
@@ -175,6 +177,40 @@ def test_canonical_codes_across_blocks(monkeypatch):
     monkeypatch.setattr(equiv, "_CANON_CHUNK", 7)  # 264 quads: many blocks, a ragged last one
     got = decode_quads(canonical_codes(row_codes([q.rows() for q in s_q]), 5), 5)
     assert got == [orbit_minimum(q) for q in s_q]
+
+
+@given(st.data())
+def test_unit_images_are_the_permuted_rows(data):
+    m = data.draw(st.sampled_from((1, 3, 5, 7, 9, 11, 13)))
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from((3, 1, -1, -3))] * m),
+                              min_size=1, max_size=8))
+    images = unit_images(row_codes(rows), m)
+    assert images.tolist() == [row_codes([permute_row(r, u) for r in rows]).tolist()
+                               for u in units(m)]
+
+
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_canonical_quads_have_orbit_minimal_a(n):
+    # what lets prepare_instances match only orbit-minimal A′ rows
+    cands = generate_candidates(n, signed_rowsums(n))
+    a = canonical_codes(match_codes(cands, n), n // 3)[:, 0]
+    assert len(a) and (a == unit_images(a, n // 3).min(axis=0)).all()
+
+
+code_arrays = st.one_of(
+    st.integers(0, 40).flatmap(lambda rows: st.lists(
+        st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=rows, max_size=rows)),
+    st.integers(1, 30).flatmap(lambda rows: st.lists(
+        st.integers(0, 4**5 - 1), min_size=4, max_size=4).map(lambda row: [row] * rows)),
+).map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), 4))
+
+
+@given(code_arrays)
+def test_unique_rows_equals_np_unique(codes):
+    got = unique_rows(codes)
+    want = np.unique(codes, axis=0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
 
 
 def test_canonical_compressed_checks_order():

@@ -10,12 +10,20 @@ import numpy as np
 import pytest
 
 from goodmat import uncompress as uncompress_module
+from goodmat.equiv import canonical_compressed, canonical_form
 from goodmat.errors import InternalError
 from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.satsearch import build_instance, solve_all
-from goodmat.seqcore import DefiningQuad, compress3, iter_halves, make_skew, make_symmetric
+from goodmat.seqcore import (
+    CompressedQuad,
+    DefiningQuad,
+    compress3,
+    iter_halves,
+    make_skew,
+    make_symmetric,
+)
 from goodmat.spectral import paf_certificate
-from goodmat.uncompress import preimages, uncompress_all
+from goodmat.uncompress import preimages, uncompress, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
 
@@ -96,6 +104,13 @@ def test_frozen_raw_models_per_instance(n):
     assert {i: len(quads) for i, quads in enumerate(found) if quads} == raw
     assert stats["key_hits"] >= sum(raw.values())
     assert stats["pairs_ab"] > 0 and stats["pairs_cd"] > 0
+
+
+def test_known_57_instance_uncompresses_to_its_class(known57):
+    # the order-57 instance alone, without the n = 57 sweep or matching
+    instance = canonical_compressed(CompressedQuad(*map(compress3, known57.rows())), 57)
+    found = {canonical_form(q) for q in uncompress(instance)}
+    assert canonical_form(known57) in found
 
 
 def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
