@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Record end-to-end and per-stage seconds of the enumeration in BENCH_<label>.json.
 
-Each run is one enumerate_good_matrices(n) in a fresh interpreter, so no run
-inherits another's caches.  The runs go round the orders k times, and the file
-keeps, per order, the median of the wall time, of every stage_seconds entry
-and of the peak RSS, all runs' wall times, and the report's solver_stats,
-digest, instances_fingerprint and exhaustive flag (which must agree across
-runs).  It also records the Python and numpy versions, the CPU,
+Each run is one enumerate_good_matrices(n, allow_large=True) in a fresh
+interpreter, so no run inherits another's caches.  The runs go round the
+orders k times, and the file keeps, per order, the median of the wall time, of
+every stage_seconds entry and of the peak RSS, all runs' wall times, and the
+report's solver_stats, digest, instances_fingerprint and exhaustive flag
+(which must agree across runs).  It also records the Python and numpy versions, the CPU,
 `git rev-parse HEAD` (and whether src/ differs from it) and the line count of
 src/.
 
     python3 scripts/bench.py --label packed-join        # n = 21, 27, 33, 39; k = 5
     python3 scripts/bench.py --label quick --orders 21 27 --repeats 3
-    python3 scripts/bench.py --label n51 --orders 51 --repeats 1 --allow-large --jobs 2
+    python3 scripts/bench.py --label n51 --orders 51 --repeats 1 --jobs 2
 
 peak_rss_mb is the run's own peak RSS; children_peak_rss_mb is the largest
 peak among the worker processes that --jobs > 1 starts (0 without them).
@@ -40,8 +40,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD = """
 import json, resource, sys
 from goodmat.pipeline import enumerate_good_matrices
-n, allow_large, jobs = int(sys.argv[1]), sys.argv[2] == "1", int(sys.argv[3])
-_, report = enumerate_good_matrices(n, allow_large=allow_large, jobs=jobs)
+n, jobs = int(sys.argv[1]), int(sys.argv[2])
+_, report = enumerate_good_matrices(n, allow_large=True, jobs=jobs)
 peak = {who: resource.getrusage(who).ru_maxrss / 1024
         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)}
 print(json.dumps({"report": json.loads(report.to_json()),
@@ -56,8 +56,6 @@ def main() -> int:
     parser.add_argument("--orders", type=int, nargs="+", default=[21, 27, 33, 39])
     parser.add_argument("--repeats", type=int, default=5, help="runs per order (k)")
     parser.add_argument("--out", type=Path, default=ROOT)
-    parser.add_argument("--allow-large", action="store_true",
-                        help="pass allow_large=True, for orders above 39")
     parser.add_argument("--jobs", type=int, default=1, help="uncompression worker processes")
     args = parser.parse_args()
     if args.repeats < 1:
@@ -71,9 +69,8 @@ def main() -> int:
     runs: dict[int, list[dict]] = {n: [] for n in args.orders}
     for r in range(args.repeats):
         for n in args.orders:
-            argv = [str(n), "1" if args.allow_large else "0", str(args.jobs)]
-            proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
-                                  capture_output=True, text=True, check=False)
+            argv = [sys.executable, "-c", CHILD, str(n), str(args.jobs)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
             if proc.returncode != 0:
                 print(proc.stderr, file=sys.stderr)
                 return 1
@@ -86,7 +83,6 @@ def main() -> int:
         "environment": environment(env),
         "repeats": args.repeats,
         "jobs": args.jobs,
-        "allow_large": args.allow_large,
         "orders": {str(n): summarize(n, one) for n, one in runs.items()},
     }
     path = args.out / f"BENCH_{args.label}.json"

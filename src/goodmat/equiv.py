@@ -25,8 +25,8 @@ u mod m, and conversely every unit mod m lifts to one mod n (m | n), so
 acting with all units mod m is exactly the induced action, not a proxy.
 The compressed canonical form compares A′ first, and reorders leave A′
 alone, so its A′ is the minimum of A′'s orbit under the units: matching may
-skip every A′ that is not (pipeline.prepare_instances), since the canonical
-quad of each class keeps its place in S_q.
+skip every A′ that is not (orbit_minimal_rows), since the canonical quad of
+each class keeps its place in S_q.
 
 The compressed stages work on integer row codes instead of tuples: the code
 of a row is the base-4 number whose digits, most significant first, are
@@ -195,11 +195,25 @@ def unit_images(codes: np.ndarray, m: int) -> np.ndarray:
     """The codes of length-m rows under every index map j ↦ u·j mod m, as a
     (|units(m)| × N) array: entry [k, r] is row r under units(m)[k].
 
-    Row 0 is the identity (u = 1), so images.min(axis=0) == codes marks the
-    rows that are the minimum of their orbit.
+    Row 0 is the identity (u = 1).
     """
     perms = np.array([(u * np.arange(m)) % m for u in units(m)])
     return (_code_digits(codes, m)[:, perms] @ _place_values(m)).T
+
+
+def orbit_minimal_rows(rows: Iterable[Row], m: int) -> frozenset[Row]:
+    """The length-m rows that are the minimum of their orbit under the index
+    maps j ↦ u·j mod m.
+
+    canonical_codes compares A′ first and reorders leave A′ alone, so the A′
+    of every canonical compressed quad is one of these rows; a set closed
+    under the units keeps every class's canonical quad when its A′ rows are
+    cut to these.
+    """
+    rows = list(rows)
+    codes = row_codes(np.array(rows, dtype=np.int64).reshape(len(rows), m))
+    keep = codes == unit_images(codes, m).min(axis=0)  # image 0 is the row itself
+    return frozenset(row for row, k in zip(rows, keep) if k)
 
 
 def unique_rows(codes: np.ndarray) -> np.ndarray:

@@ -42,9 +42,8 @@ from .equiv import (
     canonical_form,
     decode_quads,
     dedup,
-    row_codes,
+    orbit_minimal_rows,
     unique_rows,
-    unit_images,
 )
 from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
 from .matching import match_codes
@@ -206,11 +205,11 @@ def prepare_instances(
     """Stages 1–4: rowsums, candidates, matching, compressed dedup.
 
     With dedup_instances, matching gets only the A′ rows that are the minimum
-    of their orbit under j ↦ u·j mod m (equiv.unit_images).  That is exact:
-    S_q is closed under the compressed group, and canonical_codes puts the
-    orbit minimum first, so every class's canonical quad is still matched and
-    the dedup returns the same instances.  The returned candidate sets are
-    the full ones.  Without dedup the instances are the whole sorted S_q.
+    of their orbit under j ↦ u·j mod m.  S_q is closed under the compressed
+    group, so by equiv.orbit_minimal_rows every class's canonical quad is
+    still matched and the dedup returns the same instances.  The returned
+    candidate sets are the full ones.  Without dedup the instances are the
+    whole sorted S_q.
     """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
@@ -229,11 +228,8 @@ def prepare_instances(
 
     t0 = time.perf_counter()
     matched = cands
-    if filters.dedup_instances:  # every canonical quad has an orbit-minimal A′
-        sk = sorted(cands.s_sk)
-        codes = row_codes(np.array(sk, dtype=np.int64).reshape(len(sk), cands.m))
-        keep = codes == unit_images(codes, cands.m).min(axis=0)
-        matched = replace(cands, s_sk=frozenset(row for row, k in zip(sk, keep) if k))
+    if filters.dedup_instances:
+        matched = replace(cands, s_sk=orbit_minimal_rows(cands.s_sk, cands.m))
     s_q = match_codes(matched, n, eps=eps, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 

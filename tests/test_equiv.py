@@ -20,6 +20,7 @@ from goodmat.equiv import (
     dedup,
     negate_row,
     normalize_signs_and_order,
+    orbit_minimal_rows,
     permute_row,
     quad_key,
     row_codes,
@@ -189,12 +190,21 @@ def test_unit_images_are_the_permuted_rows(data):
                                for u in units(m)]
 
 
+@given(st.data())
+def test_orbit_minimal_rows_are_their_orbit_minimum(data):
+    m = data.draw(st.sampled_from((1, 3, 5, 7, 9, 11, 13)))
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from((3, 1, -1, -3))] * m),
+                              max_size=8))
+    want = {r for r in rows if r == min((permute_row(r, u) for u in units(m)), key=row_key)}
+    assert orbit_minimal_rows(rows, m) == want
+
+
 @pytest.mark.parametrize("n", [9, 15, 21])
 def test_canonical_quads_have_orbit_minimal_a(n):
     # what lets prepare_instances match only orbit-minimal A′ rows
     cands = generate_candidates(n, signed_rowsums(n))
-    a = canonical_codes(match_codes(cands, n), n // 3)[:, 0]
-    assert len(a) and (a == unit_images(a, n // 3).min(axis=0)).all()
+    a = {q.ac for q in decode_quads(canonical_codes(match_codes(cands, n), n // 3), n // 3)}
+    assert a and a <= orbit_minimal_rows(cands.s_sk, n // 3)
 
 
 code_arrays = st.one_of(
