@@ -16,7 +16,7 @@ format ('+' < '-'), so sorted row files and sorted in-memory lists agree.
 
 Because negation is undone by sign normalization, the minimum over the full
 orbit equals the minimum over automorphisms of the sign-normalized, sorted
-quad — which is what canonical_form computes.
+quad — which is what canonical_forms computes, for many quads at once.
 
 Compressed quads have their own, smaller group (negation is unavailable:
 first entries stay pinned at +1 during the search): reorders of Bc, Cc, Dc
@@ -66,6 +66,9 @@ def quad_key(quad: Sequence[Sequence[int]]):
 
 #: Quads per block in canonical_codes, so its temporaries stay small.
 _CANON_CHUNK = 4096
+
+#: Quads per block in canonical_forms: each holds |units(n)|·4 rows of length n.
+_FORMS_CHUNK = 512
 
 
 def _place_values(m: int) -> np.ndarray:
@@ -146,15 +149,43 @@ class CanonicalQuad:
 
 
 def canonical_form(quad: DefiningQuad) -> CanonicalQuad:
-    """Minimum over all automorphisms of the sign/order-normalized quad."""
-    best = None
-    best_key = None
-    for u in units(quad.n):
-        cand = normalize_signs_and_order(apply_automorphism(quad, u))
-        key = quad_key(cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return CanonicalQuad(quad=best, certified=True)
+    """Minimum over all automorphisms of the sign/order-normalized quad
+    (canonical_forms of the one quad)."""
+    return canonical_forms([quad])[0]
+
+
+def canonical_forms(quads: Sequence[DefiningQuad]) -> list[CanonicalQuad]:
+    """canonical_form of every quad of one order, in array passes.
+
+    B, C, D are sign-normalized once: x_0 is fixed by every unit, so the
+    negation normalize_signs_and_order picks does not depend on u.  Then, in
+    blocks of _FORMS_CHUNK quads, every row is permuted by every unit and
+    keyed by its −1 bits, packed first entry first (np.packbits), so that
+    lexicographic order on the key bytes is row_key order on the rows.  The
+    distinct keys of a block are ranked in that order (np.unique), and the
+    ranks go through canonical_codes' sort network and lexicographic minimum
+    over the units.
+    """
+    quads = list(quads)
+    lengths = {len(row) for quad in quads for row in quad}
+    if len(lengths) > 1:
+        raise InvalidInputError(f"quads mix row lengths {sorted(lengths)}")
+    if not quads:
+        return []
+    n = lengths.pop()
+    rows = np.array(quads, dtype=np.int8).reshape(len(quads), 4, n)
+    rows[:, 1:] *= rows[:, 1:, :1]  # B, C, D to first entry +1
+    perms = np.array([(u * np.arange(n)) % n for u in units(n)])
+    out: list[CanonicalQuad] = []
+    for lo in range(0, len(rows), _FORMS_CHUNK):
+        images = rows[lo : lo + _FORMS_CHUNK][:, :, perms]  # [quad, A/B/C/D, unit, entry]
+        keys = np.packbits(images.transpose(2, 0, 1, 3) < 0, axis=-1)
+        distinct, rank = np.unique(keys.reshape(-1, keys.shape[-1]), axis=0,
+                                   return_inverse=True)
+        best = distinct[_orbit_minimum(rank.reshape(keys.shape[:3]))]  # [quad, A/B/C/D, byte]
+        signs = 1 - 2 * np.unpackbits(best, axis=-1, count=n).astype(np.int64)
+        out.extend(CanonicalQuad(DefiningQuad(*map(tuple, quad))) for quad in signs.tolist())
+    return out
 
 
 def canonical_compressed(cq: CompressedQuad, n: int) -> CompressedQuad:
@@ -178,17 +209,22 @@ def canonical_codes(codes: np.ndarray, m: int) -> np.ndarray:
     images = unit_images(rows, m)
     out = np.empty_like(codes)
     for lo in range(0, len(codes), _CANON_CHUNK):
-        cand = images[:, where[lo : lo + _CANON_CHUNK]]  # [k, quad, A/B/C/D]
-        for i, j in ((1, 2), (2, 3), (1, 2)):  # sort B, C, D: a 3-input network
-            cand[..., i], cand[..., j] = (np.minimum(cand[..., i], cand[..., j]),
-                                          np.maximum(cand[..., i], cand[..., j]))
-        # lexicographic minimum over k: narrow the tied units column by column
-        tied = np.ones(cand.shape[:2], dtype=bool)
-        for col in range(4):
-            value = np.where(tied, cand[..., col], np.iinfo(np.int64).max)
-            tied &= value == value.min(axis=0)
-        out[lo : lo + _CANON_CHUNK] = cand[tied.argmax(axis=0), np.arange(cand.shape[1])]
+        out[lo : lo + _CANON_CHUNK] = _orbit_minimum(images[:, where[lo : lo + _CANON_CHUNK]])
     return out
+
+
+def _orbit_minimum(cand: np.ndarray) -> np.ndarray:
+    """The lexicographic minimum over axis 0 of a [unit, quad, A/B/C/D]
+    array of ordered row keys, once B, C, D are sorted (in place)."""
+    for i, j in ((1, 2), (2, 3), (1, 2)):  # sort B, C, D: a 3-input network
+        cand[..., i], cand[..., j] = (np.minimum(cand[..., i], cand[..., j]),
+                                      np.maximum(cand[..., i], cand[..., j]))
+    # lexicographic minimum over units: narrow the tied units column by column
+    tied = np.ones(cand.shape[:2], dtype=bool)
+    for col in range(4):
+        value = np.where(tied, cand[..., col], np.iinfo(cand.dtype).max)
+        tied &= value == value.min(axis=0)
+    return cand[tied.argmax(axis=0), np.arange(cand.shape[1])]
 
 
 def unit_images(codes: np.ndarray, m: int) -> np.ndarray:

@@ -14,7 +14,14 @@ are paired at all, and that identity still confirms every hit.  It emits
 both (C′, D′) orientations.  Quads are kept as rows of integer codes (equiv's
 row code), whose lexicographic order is quad_key order, so one unique_rows
 yields the sorted set.  Uncompression runs join_quads on the full-length
-preimages of one instance.
+preimages of one instance, slices of one preimage table per run.
+
+The pair screen is plane-major: PSD tables hold one line per frequency and
+one column per row, and for each chunk of _PAIR_CHUNK left rows the planes'
+masks l + r ≤ bound are and-reduced over the leading (frequency) axis.  Every element decision is exactly l + r ≤ bound, so the
+screen keeps the same pairs whatever the layout; a side may carry fewer
+planes (uncompression drops those its compressed screen has already
+bounded), and the screen then reads only those.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
 so with B the largest PAF(0) in the tables, every column of a pair sum lies
@@ -43,8 +50,9 @@ from .spectral import EPS, mirror_psd
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
 
-#: One side of join_quads, one line per row: (PSD profiles, PAF table with
-#: columns k = 0..⌊len/2⌋, packed PAF keys).
+#: One side of join_quads: (PSD table, plane-major: one line per frequency,
+#: one column per row; PAF table, one line per row with columns
+#: k = 0..⌊len/2⌋; packed PAF keys, one per row).
 JoinSide = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -93,7 +101,8 @@ def match_codes(
     paf_sk, paf_sy = paf_matrix(sk_arr), paf_matrix(sy_arr)
     paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
-    psd_sk, psd_sy = mirror_psd(sk_arr, skew=True), mirror_psd(sy_arr, skew=False)
+    psd_sk = np.ascontiguousarray(mirror_psd(sk_arr, skew=True).T)  # plane-major
+    psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T)
     sk = (psd_sk, paf_sk, packed_keys(paf_sk, paf_bound))
     sy = (psd_sy, paf_sy, packed_keys(paf_sy, paf_bound))
     bound = 4 * n + eps
@@ -107,10 +116,10 @@ def match_codes(
         if not fits:
             continue
         group = np.flatnonzero(np.abs(rs_sy) == t)
-        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[group], bound, pair_filter=pair_filter)
+        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[:, group], bound, pair_filter=pair_filter)
         cd = []
         for rc, rd in fits:
-            cd_i, cd_j = _screen_pairs(psd_sy[part[rc]], psd_sy[part[rd]], bound,
+            cd_i, cd_j = _screen_pairs(psd_sy[:, part[rc]], psd_sy[:, part[rd]], bound,
                                       pair_filter=pair_filter, upper=rc == rd)
             cd.append((part[rc][cd_i], part[rd][cd_j]))
         cd_i, cd_j = map(np.concatenate, zip(*cd))
@@ -138,7 +147,7 @@ def join_quads(
 
       (i)   pair A×B and C×D — only k ≤ l with upper_cd — and, with
             pair_filter, keep the pairs whose summed PSD profile stays
-            within bound everywhere (_screen_pairs);
+            within bound on every plane of the tables (_screen_pairs);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
             −(P_c + P_d), where P is the packed key of one row (packed_keys;
             all four tables packed with the same bound), and join equal keys
@@ -160,12 +169,12 @@ def join_quads(
 def _screen_pairs(
     psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, pair_filter: bool, upper: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) of two PSD tables that _join_pairs takes: every
-    pair (i ≤ j with upper) or, with pair_filter, those whose summed PSD
-    profile stays within bound everywhere."""
+    """The index pairs (i, j) of two plane-major PSD tables that _join_pairs
+    takes: every pair (i ≤ j with upper) or, with pair_filter, those whose
+    summed PSD profile stays within bound everywhere."""
     if pair_filter:
         return _filtered_pairs(psd_l, psd_r, bound, upper=upper)
-    return _all_pairs(len(psd_l), len(psd_r), upper=upper)
+    return _all_pairs(psd_l.shape[1], psd_r.shape[1], upper=upper)
 
 
 def _join_pairs(
@@ -245,13 +254,17 @@ def _all_pairs(nl: int, nr: int, *, upper: bool) -> tuple[np.ndarray, np.ndarray
 def _filtered_pairs(
     psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, upper: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i ≤ j with upper) whose summed PSD profile stays below
-    the bound everywhere."""
+    """Index pairs (i ≤ j with upper) of two plane-major PSD tables whose
+    summed PSD profile stays below the bound everywhere.
+
+    Each chunk of left rows meets every right row on every plane in one
+    broadcast, and the planes' bool masks are and-reduced over the leading
+    axis.
+    """
     parts_i, parts_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, len(psd_l), _PAIR_CHUNK):
-        block = psd_l[lo : lo + _PAIR_CHUNK]
-        ok = ((block[:, None, :] + psd_r[None, :, :]) <= bound).all(axis=2)
-        ii, jj = np.nonzero(ok)
+    for lo in range(0, psd_l.shape[1], _PAIR_CHUNK):
+        block = psd_l[:, lo : lo + _PAIR_CHUNK, None]
+        ii, jj = np.nonzero(np.logical_and.reduce(block + psd_r[:, None, :] <= bound, axis=0))
         ii = ii + lo
         if upper:
             keep = jj >= ii

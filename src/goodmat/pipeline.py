@@ -9,7 +9,7 @@ The enumeration pipeline for an odd order n divisible by 3:
                              on, only the quads whose A′ is orbit-minimal);
   4. canonical_codes dedup → one instance per compressed class;
   5. uncompress each instance: join_quads at full length → defining quads;
-  6. canonical_form dedup → the sorted list of inequivalent good matrices.
+  6. canonical_forms dedup → the sorted list of inequivalent good matrices.
 
 Verification is deliberately independent of the search code: it materializes
 the circulant matrices and checks the defining identity, amicability after
@@ -39,7 +39,7 @@ from .diophantine import signed_rowsums
 from .equiv import (
     CanonicalQuad,
     canonical_codes,
-    canonical_form,
+    canonical_forms,
     decode_quads,
     dedup,
     orbit_minimal_rows,
@@ -307,7 +307,8 @@ def enumerate_prepared(
 
     t0 = time.perf_counter()
     # one representative per class and instance, as the SAT path's solve_all returns
-    per_instance = [dedup(quads, canonical_form) for quads in found]
+    forms = iter(canonical_forms([quad for quads in found for quad in quads]))
+    per_instance = [dedup([next(forms) for _ in quads], lambda c: c) for quads in found]
     canonical = dedup((c for classes in per_instance for c in classes), lambda c: c)
     timings["postprocess"] = time.perf_counter() - t0
 
@@ -473,4 +474,4 @@ def brute_force_oracle(n: int) -> list[CanonicalQuad]:
                 if not paf_certificate(quad):
                     raise InternalError(f"PAF key join accepted a non-good quad: {quad}")
                 found.append(quad)
-    return dedup(found, canonical_form)
+    return dedup(canonical_forms(found), lambda c: c)

@@ -16,6 +16,7 @@ from goodmat.equiv import (
     canonical_codes,
     canonical_compressed,
     canonical_form,
+    canonical_forms,
     decode_quads,
     dedup,
     negate_row,
@@ -132,6 +133,39 @@ def test_canonical_form_idempotent(known27):
 def test_canonical_forms_distinguish_classes(known3, known27, known57):
     keys = {canonical_form(q) for q in (known3, known27, known57)}
     assert len(keys) == 3
+
+
+def full_orbit_minimum(quad):
+    """canonical_form by brute force: every unit, then signs and order."""
+    return min((normalize_signs_and_order(apply_automorphism(quad, u)) for u in units(quad.n)),
+               key=quad_key)
+
+
+@given(st.data())
+def test_canonical_forms_equal_the_orbit_minimum(data):
+    # n ≥ 63: rows longer than one int64 word of 63 bits
+    n = data.draw(st.sampled_from((9, 27, 63, 69, 93)), label="n")
+    row = st.tuples(*[st.sampled_from((1, -1))] * n)
+    pool = data.draw(st.lists(row, min_size=1, max_size=3), label="pool")
+    # B, C, D from a small pool, each possibly negated: repeated and negated rows tie
+    bcd = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))).map(
+        lambda pick: tuple(pick[1] * e for e in pick[0]))
+    quads = data.draw(st.lists(st.builds(DefiningQuad, row, bcd, bcd, bcd),
+                               min_size=1, max_size=6), label="quads")
+    got = canonical_forms(quads)
+    assert [c.quad for c in got] == [full_orbit_minimum(q) for q in quads]
+    assert all(isinstance(c, CanonicalQuad) and c.certified for c in got)
+    assert [canonical_form(q) for q in quads] == got
+
+
+def test_canonical_forms_across_blocks(monkeypatch, known3, known27):
+    quads = [transformed(known27, (perm, (1, -1, 1), u))
+             for perm in ((0, 1, 2), (2, 0, 1)) for u in units(27)[:5]]
+    monkeypatch.setattr(equiv, "_FORMS_CHUNK", 3)  # 10 quads: four blocks, a ragged last one
+    assert canonical_forms(quads) == [canonical_form(known27)] * len(quads)
+    assert canonical_forms([]) == []
+    with pytest.raises(InvalidInputError):
+        canonical_forms([known3, known27])
 
 
 # ── compressed canonical form ────────────────────────────────────────────────

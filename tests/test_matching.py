@@ -82,10 +82,11 @@ def test_join_equals_the_nested_loop(left, right):
 
 
 def join_side(rows, length, paf_bound):
-    """One join_quads side (PSD, PAF table, packed keys) of rows of one length."""
+    """One join_quads side (plane-major PSD, PAF table, packed keys) of rows
+    of one length."""
     table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
     paf = paf_matrix(table)
-    return np.abs(np.fft.fft(table, axis=1)) ** 2, paf, packed_keys(paf, paf_bound)
+    return np.abs(np.fft.fft(table, axis=1)).T ** 2, paf, packed_keys(paf, paf_bound)
 
 
 @given(st.data())
@@ -109,7 +110,7 @@ def test_join_quads_equals_the_nested_loop(data):
     def pairs(x, y, upper):
         return [(i, j) for i in range(len(tables[x])) for j in range(len(tables[y]))
                 if not (upper and i > j)
-                and not (pair_filter and (sides[x][0][i] + sides[y][0][j] > bound).any())]
+                and not (pair_filter and (sides[x][0][:, i] + sides[y][0][:, j] > bound).any())]
 
     ab, cd = pairs(0, 1, False), pairs(2, 3, upper_cd)
     want = {(i, j, k, l) for (i, j), (k, l) in itertools.product(ab, cd)

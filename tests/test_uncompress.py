@@ -23,7 +23,7 @@ from goodmat.seqcore import (
     make_symmetric,
 )
 from goodmat.spectral import paf_certificate
-from goodmat.uncompress import preimages, uncompress, uncompress_all
+from goodmat.uncompress import preimage_table, preimages, uncompress, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
 
@@ -45,6 +45,30 @@ def test_preimages_are_exactly_the_rows_that_compress(n):
 def test_preimages_of_an_impossible_compression_are_empty():
     assert len(preimages((1, 1, 1), skew=True)) == 0      # a skew c′ has c′_2 = −c′_1
     assert len(preimages((1, -1, -1), skew=False)) == 0  # c′_0 = 1 is odd for symmetric rows
+
+
+@pytest.mark.parametrize("n", [9, 15])
+def test_preimage_table_slices_one_mixed_batch(n):
+    m = n // 3
+    want: dict = {True: {}, False: {}}
+    for skew, make in ((True, make_skew), (False, make_symmetric)):
+        for half in iter_halves(n // 2):
+            row = make(half, n)
+            want[skew].setdefault(compress3(row), set()).add(row)
+    # skew and symmetric compressions together, each at least twice, and rows
+    # that are impossible for both (c′_{m−1} = c′_1, c′_0 = 1) among them
+    sk, sy = sorted(want[True]), sorted(want[False])
+    batch = [sk[0], sy[0], (1,) * m, (1,) + (-1,) * (m - 1), sk[1], sy[1]] + sk + sy[::-1]
+    for skew in (True, False):
+        table = preimage_table(np.array(batch), skew, bound=np.inf, row_filter=False)
+        assert table.offsets[0] == 0 and len(table.offsets) == len(batch) + 1
+        assert table.offsets[-1] == len(table.rows) == len(table.keys) == table.psd.shape[1]
+        for r, crow in enumerate(batch):
+            got = table.rows[table.offsets[r] : table.offsets[r + 1]].tolist()
+            assert len(set(map(tuple, got))) == len(got)  # no row twice
+            assert set(map(tuple, got)) == want[skew].get(crow, set()), (skew, crow)
+        sizes = np.diff(table.offsets)
+        assert sizes[2] == sizes[3] == 0 and sizes[:2].any() and sizes[4:6].any()
 
 
 @pytest.mark.parametrize("cfg", [FilterConfig(), FilterConfig.no_filters()],
@@ -86,24 +110,25 @@ def test_join_equals_the_preimage_product_per_instance(n, filters):
 
 
 #: Raw models per instance index (the others have none), recorded before the
-#: join keys were packed into one integer.
+#: join keys were packed into one integer, and the join counters (pairs_ab,
+#: pairs_cd, key_hits) with the full-length pair screen on the PSD planes
+#: k ≢ 0 (mod 3) only.
 RAW_MODELS = {
     27: (186, {1: 3, 10: 6, 32: 3, 60: 3, 66: 3, 68: 3, 72: 3, 75: 3, 83: 3, 85: 3,
-               135: 3, 168: 3}),
+               135: 3, 168: 3}, (36486, 12081, 39)),
     33: (840, {134: 2, 169: 2, 301: 2, 405: 2, 473: 2, 499: 2, 504: 2, 549: 2, 575: 2,
-               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}),
+               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (470272, 152413, 248)),
 }
 
 
 @pytest.mark.parametrize("n", sorted(RAW_MODELS))
 def test_frozen_raw_models_per_instance(n):
-    count, raw = RAW_MODELS[n]
+    count, raw, counters = RAW_MODELS[n]
     instances = prepare_instances(n)[0]
     found, stats = uncompress_all(instances)
     assert len(found) == count
     assert {i: len(quads) for i, quads in enumerate(found) if quads} == raw
-    assert stats["key_hits"] >= sum(raw.values())
-    assert stats["pairs_ab"] > 0 and stats["pairs_cd"] > 0
+    assert (stats["pairs_ab"], stats["pairs_cd"], stats["key_hits"]) == counters
 
 
 def test_known_57_instance_uncompresses_to_its_class(known57):
