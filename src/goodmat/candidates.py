@@ -1,43 +1,76 @@
-"""Candidate row generation: the 2^d brute-force sweep with PSD filtering.
+"""Candidate row generation: a compressed-first sweep with PSD filtering.
 
-For each of the 2^d free-entry assignments X we form the skew row
-A = (1, X, −rev X) and the symmetric row B = (1, X, rev X).  compress3(A)
+For each of the 2^d free-entry assignments X, the skew row A = (1, X, −rev X)
+and the symmetric row B = (1, X, rev X) are the defining rows.  compress3(A)
 enters s_sk iff PSD_A(k) ≤ 4n + ε for all k; compress3(B) enters s_sy iff it
 passes the same PSD bound AND rowsum(B) occurs as a component of some signed
 rowsum triple.  Both sets are deduplicated by exact entrywise equality only —
 equivalence-level reduction happens later, at the compressed-quad stage.
 
-No full row is ever built.  The mirror symmetry gives real closed forms
-(spectral.mirror_psd): PSD_B(k) = (1 + c_k)² and PSD_A(k) = 1 + s_k² with
-c_k = 2Σ x_j cos(2πjk/n) and s_k = 2Σ x_j sin(2πjk/n), both linear in X.
-So are rowsum(B) = 1 + 2Σ x_j and the integer code (equiv.row_codes) of
-either compressed row.  The d free signs split into L = min(_LOW_BITS, d)
-low bits and d − L high bits: one table over the 2^L low patterns holds their
-c|s contributions, rowsums and codes, and each block of one high pattern is
-that table plus one offset vector: an add, not a matmul.  The survivors'
-codes (exact int64) are reduced to distinct values per block and across
-blocks, and only those are decoded to rows.  The float masks only screen;
-the result does not depend on L.
-"""
+The sweep runs over compressed rows (Đoković and Kotsireas, Des. Codes
+Cryptogr. 2015).  Entry k of a compression is x_k + x_{k+m} + x_{k+2m}; the
+mirror x_{n−j} = ±x_j ties group k to group m − k, so only groups
+0..(m−1)/2 are free.  Group 0 holds x_0 = +1 and x_{2m} = ±x_m: its image is
+1 with 2 preimage choices in a skew row, 3 or −1 with 1 in a symmetric row.
+Every other group has 1 choice when |c′_k| = 3 and 3 when |c′_k| = 1.  So:
 
+  (i)   enumerate every image row (4^((m−1)/2) skew, twice as many
+        symmetric), _ROW_BLOCK at a time;
+  (ii)  screen each by its own PSD at length m and by rowsum, which drops no
+        row with a good preimage X: PSD_X(3k′) = PSD_X′(k′) and
+        rowsum(X) = rowsum(X′);
+  (iii) keep a survivor iff one of its preimages passes the full PSD bound,
+        sought in rounds of doubling width from _FIRST_ROUND preimages until
+        one passes or none is left (the rounds only order the search).
+
+A row's preimages are the mixed-radix numbers over its groups' choices, the
+last group varying fastest; uncompression uses the same enumerator.  The float
+masks only screen.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from itertools import product
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .diophantine import RowsumTriple, rowsum_components
-from .equiv import _place_values, decode_rows, row_codes
+from .equiv import _place_values
 from .errors import InvalidInputError
 from .seqcore import Row
-from .spectral import EPS, half_basis
+from .spectral import EPS, mirror_psd
 
-#: Free signs enumerated by the low-pattern table; the rest index its blocks.
-_LOW_BITS = 15
+#: Compressed rows per screen block, and preimage rows per block of lines.
+_ROW_BLOCK = 4096
 
-#: Per-block unique code arrays held before they are merged into one.
-_MERGE_EVERY = 64
+#: Preimages tried per survivor in the first witness round.
+_FIRST_ROUND = 1
+
+#: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
+_TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
+
+
+def _choice_table() -> tuple[np.ndarray, np.ndarray]:
+    """The triples a group may take, as [value, choice, 3], and their counts.
+
+    Values 0–3 are group 0 of a skew row (x_0 = +1, x_{2m} = −x_m), 4–7
+    group 0 of a symmetric row (x_{2m} = x_m), 8–11 every other group, each
+    for c′_k = +3, +1, −1, −3 in turn (offset + (3 − c′_k)/2).
+    """
+    table = np.zeros((12, 3, 3), dtype=np.int8)
+    count = np.zeros(12, dtype=np.int64)
+    for base, sign in ((0, -1), (4, 1), (8, 0)):
+        for value, c in enumerate((3, 1, -1, -3), start=base):
+            choice = _TRIPLES[_TRIPLES.sum(axis=1) == c]
+            if sign:
+                choice = choice[(choice[:, 0] == 1) & (choice[:, 2] == sign * choice[:, 1])]
+            table[value, : len(choice)] = choice
+            count[value] = len(choice)
+    return table, count
+
+
+_CHOICES, _CHOICE_COUNTS = _choice_table()
 
 
 @dataclass(frozen=True)
@@ -59,76 +92,116 @@ def generate_candidates(
     psd_filter: bool = True,
     rowsum_filter: bool = True,
 ) -> CandidateSets:
-    """Run the 2^d sweep for order n (odd, divisible by 3, at most 93)."""
+    """Run the compressed-first sweep for order n (odd, divisible by 3, at most 93)."""
     if n < 3 or n % 2 == 0 or n % 3 != 0:
         raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
     m, d = n // 3, n // 2
-    place = _place_values(m)  # raises for m > 31: the codes would not fit an int64
+    _place_values(m)  # raises for m > 31: matching's row codes would not fit an int64
     if not rowsums:
         return CandidateSets(frozenset(), frozenset(), n, m, d)
-
-    # Code weights: flipping x_j from +1 to −1 lowers entry j by 2, so the
-    # digit (3 − e)/2 of compressed entry j mod m gains 1.  The mirror entry
-    # n − j falls with it in a symmetric row and rises in a skew row.
-    j = np.arange(1, d + 1)
-    code_sy = place[j % m] + place[(n - j) % m]
-    code_sk = place[j % m] - place[(n - j) % m]
-    plus = np.ones(d, dtype=np.int64)  # X = +1: the codes every flip starts from
-    all_plus = np.array([np.r_[1, plus, plus], np.r_[1, plus, -plus]])
-    base_sy, base_sk = row_codes(all_plus.reshape(2, 3, m).sum(axis=1)).tolist()
-
-    # spectrum rows 0..d hold 1 + c_k (symmetric), rows d+1..2d+1 hold s_k (skew)
-    bound = 4 * n + eps
-    limit = np.repeat([bound, bound - 1.0], d + 1) if psd_filter else np.full(2 * d + 2, np.inf)
-    first = np.repeat([1.0, 0.0], d + 1)  # the x_0 = 1 term of 1 + c_k
-    total = np.arange(-d, d + 1)  # Σ x_j; the symmetric row's rowsum is 1 + 2Σ x_j
-    allowed = np.isin(1 + 2 * total, sorted(rowsum_components(rowsums))) | (not rowsum_filter)
-
-    low = min(_LOW_BITS, d)
-    basis = half_basis(n)
-    bits = (np.arange(1 << low)[:, None] >> np.arange(low)) & 1  # bit i set: x_{i+1} = −1
-    table = basis[:low].T @ (1 - 2 * bits.T)  # (2(d+1) × 2^low), one low pattern per column
-    rs_low = low - 2 * bits.sum(axis=1)
-    # the distinct low-pattern codes (high bits all 0), and which one each pattern has
-    codes_sy, where_sy = np.unique(bits @ code_sy[:low] + base_sy, return_inverse=True)
-    codes_sk, where_sk = np.unique(bits @ code_sk[:low] + base_sk, return_inverse=True)
-
-    found_sy: list[np.ndarray] = []
-    found_sk: list[np.ndarray] = []
-    spec = np.empty_like(table)
-    ok = np.empty(table.shape, dtype=bool)
-    for high in range(1 << (d - low)):
-        signs = _high_signs(high, d, low)
-        high_bits = (1 - signs) // 2
-        np.add(table, (signs @ basis[low:] + first)[:, None], out=spec)
-        np.multiply(spec, spec, out=spec)
-        np.less_equal(spec, limit[:, None], out=ok)
-        keep_sy = np.logical_and.reduce(ok[: d + 1], axis=0)
-        keep_sy &= allowed[rs_low + int(signs.sum()) + d]
-        keep_sk = np.logical_and.reduce(ok[d + 1 :], axis=0)
-        found_sy.append(_distinct(codes_sy, where_sy, keep_sy, int(high_bits @ code_sy[low:])))
-        found_sk.append(_distinct(codes_sk, where_sk, keep_sk, int(high_bits @ code_sk[low:])))
-        if len(found_sy) == _MERGE_EVERY:
-            found_sy = [np.unique(np.concatenate(found_sy))]
-            found_sk = [np.unique(np.concatenate(found_sk))]
-    return CandidateSets(
-        frozenset(decode_rows(np.unique(np.concatenate(found_sk)), m)),
-        frozenset(decode_rows(np.unique(np.concatenate(found_sy)), m)),
-        n, m, d,
-    )
+    bound = 4 * n + eps if psd_filter else np.inf
+    allowed = sorted(rowsum_components(rowsums)) if rowsum_filter else None
+    return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m, d)
 
 
-def _distinct(codes: np.ndarray, where: np.ndarray, keep: np.ndarray, shift: int) -> np.ndarray:
-    """codes[where[keep]] + shift, each value once, ascending."""
-    hit = np.zeros(len(codes), dtype=bool)
-    hit[where[keep]] = True
-    return codes[hit] + shift
+def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> frozenset[Row]:
+    """The compressed rows of one skewness with a preimage whose PSD stays
+    within bound at every k and, unless rowsums is None, whose rowsum is one
+    of rowsums."""
+    free = (m - 1) // 2
+    total = (1 if skew else 2) << 2 * free  # group 0 choices × 4 per free group
+    kept = []
+    for lo in range(0, total, _ROW_BLOCK):
+        crows = _image_rows(np.arange(lo, min(lo + _ROW_BLOCK, total)), m, skew)
+        keep = (mirror_psd(crows, skew) <= bound).all(axis=1)
+        if rowsums is not None:
+            keep &= np.isin(crows.sum(axis=1, dtype=np.int64), rowsums)
+        crows = crows[keep]
+        kept.append(crows[_witnessed(crows, skew, bound)])
+    return frozenset(map(tuple, np.concatenate(kept).tolist()))
 
 
-def _high_signs(high: int, d: int, low: int) -> np.ndarray:
-    """Signs x_{low+1}..x_d of high pattern `high` (a Python int, any width):
-    bit i of `high` is bit low + i of the sweep counter, 1 meaning −1."""
-    return np.array([1 - 2 * ((high >> i) & 1) for i in range(d - low)], dtype=np.int64)
+def _image_rows(index: np.ndarray, m: int, skew: bool) -> np.ndarray:
+    """Compressed image rows number `index`: base-4 digit k − 1 gives free
+    group k the value 3 − 2·digit, the bit above them picks 3 or −1 for B′_0."""
+    free = (m - 1) // 2
+    rows = np.empty((len(index), m), dtype=np.int8)
+    rows[:, 0] = 1 if skew else 3 - 4 * (index >> 2 * free)
+    rows[:, 1 : free + 1] = 3 - 2 * ((index[:, None] >> 2 * np.arange(free)) & 3)
+    rows[:, : free : -1] = (-1 if skew else 1) * rows[:, 1 : free + 1]
+    return rows
+
+
+def _witnessed(crows: np.ndarray, skew: bool, bound: float) -> np.ndarray:
+    """Which compressed rows have a preimage whose PSD stays within bound at
+    every k: the pending rows' next preimages, in rounds of doubling width."""
+    layout = _layout(crows, skew)
+    count = layout[2]
+    found = np.zeros(len(crows), dtype=bool)
+    pending = np.flatnonzero(count)
+    start, width = 0, _FIRST_ROUND
+    while len(pending):
+        take = np.minimum(count[pending] - start, width)
+        for owner, _ in _preimage_blocks(layout, skew, bound, pending, take, start):
+            found[owner] = True
+        start, width = start + width, 2 * width
+        pending = pending[~found[pending] & (count[pending] > start)]
+    return found
+
+
+def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per compressed row and free group k = 0..(m−1)/2, the _CHOICES index
+    and the mixed-radix stride (the last group varies fastest); and per row
+    its number of preimages, 0 for a row whose mirror groups disagree."""
+    m = crows.shape[1]
+    free = (m + 1) // 2
+    value = np.r_[0 if skew else 4, np.full(free - 1, 8)] + (3 - crows[:, :free]) // 2
+    count = _CHOICE_COUNTS[value]
+    stride = np.ones_like(count)
+    stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
+    mirrored = crows[:, m - np.arange(1, free)] == (-1 if skew else 1) * crows[:, 1:free]
+    return value, stride, count.prod(axis=1) * mirrored.all(axis=1)
+
+
+def _preimage_blocks(
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool, bound: float | None,
+    owners: np.ndarray, take: np.ndarray, start: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Preimages start..start + take[i] − 1 of compressed row owners[i] of a
+    _layout, for every i, in blocks of _ROW_BLOCK lines (at least one block):
+    per block, (each kept line's compressed row, the kept int8 rows).  A line
+    is kept iff its PSD stays within bound at every k, or always if bound is None."""
+    offsets = np.concatenate([[0], np.cumsum(take)])
+    for lo in range(0, offsets[-1] or 1, _ROW_BLOCK):
+        line = np.arange(lo, min(lo + _ROW_BLOCK, offsets[-1]))
+        index = np.searchsorted(offsets, line, side="right") - 1
+        owner = owners[index]
+        rows = _preimage_rows(layout, skew, owner, start + line - offsets[index])
+        if bound is not None:
+            keep = (mirror_psd(rows, skew) <= bound).all(axis=1)
+            owner, rows = owner[keep], rows[keep]
+        yield owner, rows
+
+
+def _preimage_rows(
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool,
+    owner: np.ndarray, local: np.ndarray,
+) -> np.ndarray:
+    """Preimage number local[i] of compressed row owner[i] of a _layout, for
+    every i, as one (len(owner) × n) int8 array."""
+    value, stride, _ = layout
+    free = value.shape[1]
+    m = 2 * free - 1
+    value = value[owner]
+    digit = local[:, None] // stride[owner] % _CHOICE_COUNTS[value]
+    triples = _CHOICES[value, digit]  # [line, group, 3]
+    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
+    rows = np.empty((len(owner), 3 * m), dtype=np.int8)
+    rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
+    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
+    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
+        len(owner), pos.size - 3)
+    return rows
 
 
 # ── optional on-disk spill ──────────────────────────────────────────────────
@@ -137,4 +210,3 @@ def write_compressed_rows(fp: TextIO, rows: Iterable[Row]) -> None:
     """One compressed row per line as comma-separated integers."""
     for row in rows:
         fp.write(",".join(str(e) for e in row) + "\n")
-

@@ -88,14 +88,10 @@ def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
     return (codes[..., None] // _place_values(m) % 4).astype(np.int8)
 
 
-def decode_rows(codes: np.ndarray, m: int) -> list[Row]:
-    """The length-m rows of a 1-D code array, in its order."""
-    return list(map(tuple, (3 - 2 * _code_digits(codes, m).astype(np.int64)).tolist()))
-
-
 def decode_quads(codes: np.ndarray, m: int) -> list[CompressedQuad]:
     """The compressed quads of an (N × 4) code array, in its row order."""
-    rows = decode_rows(np.reshape(codes, -1), m)
+    digits = _code_digits(np.reshape(codes, -1), m).astype(np.int64)
+    rows = list(map(tuple, (3 - 2 * digits).tolist()))
     return [CompressedQuad(*rows[i : i + 4]) for i in range(0, len(rows), 4)]
 
 

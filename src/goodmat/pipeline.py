@@ -3,7 +3,7 @@
 The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
-  2. generate_candidates:    2^d sweep → compressed candidate sets s_sk, s_sy;
+  2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
   3. match_codes:            the quad join at compressed length, one rowsum
                              partition at a time → S_q as codes (with dedup
                              on, only the quads whose A′ is orbit-minimal);

@@ -206,10 +206,6 @@ class Assignment:
     def from_values(cls, values: dict[int, bool]) -> "Assignment":
         return cls(values.get)
 
-    @classmethod
-    def from_solver(cls, solver: Solver) -> "Assignment":
-        return cls(solver.value_of)
-
     def value(self, var: int) -> Optional[bool]:
         return self._lookup(var)
 

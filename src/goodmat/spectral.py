@@ -133,3 +133,12 @@ def paf_certificate(quad: DefiningQuad) -> bool:
         if paf(a, k) + paf(b, k) + paf(c, k) + paf(d, k) != 0:
             return False
     return True
+
+
+def paf_sums(quads: np.ndarray) -> np.ndarray:
+    """PAF_A(k) + PAF_B(k) + PAF_C(k) + PAF_D(k) at k = 1..floor(n/2) of every
+    quad of a (Q × 4 × n) array of ±1 entries, exactly, as a (Q × floor(n/2))
+    int64 array: a quad passes paf_certificate iff its line is all zero."""
+    rows = np.asarray(quads, dtype=np.int64)
+    shifts = range(1, rows.shape[-1] // 2 + 1)
+    return np.stack([(rows * np.roll(rows, -k, axis=-1)).sum(axis=(1, 2)) for k in shifts], axis=-1)

@@ -5,15 +5,8 @@ This is the compression/uncompression scheme of Đoković and Kotsireas
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
 (join_quads) — one join at two lengths:
 
-  (i)   enumerate the preimages of compressed rows directly.  Entry k of a
-        compression is x_k + x_{k+m} + x_{k+2m}; the mirror x_j = ±x_{n−j}
-        ties group k to group m−k, so only groups 0..(m−1)/2 are free.
-        Group 0 holds x_0 = +1 and x_{2m} = ±x_m: a skew row has 2 choices
-        there, a symmetric row is forced.  Every other group has 1 choice
-        when |c′_k| = 3 and 3 choices when |c′_k| = 1.  A row's preimages
-        are the mixed-radix numbers over its groups' choices, the last
-        group varying fastest; a row whose mirror groups disagree
-        (c′_{m−k} ≠ ±c′_k) has none;
+  (i)   enumerate the preimages of compressed rows directly, with the
+        candidate sweep's mixed-radix enumerator (candidates._preimage_rows);
   (ii)  build one preimage table per skewness for all the distinct
         compressed rows of a run (preimage_table), in blocks of
         _ROW_BLOCK rows: keep the rows inside the row PSD bound (a float
@@ -23,7 +16,8 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         offsets[r]..offsets[r+1] of flat arrays;
   (iii) join the four table slices of each instance with join_quads over
         the ordered A×B and C×D products.  Every quad it returns must pass
-        the PAF certificate; a failure is a bug: InternalError.
+        the PAF certificate, checked for a whole run in one exact integer
+        pass (spectral.paf_sums); a failure is a bug: InternalError.
 
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
 PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
@@ -38,44 +32,15 @@ kept as the reference and for DIMACS export).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .candidates import _ROW_BLOCK, _layout, _preimage_blocks
 from .errors import InternalError
 from .matching import JoinSide, join_quads, packed_keys, paf_matrix
 from .seqcore import CompressedQuad, DefiningQuad
-from .spectral import EPS, mirror_psd, paf_certificate
-
-#: Preimage rows per block while a table is built, so its temporaries stay small.
-_ROW_BLOCK = 4096
-
-#: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
-_TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
-
-
-def _choice_table() -> tuple[np.ndarray, np.ndarray]:
-    """The triples a group may take, as [value, choice, 3], and their counts.
-
-    Values 0–3 are group 0 of a skew row (x_0 = +1, x_{2m} = −x_m), 4–7
-    group 0 of a symmetric row (x_{2m} = x_m), 8–11 every other group, each
-    for c′_k = +3, +1, −1, −3 in turn (offset + (3 − c′_k)/2).
-    """
-    table = np.zeros((12, 3, 3), dtype=np.int8)
-    count = np.zeros(12, dtype=np.int64)
-    for base, sign in ((0, -1), (4, 1), (8, 0)):
-        for value, c in enumerate((3, 1, -1, -3), start=base):
-            choice = _TRIPLES[_TRIPLES.sum(axis=1) == c]
-            if sign:
-                choice = choice[(choice[:, 0] == 1) & (choice[:, 2] == sign * choice[:, 1])]
-            table[value, : len(choice)] = choice
-            count[value] = len(choice)
-    return table, count
-
-
-_CHOICES, _CHOICE_COUNTS = _choice_table()
-
+from .spectral import EPS, mirror_psd, paf_sums
 
 class PreimageTable(NamedTuple):
     """The preimages of R compressed rows of one skewness, in CSR form: the
@@ -113,15 +78,11 @@ def preimage_table(
     the int8 rows are ever copied (joined from their blocks).
     """
     layout = _layout(crows, skew)
-    total = layout[-1][-1]  # the last offset: every preimage, unfiltered
     n = 3 * crows.shape[1]
     kept = np.zeros(len(crows), dtype=np.int64)
     blocks = []
-    for lo in range(0, total or 1, _ROW_BLOCK):  # one empty block if none
-        owner, rows = _preimage_rows(layout, skew, lo, min(lo + _ROW_BLOCK, total))
-        if row_filter:
-            keep = (mirror_psd(rows, skew) <= bound).all(axis=1)
-            owner, rows = owner[keep], rows[keep]
+    for owner, rows in _preimage_blocks(layout, skew, bound if row_filter else None,
+                                        np.arange(len(crows)), layout[2]):
         kept += np.bincount(owner, minlength=len(crows))
         blocks.append(rows)
     rows = np.concatenate(blocks)
@@ -136,46 +97,6 @@ def preimage_table(
         paf[block] = paf_matrix(rows[block].astype(np.int16))  # |PAF(k)| ≤ PAF(0) = n
         keys[block] = packed_keys(paf[block], n)
     return PreimageTable(np.concatenate([[0], np.cumsum(kept)]), rows, psd, paf, keys)
-
-
-def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per compressed row and free group k = 0..(m−1)/2, the _CHOICES index
-    and the mixed-radix stride (the last group varies fastest); and the CSR
-    offsets of the rows' preimages, counting 0 for a row whose mirror groups
-    disagree."""
-    m = crows.shape[1]
-    free = (m + 1) // 2
-    base = np.full(free, 8)
-    base[0] = 0 if skew else 4
-    value = base + (3 - crows[:, :free]) // 2
-    count = _CHOICE_COUNTS[value]
-    stride = np.ones_like(count)
-    stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
-    mirrored = crows[:, m - np.arange(1, free)] == (-1 if skew else 1) * crows[:, 1:free]
-    total = count.prod(axis=1) * mirrored.all(axis=1)
-    return value, stride, np.concatenate([[0], np.cumsum(total)])
-
-
-def _preimage_rows(
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lines lo..hi of the flat preimage list of a _layout, as (the index of
-    each line's compressed row, the (hi − lo) × n int8 rows)."""
-    value, stride, offsets = layout
-    free = value.shape[1]
-    m = 2 * free - 1
-    line = np.arange(lo, hi)
-    owner = np.searchsorted(offsets, line, side="right") - 1
-    value = value[owner]
-    digit = (line - offsets[owner])[:, None] // stride[owner] % _CHOICE_COUNTS[value]
-    triples = _CHOICES[value, digit]  # [line, group, 3]
-    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
-    rows = np.empty((hi - lo, 3 * m), dtype=np.int8)
-    rows[:, pos.ravel()] = triples.reshape(len(line), pos.size)
-    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
-    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
-        len(line), pos.size - 3)
-    return owner, rows
 
 
 def uncompress(
@@ -214,17 +135,20 @@ def uncompress_all(
     table_a = preimage_table(sk, True, bound=bound, row_filter=row_filter)
     table_bcd = preimage_table(sy, False, bound=bound, row_filter=row_filter)
     tables = (table_a, table_bcd, table_bcd, table_bcd)
-    found: list[list[DefiningQuad]] = []
+    blocks = []  # per instance, its quads as a (count × 4 × n) int8 array
     for index in np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)]).tolist():
         sides = [table.side(r) for table, r in zip(tables, index)]
         if any(len(keys) == 0 for _, _, keys in sides):
-            found.append([])
+            blocks.append(np.empty((0, 4, n), dtype=np.int8))
             continue
         hits = join_quads(*sides, bound, pair_filter=pair_filter, stats=stats)
-        rows = [table.rows[table.offsets[r] + i].tolist()
-                for table, r, i in zip(tables, index, hits)]
-        found.append([DefiningQuad(*map(tuple, quad)) for quad in zip(*rows)])
-        for quad in found[-1]:
-            if not paf_certificate(quad):
-                raise InternalError(f"joined quad fails the PAF certificate: {quad}")
+        blocks.append(np.stack([table.rows[table.offsets[r] + i]
+                                for table, r, i in zip(tables, index, hits)], axis=1))
+    joined = np.concatenate(blocks)
+    failed = paf_sums(joined).any(axis=1)
+    if failed.any():
+        bad = joined[np.argmax(failed)].tolist()
+        raise InternalError(
+            f"joined quad fails the PAF certificate: {DefiningQuad(*map(tuple, bad))}")
+    found = [[DefiningQuad(*map(tuple, quad)) for quad in block.tolist()] for block in blocks]
     return found, dict(stats)

@@ -1,7 +1,7 @@
-"""Candidate generation: the 2^d sweep with PSD and rowsum screens.
+"""Candidate generation: the compressed-first sweep with PSD and rowsum screens.
 
-Oracle: a pure-Python re-derivation (no numpy, no shared helpers beyond the
-row constructors) of the compressed candidate sets.
+Oracle: a pure-Python re-derivation over all 2^d full rows (no numpy, no
+shared helpers beyond the row constructors) of the compressed candidate sets.
 """
 
 import cmath
@@ -17,27 +17,27 @@ from goodmat.errors import InvalidInputError
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
 
 
-def oracle_candidates(n, rowsums, psd_filter=True, rowsum_filter=True):
+def psd_ok(row, eps=1e-2):
+    n = len(row)
+    return all(
+        abs(sum(v * cmath.exp(2j * cmath.pi * j * k / n)
+                for j, v in enumerate(row))) ** 2 <= 4 * n + eps
+        for k in range(n)
+    )
+
+
+def oracle_candidates(n, rowsums, psd_filter=True, rowsum_filter=True, eps=1e-2):
     d = n // 2
-    bound = 4 * n + 1e-2
     allowed = rowsum_components(rowsums)
-
-    def psd_ok(row):
-        return all(
-            abs(sum(v * cmath.exp(2j * cmath.pi * j * k / n)
-                    for j, v in enumerate(row))) ** 2 <= bound
-            for k in range(n)
-        )
-
     s_sk, s_sy = set(), set()
     for half in iter_halves(d):
         row = make_skew(half, n)
-        if not psd_filter or psd_ok(row):
+        if not psd_filter or psd_ok(row, eps):
             s_sk.add(compress3(row))
         row = make_symmetric(half, n)
         if rowsum_filter and sum(row) not in allowed:
             continue
-        if not psd_filter or psd_ok(row):
+        if not psd_filter or psd_ok(row, eps):
             s_sy.add(compress3(row))
     return s_sk, s_sy
 
@@ -112,7 +112,7 @@ def test_compressed_rows_round_trip():
     assert buf.getvalue() == "1,3,-1\n1,-3,1\n"
 
 
-# ── the low-pattern table and its high blocks ───────────────────────────────
+# ── blocks, witness rounds and frozen sets ─────────────────────────────────
 
 def sets_digest(cands):
     """SHA-256 of sorted s_sk then sorted s_sy, one row per line, a blank
@@ -126,45 +126,64 @@ def sets_digest(cands):
 
 
 @pytest.mark.parametrize("n", [15, 21])
-@pytest.mark.parametrize("filters", [True, False])
+@pytest.mark.parametrize("filters", [(True, True), (False, False), (True, False), (False, True)],
+                         ids=["True", "False", "psd_only", "rowsum_only"])
 def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
-    # 3 low bits leave 2^(d-3) high blocks (16 at n = 15, 128 at n = 21), and
-    # a merge after every 5 blocks, so the block offsets and merges all run
-    monkeypatch.setattr(candidates, "_LOW_BITS", 3)
-    monkeypatch.setattr(candidates, "_MERGE_EVERY", 5)
+    # one compressed row per screen block, one preimage line per block and a
+    # first witness round of one preimage, so every block and round boundary runs
+    monkeypatch.setattr(candidates, "_ROW_BLOCK", 1)
+    monkeypatch.setattr(candidates, "_FIRST_ROUND", 1)
+    psd_filter, rowsum_filter = filters
     rowsums = signed_rowsums(n)
-    got = generate_candidates(n, rowsums, psd_filter=filters, rowsum_filter=filters)
-    want_sk, want_sy = oracle_candidates(n, rowsums, psd_filter=filters,
-                                         rowsum_filter=filters)
+    got = generate_candidates(n, rowsums, psd_filter=psd_filter, rowsum_filter=rowsum_filter)
+    want_sk, want_sy = oracle_candidates(n, rowsums, psd_filter=psd_filter,
+                                         rowsum_filter=rowsum_filter)
     assert got.s_sk == want_sk and got.s_sy == want_sy
 
 
+@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("eps", [-30.0, -40.0])
+def test_tight_bounds_match_oracle(n, eps):
+    # under 4n − 30 or 4n − 40 some compressed rows pass their own PSD and
+    # rowsum screen but have no preimage within the bound
+    rowsums = signed_rowsums(n)
+    got = generate_candidates(n, rowsums, eps=eps)
+    want_sk, want_sy = oracle_candidates(n, rowsums, eps=eps)
+    assert got.s_sk == want_sk and got.s_sy == want_sy
+
+
+def test_every_row_has_a_preimage_within_the_bound():
+    n = 21
+    got = generate_candidates(n, signed_rowsums(n))
+    for rows, make in ((got.s_sk, make_skew), (got.s_sy, make_symmetric)):
+        above: dict = {}
+        for half in iter_halves(n // 2):
+            row = make(half, n)
+            above.setdefault(compress3(row), []).append(row)
+        for crow in rows:
+            assert any(psd_ok(row) for row in above.get(crow, [])), crow
+
+
 @pytest.mark.parametrize("n, sizes, digest", [
-    # recorded from the complex-DFT sweep this kernel replaced
+    # n = 27 … 45 recorded from the complex-DFT sweep, n = 51 and 57 from the
+    # 2^d half-basis sweep, both of which the compressed-first sweep replaced
     (27, (128, 197), "e223847992c62804d3cf62382aaf1f6313d7776552327c267f75b14dffd875ce"),
     (33, (404, 678), "ab3a499ccd926a411d22d1714a9823cc7653cc48565d28d0f39cd98e9e652e46"),
     (39, (1344, 1721), "726e6f48b73e992f0c6785368696ae7194fd33b0059b10d3e9c54c9e3b598f4c"),
     (45, (4712, 6233), "b81fe1b983ec0e386a0bf79b735bf91fd86b747390d830b2e1b6177158125eaf"),
+    (51, (15008, 19333), "a582f8932c1c2a997617979e00e12e72769bfcdf3efbe9d6254dbf44669f746d"),
+    (57, (49348, 80323), "0164969a0cf40c067b48866ab79271ae08807afedaebc3485f65542ad2989074"),
 ])
-def test_frozen_sets_n27_to_n45(n, sizes, digest):
+def test_frozen_sets_n27_to_n57(n, sizes, digest):
     got = generate_candidates(n, signed_rowsums(n))
     assert (len(got.s_sk), len(got.s_sy)) == sizes
     assert sets_digest(got) == digest
 
 
-def test_high_signs_follow_the_counter_bits():
-    # d = 34 (n = 69): counter bits 32 and 33 lie past a uint32
-    d, low = 34, 15
-    for high in (0, 1, (1 << 17) | 5, (1 << 18) | (1 << 17), (1 << (d - low)) - 1):
-        counter = high << low
-        want = [1 - 2 * ((counter >> i) & 1) for i in range(low, d)]
-        assert candidates._high_signs(high, d, low).tolist() == want
-
-
 def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
-    def no_sweep(n):
+    def no_sweep(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(candidates, "half_basis", no_sweep)
+    monkeypatch.setattr(candidates, "_sweep", no_sweep)
     with pytest.raises(InvalidInputError, match="exceeds 31"):
         generate_candidates(99, signed_rowsums(99))  # m = 33

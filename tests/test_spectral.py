@@ -21,6 +21,7 @@ from goodmat.spectral import (
     mirror_psd,
     paf,
     paf_certificate,
+    paf_sums,
     paf_vector,
     passes_psd_filter,
     psd_values,
@@ -130,6 +131,24 @@ def test_certificate_rejects_single_flip(known27):
     a[27 - 3] = -a[27 - 3]  # keep the row skew so only goodness breaks
     broken = DefiningQuad(tuple(a), known27.b, known27.c, known27.d)
     assert not paf_certificate(broken)
+
+
+def test_paf_sums_agree_with_paf_certificate(known27, known57):
+    # every one-entry flip of each known quad, and the quads themselves
+    for quad in (known27, known57):
+        quads = [quad]
+        for r, row in enumerate(quad.rows()):
+            for j in range(quad.n):
+                rows = list(quad.rows())
+                rows[r] = row[:j] + (-row[j],) + row[j + 1:]
+                quads.append(DefiningQuad(*rows))
+        sums = paf_sums(np.array(quads, dtype=np.int8))
+        assert sums.tolist() == [[sum(paf(x, k) for x in q.rows())
+                                  for k in range(1, quad.n // 2 + 1)] for q in quads]
+        certified = ~sums.any(axis=1)
+        assert certified.tolist() == [paf_certificate(q) for q in quads]
+        # flipping a_0 keeps every PAF of a skew row (a_{-k} = -a_k); the rest break it
+        assert certified[:2].all() and not certified[2:].any()
 
 
 def test_certificate_is_exact_integer_arithmetic(known3):

@@ -151,8 +151,9 @@ def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
 
 
 def test_failed_certificate_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(uncompress_module, "paf_certificate", lambda quad: False)
-    with pytest.raises(InternalError):
+    monkeypatch.setattr(uncompress_module, "paf_sums",
+                        lambda quads: np.ones((len(quads), 1), dtype=np.int64))
+    with pytest.raises(InternalError, match=r"fails the PAF certificate: DefiningQuad\(a="):
         enumerate_good_matrices(15)
 
 
