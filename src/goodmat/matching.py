@@ -8,20 +8,25 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
 the steps of join_quads — pair screen, packed-key join, exact PAF
-confirmation — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ {(C′, D′) : C′ ≤ D′},
-partitioned by rowsum: only the partitions that can meet the k = 0 identity
-are paired at all, and that identity still confirms every hit.  It emits
-both (C′, D′) orientations.  Quads are kept as rows of integer codes (equiv's
-row code), whose lexicographic order is quad_key order, so one unique_rows
-yields the sorted set.  Uncompression runs join_quads on the full-length
-preimages of one instance, slices of one preimage table per run.
+confirmation — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy, partitioned
+by rowsum: only the partitions with r_B ≤ r_C ≤ r_D that can meet the k = 0
+identity are paired at all, and that identity still confirms every hit.
+Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
+permuting them; match_codes emits one arrangement of each quad, and
+all_arrangements expands these to S_q.  Quads are kept as rows of
+integer codes (equiv's row code), whose lexicographic order is quad_key
+order, so one unique_rows yields the sorted set.  Uncompression runs
+join_quads on the full-length preimages of one instance, slices of one
+preimage table per run.
 
 The pair screen is plane-major: PSD tables hold one line per frequency and
 one column per row, and for each chunk of _PAIR_CHUNK left rows the planes'
-masks l + r ≤ bound are and-reduced over the leading (frequency) axis.  Every element decision is exactly l + r ≤ bound, so the
-screen keeps the same pairs whatever the layout; a side may carry fewer
-planes (uncompression drops those its compressed screen has already
-bounded), and the screen then reads only those.
+masks l + r ≤ bound are and-reduced over the leading (frequency) axis.
+Every element decision is exactly l + r ≤ bound, so the screen keeps the
+same pairs whatever the layout; a side may carry fewer planes (matching
+drops k = 0, which its rowsum partition fixes; uncompression drops those its
+compressed screen has already bounded), and the screen then reads only
+those.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
 so with B the largest PAF(0) in the tables, every column of a pair sum lies
@@ -36,13 +41,14 @@ exact equality.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .candidates import CandidateSets
-from .equiv import decode_quads, row_codes, unique_rows
+from .equiv import decode_quads, row_codes, row_key, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad, write_quads
 from .spectral import EPS, mirror_psd
@@ -69,7 +75,15 @@ def match_quadruples(
     satisfies the identity is present (downstream dedup reduces these to
     equivalence-class representatives).
     """
-    return decode_quads(match_codes(cands, n, eps=eps, pair_filter=pair_filter), cands.m)
+    codes = match_codes(cands, n, eps=eps, pair_filter=pair_filter)
+    return decode_quads(all_arrangements(codes), cands.m)
+
+
+def all_arrangements(codes: np.ndarray) -> np.ndarray:
+    """The full S_q from match_codes' representatives: every order of the
+    B′, C′, D′ columns of an (N × 4) code array, sorted and unique."""
+    orders = itertools.permutations((1, 2, 3))
+    return unique_rows(np.concatenate([codes[:, (0, *order)] for order in orders]))
 
 
 def match_codes(
@@ -79,30 +93,38 @@ def match_codes(
     eps: float = EPS,
     pair_filter: bool = True,
 ) -> np.ndarray:
-    """match_quadruples as the sorted, unique (N × 4) array of row codes.
+    """The quads of match_quadruples with B′ ≤ C′ ≤ D′ in (rowsum, row code)
+    order, as the sorted, unique (N × 4) array of row codes: exactly one
+    rearrangement of each (all_arrangements restores S_q).  A′ is never
+    moved, so a cut on the A′ rows stays exact.
 
-    The join is partitioned by rowsum.  B′ rows are grouped by |rowsum|, so
-    each group fixes row(B′)², and each group's A′×B′ pairs are screened and
-    keyed once, then joined against the C′×D′ pairs of every rowsum partition
-    (r_C ≤ r_D, both values present in s_sy) with 1 + r_B² + r_C² + r_D² = 4n
-    — the upper triangle when r_C = r_D, the whole product otherwise.  Any
-    quad outside these partitions fails the k = 0 identity, so none that
-    satisfies it is lost, with or without the rowsum filter of the sweep, and
-    peak memory is set by one group instead of all of S_q.  The k = 0 identity
-    is still checked on every hit, as the exact confirmation.
+    The join is partitioned by rowsum.  B′ rows are grouped by rowsum r_B,
+    and each group's A′×B′ pairs are screened and keyed once, then joined
+    against the C′×D′ pairs of every rowsum partition (both values present
+    in s_sy) with r_B ≤ r_C ≤ r_D and 1 + r_B² + r_C² + r_D² = 4n — the
+    upper triangle when r_C = r_D, the whole product otherwise.  A hit is
+    kept if (r_B, B′) ≤ (r_C, C′), which only removes hits with r_B = r_C.
+    Any quad outside these partitions fails the k = 0 identity, so no
+    representative is lost, with or without the rowsum filter of the sweep,
+    and peak memory is set by one group instead of all of S_q.  The k = 0
+    identity is still checked on every hit, as the exact confirmation.
+    Within a partition it also fixes the k = 0 PSD plane of every pair
+    (1 + r_B² for A′×B′, r_C² + r_D² for C′×D′, both ≤ 4n), so the pair
+    screens skip that plane.
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
-    sy_arr = np.array(sorted(cands.s_sy), dtype=np.int64)
+    sy_arr = np.array(sorted(cands.s_sy, key=row_key), dtype=np.int64)  # code order
     code_sk, code_sy = row_codes(sk_arr), row_codes(sy_arr)
     paf_sk, paf_sy = paf_matrix(sk_arr), paf_matrix(sy_arr)
     paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
-    # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
-    psd_sk = np.ascontiguousarray(mirror_psd(sk_arr, skew=True).T)  # plane-major
-    psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T)
+    # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i];
+    # plane-major, planes k ≥ 1
+    psd_sk = np.ascontiguousarray(mirror_psd(sk_arr, skew=True).T[1:])
+    psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T[1:])
     sk = (psd_sk, paf_sk, packed_keys(paf_sk, paf_bound))
     sy = (psd_sy, paf_sy, packed_keys(paf_sy, paf_bound))
     bound = 4 * n + eps
@@ -110,12 +132,11 @@ def match_codes(
     rs_sy = sy_arr.sum(axis=1)
     part = {r: np.flatnonzero(rs_sy == r) for r in np.unique(rs_sy).tolist()}
     found = [np.empty((0, 4), dtype=np.int64)]
-    for t in np.unique(np.abs(rs_sy)).tolist():  # one B′ group per value of r_B²
+    for rb, group in part.items():
         fits = [(rc, rd) for rc in part for rd in part
-                if rc <= rd and 1 + t * t + rc * rc + rd * rd == 4 * n]
+                if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
         if not fits:
             continue
-        group = np.flatnonzero(np.abs(rs_sy) == t)
         ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[:, group], bound, pair_filter=pair_filter)
         cd = []
         for rc, rd in fits:
@@ -124,10 +145,10 @@ def match_codes(
             cd.append((part[rc][cd_i], part[rd][cd_j]))
         cd_i, cd_j = map(np.concatenate, zip(*cd))
         ia, jb, ic, jd = _join_pairs(sk, sy, sy, sy, (ab_i, group[ab_j]), (cd_i, cd_j))
+        a, b, c, d = code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]
         ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
-        a, b = code_sk[ia[ok]], code_sy[jb[ok]]
-        c, d = code_sy[ic[ok]], code_sy[jd[ok]]
-        found.append(np.stack([a, b, c, d, a, b, d, c], axis=1).reshape(-1, 4))
+        ok &= (rs_sy[jb] < rs_sy[ic]) | (b <= c)
+        found.append(np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1))
     return unique_rows(np.concatenate(found))
 
 
@@ -226,9 +247,10 @@ def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray,
     """Every index pair (i, j) with keys_l[i] == keys_r[j], for 1-D int64 keys.
 
     The right side is sorted once; both searchsorted bounds of each left key
-    give the run of right rows it pairs with, expanded by repeat.
+    give the run of right rows it pairs with, expanded by repeat.  The order
+    of the pairs within one left key's run is unspecified.
     """
-    order = np.argsort(keys_r, kind="stable")
+    order = np.argsort(keys_r)
     sorted_r = keys_r[order]
     lo = np.searchsorted(sorted_r, keys_l, side="left")
     count = np.searchsorted(sorted_r, keys_l, side="right") - lo

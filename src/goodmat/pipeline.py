@@ -5,8 +5,10 @@ The enumeration pipeline for an odd order n divisible by 3:
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
   3. match_codes:            the quad join at compressed length, one rowsum
-                             partition at a time → S_q as codes (with dedup
-                             on, only the quads whose A′ is orbit-minimal);
+                             partition at a time → one arrangement per
+                             {B′, C′, D′} of each S_q quad, as codes (with
+                             dedup on, only the quads whose A′ is
+                             orbit-minimal);
   4. canonical_codes dedup → one instance per compressed class;
   5. uncompress each instance: join_quads at full length → defining quads;
   6. canonical_forms dedup → the sorted list of inequivalent good matrices.
@@ -46,7 +48,7 @@ from .equiv import (
     unique_rows,
 )
 from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
-from .matching import match_codes
+from .matching import all_arrangements, match_codes
 from .seqcore import (
     CompressedQuad,
     DefiningQuad,
@@ -207,9 +209,11 @@ def prepare_instances(
     With dedup_instances, matching gets only the A′ rows that are the minimum
     of their orbit under j ↦ u·j mod m.  S_q is closed under the compressed
     group, so by equiv.orbit_minimal_rows every class's canonical quad is
-    still matched and the dedup returns the same instances.  The returned
-    candidate sets are the full ones.  Without dedup the instances are the
-    whole sorted S_q.
+    still matched and the dedup returns the same instances.  match_codes
+    returns one (B′, C′, D′) arrangement per quad, which canonical_codes maps
+    to the same class as every other.  The returned candidate sets are the
+    full ones.  Without dedup the instances are the whole sorted S_q, every
+    arrangement restored by all_arrangements.
     """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
@@ -234,8 +238,10 @@ def prepare_instances(
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if filters.dedup_instances:  # s_q is already sorted and unique
+    if filters.dedup_instances:
         s_q = unique_rows(canonical_codes(s_q, cands.m))
+    else:
+        s_q = all_arrangements(s_q)
     instances = decode_quads(s_q, cands.m)
     timings["instance_dedup"] = time.perf_counter() - t0
     return instances, cands, timings

@@ -121,8 +121,9 @@ def uncompress_all(
     """The certified quads of each instance, from one preimage table per
     skewness over the distinct compressed rows of all instances.
 
-    Returns the quads of each instance and the summed join_quads counters
-    pairs_ab, pairs_cd and key_hits.
+    Returns the quads of each instance, sorted (the join leaves their order
+    unspecified), and the summed join_quads counters pairs_ab, pairs_cd and
+    key_hits.
     """
     stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
     if not instances:
@@ -150,5 +151,6 @@ def uncompress_all(
         bad = joined[np.argmax(failed)].tolist()
         raise InternalError(
             f"joined quad fails the PAF certificate: {DefiningQuad(*map(tuple, bad))}")
-    found = [[DefiningQuad(*map(tuple, quad)) for quad in block.tolist()] for block in blocks]
+    found = [sorted(DefiningQuad(*map(tuple, quad)) for quad in block.tolist())
+             for block in blocks]
     return found, dict(stats)

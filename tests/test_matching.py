@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError
-from goodmat.equiv import quad_key
+from goodmat.equiv import decode_quads, quad_key
 from goodmat.matching import (
     join_equal_keys,
     join_quads,
+    match_codes,
     match_quadruples,
     packed_keys,
     paf_matrix,
     write_quadruples,
 )
+from goodmat.pipeline import FilterConfig
 from goodmat.seqcore import CompressedQuad
 
 
@@ -56,6 +58,29 @@ def test_matches_quadruple_loop_oracle(n):
     got = match_quadruples(cands, n)
     assert set(got) == oracle_match(cands, n)
     assert got == sorted(got, key=quad_key)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_unfiltered_match_matches_quadruple_loop_oracle(n):
+    # every row in s_sy, whatever its rowsum: the partitions alone select
+    cands = generate_candidates(n, signed_rowsums(n), psd_filter=False, rowsum_filter=False)
+    got = match_quadruples(cands, n, pair_filter=False)
+    assert set(got) == oracle_match(cands, n)
+    assert got == sorted(got, key=quad_key)
+
+
+@pytest.mark.parametrize("filters", [FilterConfig(), FilterConfig.no_filters()],
+                         ids=["filters", "no_filters"])
+@pytest.mark.parametrize("n", [9, 15, 21, 27])
+def test_match_codes_returns_one_arrangement_per_multiset(n, filters):
+    cands = generate_candidates(n, signed_rowsums(n), psd_filter=filters.psd_candidates,
+                                rowsum_filter=filters.rowsum_candidates)
+    codes = match_codes(cands, n, pair_filter=filters.psd_pairs)
+    assert len(codes) and np.array_equal(codes, np.unique(codes, axis=0))
+    for quad, row in zip(decode_quads(codes, n // 3), codes.tolist()):
+        keys = [(sum(r), code) for r, code in zip(quad.rows()[1:], row[1:])]
+        assert keys == sorted(keys)  # B′ ≤ C′ ≤ D′ by (rowsum, row code)
+    assert len({(row[0], *sorted(row[1:])) for row in codes.tolist()}) == len(codes)
 
 
 def test_frozen_sizes():

@@ -11,7 +11,7 @@ from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_codes, canonical_form, decode_quads, quad_key
 from goodmat.errors import ConstructionError, InternalError, InvalidInputError
-from goodmat.matching import match_codes, match_quadruples
+from goodmat.matching import all_arrangements, match_codes, match_quadruples
 from goodmat.pipeline import (
     FilterConfig,
     SearchReport,
@@ -152,6 +152,7 @@ def instances_fingerprint(instances):
     (15, 11, "80a6efe26234c75890b0e4f419d144dc16de9ccc5fe00355070641fd9a1ff19e"),
     (33, 840, "0ef23faa60cef4b79dc9826c276da3c0abb73cc4564bbf0f61ba94a75b90ce38"),
     (45, 19205, "1a72b6d174a6b4991322fccdf1a6b86aa0d7f5c65c71eee3467eddd223f416ac"),
+    (51, 23611, "f8f5ac4ce0b2a07c8558e54505714e45035afedd09a19348bb75f46b0e13e2fa"),
 ])
 def test_prepare_instances_fingerprint(n, count, fingerprint):
     instances = prepare_instances(n, allow_large=True)[0]
@@ -164,13 +165,14 @@ def test_prepare_instances_fingerprint(n, count, fingerprint):
                          ids=["filters", "no_filters"])
 @pytest.mark.parametrize("n", [9, 15, 21, 27, 33])
 def test_instances_equal_the_dedup_of_the_full_s_q(n, filters):
-    # the orbit-minimal A′ cut and the rowsum partition leave the instances as
-    # they are; no_filters puts rows whose rowsum is in no triple into s_sy
+    # the orbit-minimal A′ cut, the rowsum partition and the one (B′, C′, D′)
+    # arrangement per quad leave the instances as they are; no_filters puts
+    # rows whose rowsum is in no triple into s_sy
     instances, cands, _ = prepare_instances(n, filters=filters)
     full = generate_candidates(n, signed_rowsums(n), psd_filter=filters.psd_candidates,
                                rowsum_filter=filters.rowsum_candidates)
     assert cands == full
-    s_q = match_codes(full, n, pair_filter=filters.psd_pairs)
+    s_q = all_arrangements(match_codes(full, n, pair_filter=filters.psd_pairs))
     assert instances == decode_quads(np.unique(canonical_codes(s_q, full.m), axis=0), full.m)
 
 
