@@ -55,7 +55,7 @@ from .seqcore import (
     rowsum,
     write_quads,
 )
-from .spectral import EPS, paf_certificate, passes_psd_filter
+from .spectral import EPS, paf_certificate
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "match_quadruples",
     "paf_certificate",
     "parse_row",
-    "passes_psd_filter",
     "prepare_instances",
     "product_rule_holds",
     "psd_callback",

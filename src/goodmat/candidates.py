@@ -2,7 +2,7 @@
 
 For each of the 2^d free-entry assignments X, the skew row A = (1, X, −rev X)
 and the symmetric row B = (1, X, rev X) are the defining rows.  compress3(A)
-enters s_sk iff PSD_A(k) ≤ 4n + ε for all k; compress3(B) enters s_sy iff it
+enters s_sk iff PSD_A(k) ≤ 4n + EPS for all k; compress3(B) enters s_sy iff it
 passes the same PSD bound AND rowsum(B) occurs as a component of some signed
 rowsum triple.  Both sets are deduplicated by exact entrywise equality only —
 equivalence-level reduction happens later, at the compressed-quad stage.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -88,18 +88,20 @@ def generate_candidates(
     n: int,
     rowsums: frozenset[RowsumTriple],
     *,
-    eps: float = EPS,
     psd_filter: bool = True,
     rowsum_filter: bool = True,
 ) -> CandidateSets:
-    """Run the compressed-first sweep for order n (odd, divisible by 3, at most 93)."""
+    """Run the compressed-first sweep for order n (odd, divisible by 3, at most 93).
+
+    psd_filter=False sweeps against the bound +inf, which every row meets;
+    rowsum_filter=False admits every rowsum."""
     if n < 3 or n % 2 == 0 or n % 3 != 0:
         raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
     m, d = n // 3, n // 2
     _place_values(m)  # raises for m > 31: matching's row codes would not fit an int64
     if not rowsums:
         return CandidateSets(frozenset(), frozenset(), n, m, d)
-    bound = 4 * n + eps if psd_filter else np.inf
+    bound = 4 * n + EPS if psd_filter else np.inf
     allowed = sorted(rowsum_components(rowsums)) if rowsum_filter else None
     return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m, d)
 
@@ -164,23 +166,21 @@ def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _preimage_blocks(
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool, bound: float | None,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool, bound: float,
     owners: np.ndarray, take: np.ndarray, start: int = 0,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Preimages start..start + take[i] − 1 of compressed row owners[i] of a
     _layout, for every i, in blocks of _ROW_BLOCK lines (at least one block):
     per block, (each kept line's compressed row, the kept int8 rows).  A line
-    is kept iff its PSD stays within bound at every k, or always if bound is None."""
+    is kept iff its PSD stays within bound at every k."""
     offsets = np.concatenate([[0], np.cumsum(take)])
     for lo in range(0, offsets[-1] or 1, _ROW_BLOCK):
         line = np.arange(lo, min(lo + _ROW_BLOCK, offsets[-1]))
         index = np.searchsorted(offsets, line, side="right") - 1
         owner = owners[index]
         rows = _preimage_rows(layout, skew, owner, start + line - offsets[index])
-        if bound is not None:
-            keep = (mirror_psd(rows, skew) <= bound).all(axis=1)
-            owner, rows = owner[keep], rows[keep]
-        yield owner, rows
+        keep = (mirror_psd(rows, skew) <= bound).all(axis=1)
+        yield owner[keep], rows[keep]
 
 
 def _preimage_rows(
@@ -203,10 +203,3 @@ def _preimage_rows(
         len(owner), pos.size - 3)
     return rows
 
-
-# ── optional on-disk spill ──────────────────────────────────────────────────
-
-def write_compressed_rows(fp: TextIO, rows: Iterable[Row]) -> None:
-    """One compressed row per line as comma-separated integers."""
-    for row in rows:
-        fp.write(",".join(str(e) for e in row) + "\n")

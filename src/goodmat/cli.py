@@ -25,11 +25,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .candidates import generate_candidates, write_compressed_rows
+from .candidates import generate_candidates
 from .diophantine import signed_rowsums
 from .equiv import canonical_form, dedup
 from .errors import GoodmatError, InvalidInputError, ParseError
-from .matching import match_quadruples, write_quadruples
+from .matching import match_quadruples
 from .pipeline import (
     CHECKS,
     SearchReport,
@@ -40,7 +40,7 @@ from .pipeline import (
     solution_digest,
 )
 from .satsearch import build_instance, export_dimacs
-from .seqcore import format_row, read_quads, write_quads
+from .seqcore import format_int_row, format_row, read_quads, write_quads
 
 
 def main() -> None:
@@ -118,12 +118,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_parse_jobs, default=1,
                    help="worker processes that uncompress the instances")
     p.add_argument("--allow-large", action="store_true",
                    help="permit orders beyond the desk-scale limit")
     p.add_argument("--dimacs", action="store_true",
                    help="also export each instance as a DIMACS .cnf file")
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {jobs}")
+    return jobs
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -152,7 +162,7 @@ def _cmd_candidates(args) -> int:
         for name, rows in (("s_sk.txt", cands.s_sk), ("s_sy.txt", cands.s_sy)):
             path = args.out / name
             with open(path, "w") as fp:
-                write_compressed_rows(fp, sorted(rows))
+                fp.writelines(format_int_row(row) + "\n" for row in sorted(rows))
             print(f"wrote {path}")
     return 0
 
@@ -165,7 +175,7 @@ def _cmd_match(args) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "s_q.txt"
         with open(path, "w") as fp:
-            write_quadruples(fp, s_q)
+            write_quads(fp, s_q, fmt=format_int_row)
         print(f"wrote {path}")
     return 0
 

@@ -19,14 +19,16 @@ order, so one unique_rows yields the sorted set.  Uncompression runs
 join_quads on the full-length preimages of one instance, slices of one
 preimage table per run.
 
-The pair screen is plane-major: PSD tables hold one line per frequency and
-one column per row, and for each chunk of _PAIR_CHUNK left rows the planes'
-masks l + r ≤ bound are and-reduced over the leading (frequency) axis.
-Every element decision is exactly l + r ≤ bound, so the screen keeps the
-same pairs whatever the layout; a side may carry fewer planes (matching
-drops k = 0, which its rowsum partition fixes; uncompression drops those its
-compressed screen has already bounded), and the screen then reads only
-those.
+The pair screen (_screen_pairs) is plane-major: PSD tables hold one line
+per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
+rows the planes' masks l + r ≤ bound are and-reduced over the leading
+(frequency) axis.  Every element decision is exactly l + r ≤ bound, so the
+screen keeps the same pairs whatever the layout; a side may carry fewer
+planes (matching drops k = 0, which its rowsum partition fixes;
+uncompression drops those its compressed screen has already bounded), and
+the screen then reads only those.  A disabled pair filter is the bound +inf:
+every PSD value is finite, so the screen then keeps every pair, in the same
+row-major order.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
 so with B the largest PAF(0) in the tables, every column of a pair sum lies
@@ -34,23 +36,23 @@ in [−2B, 2B], a complete set of balanced digits for the radix R = 4B + 1.
 P_x + P_y is therefore the unique balanced base-R number of the pair's first
 K columns, and equal packed keys mean equal columns 1..K.  K is the largest
 width with R^K < 2^62, so no sum of two keys overflows int64.  The pair
-filter is the only approximate step and it only ever discards pairs whose
-PSD sum exceeds the bound by more than ε — never a pair that can reach the
-exact equality.
+screen is the only approximate step and it only ever discards pairs whose
+PSD sum exceeds 4n by more than spectral.EPS — never a pair that can reach
+the exact equality.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Optional, Sequence, TextIO
+from typing import Optional
 
 import numpy as np
 
 from .candidates import CandidateSets
 from .equiv import decode_quads, row_codes, row_key, unique_rows
 from .errors import InvalidInputError
-from .seqcore import CompressedQuad, write_quads
+from .seqcore import CompressedQuad
 from .spectral import EPS, mirror_psd
 
 _PAIR_CHUNK = 128
@@ -66,7 +68,6 @@ def match_quadruples(
     cands: CandidateSets,
     n: int,
     *,
-    eps: float = EPS,
     pair_filter: bool = True,
 ) -> list[CompressedQuad]:
     """All compressed quadruples satisfying the exact matching identity.
@@ -75,7 +76,7 @@ def match_quadruples(
     satisfies the identity is present (downstream dedup reduces these to
     equivalence-class representatives).
     """
-    codes = match_codes(cands, n, eps=eps, pair_filter=pair_filter)
+    codes = match_codes(cands, n, pair_filter=pair_filter)
     return decode_quads(all_arrangements(codes), cands.m)
 
 
@@ -90,7 +91,6 @@ def match_codes(
     cands: CandidateSets,
     n: int,
     *,
-    eps: float = EPS,
     pair_filter: bool = True,
 ) -> np.ndarray:
     """The quads of match_quadruples with B′ ≤ C′ ≤ D′ in (rowsum, row code)
@@ -110,7 +110,8 @@ def match_codes(
     identity is still checked on every hit, as the exact confirmation.
     Within a partition it also fixes the k = 0 PSD plane of every pair
     (1 + r_B² for A′×B′, r_C² + r_D² for C′×D′, both ≤ 4n), so the pair
-    screens skip that plane.
+    screens skip that plane.  pair_filter=False screens against the bound
+    +inf, which keeps every pair.
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
@@ -127,7 +128,7 @@ def match_codes(
     psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T[1:])
     sk = (psd_sk, paf_sk, packed_keys(paf_sk, paf_bound))
     sy = (psd_sy, paf_sy, packed_keys(paf_sy, paf_bound))
-    bound = 4 * n + eps
+    bound = 4 * n + EPS if pair_filter else np.inf
 
     rs_sy = sy_arr.sum(axis=1)
     part = {r: np.flatnonzero(rs_sy == r) for r in np.unique(rs_sy).tolist()}
@@ -137,11 +138,11 @@ def match_codes(
                 if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
         if not fits:
             continue
-        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[:, group], bound, pair_filter=pair_filter)
+        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[:, group], bound)
         cd = []
         for rc, rd in fits:
             cd_i, cd_j = _screen_pairs(psd_sy[:, part[rc]], psd_sy[:, part[rd]], bound,
-                                      pair_filter=pair_filter, upper=rc == rd)
+                                       upper=rc == rd)
             cd.append((part[rc][cd_i], part[rd][cd_j]))
         cd_i, cd_j = map(np.concatenate, zip(*cd))
         ia, jb, ic, jd = _join_pairs(sk, sy, sy, sy, (ab_i, group[ab_j]), (cd_i, cd_j))
@@ -159,16 +160,14 @@ def join_quads(
     d: JoinSide,
     bound: float,
     *,
-    pair_filter: bool = True,
-    upper_cd: bool = False,
     stats: Optional[Counter] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every index quad (i, j, k, l) into the tables a, b, c, d whose PAF
     rows sum to zero at every column k ≥ 1, as four index arrays.
 
-      (i)   pair A×B and C×D — only k ≤ l with upper_cd — and, with
-            pair_filter, keep the pairs whose summed PSD profile stays
-            within bound on every plane of the tables (_screen_pairs);
+      (i)   pair A×B and C×D, and keep the pairs whose summed PSD profile
+            stays within bound on every plane of the tables (_screen_pairs;
+            the bound +inf keeps every pair);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
             −(P_c + P_d), where P is the packed key of one row (packed_keys;
             all four tables packed with the same bound), and join equal keys
@@ -182,20 +181,9 @@ def join_quads(
     pairs_cd (pairs after the pair screen) and key_hits (packed-key matches
     before the exact check).
     """
-    ab = _screen_pairs(a[0], b[0], bound, pair_filter=pair_filter)
-    cd = _screen_pairs(c[0], d[0], bound, pair_filter=pair_filter, upper=upper_cd)
+    ab = _screen_pairs(a[0], b[0], bound)
+    cd = _screen_pairs(c[0], d[0], bound)
     return _join_pairs(a, b, c, d, ab, cd, stats=stats)
-
-
-def _screen_pairs(
-    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, pair_filter: bool, upper: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs (i, j) of two plane-major PSD tables that _join_pairs
-    takes: every pair (i ≤ j with upper) or, with pair_filter, those whose
-    summed PSD profile stays within bound everywhere."""
-    if pair_filter:
-        return _filtered_pairs(psd_l, psd_r, bound, upper=upper)
-    return _all_pairs(psd_l.shape[1], psd_r.shape[1], upper=upper)
 
 
 def _join_pairs(
@@ -265,23 +253,15 @@ def paf_matrix(rows: np.ndarray) -> np.ndarray:
     return np.einsum("rj,rkj->rk", rows, rows[:, shifts])
 
 
-def _all_pairs(nl: int, nr: int, *, upper: bool) -> tuple[np.ndarray, np.ndarray]:
-    if upper:
-        return np.triu_indices(nl, 0, nr)
-    i = np.repeat(np.arange(nl), nr)
-    j = np.tile(np.arange(nr), nl)
-    return i, j
-
-
-def _filtered_pairs(
-    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, upper: bool
+def _screen_pairs(
+    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, upper: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i ≤ j with upper) of two plane-major PSD tables whose
-    summed PSD profile stays below the bound everywhere.
+    summed PSD profile stays within bound on every plane, in row-major order.
 
     Each chunk of left rows meets every right row on every plane in one
     broadcast, and the planes' bool masks are and-reduced over the leading
-    axis.
+    axis.  With no planes, or the bound +inf, every pair is kept.
     """
     parts_i, parts_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, psd_l.shape[1], _PAIR_CHUNK):
@@ -295,8 +275,3 @@ def _filtered_pairs(
         parts_j.append(jj)
     return np.concatenate(parts_i), np.concatenate(parts_j)
 
-
-# ── persistence: one quadruple per record, four comma-separated rows ────────
-
-def write_quadruples(fp: TextIO, quads: Sequence[CompressedQuad]) -> None:
-    write_quads(fp, quads, fmt=lambda row: ",".join(map(str, row)))

@@ -52,19 +52,21 @@ from .matching import all_arrangements, match_codes
 from .seqcore import (
     CompressedQuad,
     DefiningQuad,
+    format_int_row,
     format_row,
     iter_halves,
     make_skew,
     make_symmetric,
 )
-from .spectral import EPS, paf_certificate, paf_vector
+from .spectral import paf_certificate, paf_vector
 from .uncompress import uncompress_all
 
 REPORT_SCHEMA_VERSION = 2
 
-#: Orders above this need an explicit opt-in (allow_large / --allow-large):
-#: beyond it the published search needed cluster-scale budgets.
-UNLIMITED_MAX_ORDER = 39
+#: Orders above this need an explicit opt-in (allow_large / --allow-large).
+#: n = 45 runs in about a minute and 255 MB on one core of a 2-core Xeon;
+#: n = 51 takes minutes on two cores and over 1 GB in a worker.
+UNLIMITED_MAX_ORDER = 45
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,10 @@ class FilterConfig:
     are redundant with the exact integer checks (PAF certificate, exact
     matching identity), so disabling them must not change the solution set,
     only the running time — a tested property of the pipeline (see
-    ``no_filters``).
+    ``no_filters``).  Each flag is read once, where its layer starts
+    (generate_candidates, match_codes, uncompress_all): a disabled PSD filter
+    becomes the bound +inf, which every row and pair meets, and an enabled
+    one the bound 4n + spectral.EPS.
 
     dedup_instances is a proved reduction: the compressed-level dedup
     collapses provably equivalent instances.
@@ -182,7 +187,7 @@ def instances_fingerprint(instances: Sequence[CompressedQuad]) -> str:
     h = hashlib.sha256()
     for quad in sorted(instances):
         for row in quad.rows():
-            h.update(",".join(map(str, row)).encode() + b"\n")
+            h.update(format_int_row(row).encode() + b"\n")
         h.update(b"\n")
     return h.hexdigest()
 
@@ -200,7 +205,6 @@ def _validate_order(n: int, allow_large: bool) -> None:
 def prepare_instances(
     n: int,
     *,
-    eps: float = EPS,
     filters: FilterConfig = FilterConfig(),
     allow_large: bool = False,
 ) -> tuple[list[CompressedQuad], CandidateSets, dict[str, float]]:
@@ -224,7 +228,7 @@ def prepare_instances(
 
     t0 = time.perf_counter()
     cands = generate_candidates(
-        n, rowsums, eps=eps,
+        n, rowsums,
         psd_filter=filters.psd_candidates,
         rowsum_filter=filters.rowsum_candidates,
     )
@@ -234,7 +238,7 @@ def prepare_instances(
     matched = cands
     if filters.dedup_instances:
         matched = replace(cands, s_sk=orbit_minimal_rows(cands.s_sk, cands.m))
-    s_q = match_codes(matched, n, eps=eps, pair_filter=filters.psd_pairs)
+    s_q = match_codes(matched, n, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -250,7 +254,6 @@ def prepare_instances(
 def enumerate_good_matrices(
     n: int,
     *,
-    eps: float = EPS,
     filters: FilterConfig = FilterConfig(),
     shard: Optional[tuple[int, int]] = None,
     seed: int = 0,
@@ -262,15 +265,14 @@ def enumerate_good_matrices(
     With shard=(i, N), only instances with index ≡ i (mod N) in the sorted
     deduped instance list are uncompressed: N shards jointly cover the search
     exactly once and their union equals the unsharded result.  jobs > 1
-    spreads the instances over that many worker processes.  seed no longer
+    spreads the instances over that many worker processes; jobs < 1 raises
+    InvalidInputError.  seed no longer
     affects the search (uncompression is a deterministic join); it is kept
     for callers that pass it.
     """
     start = time.perf_counter()
-    prepared = prepare_instances(n, eps=eps, filters=filters, allow_large=allow_large)
-    return enumerate_prepared(
-        n, prepared, start=start, eps=eps, filters=filters, shard=shard, jobs=jobs
-    )
+    prepared = prepare_instances(n, filters=filters, allow_large=allow_large)
+    return enumerate_prepared(n, prepared, start=start, filters=filters, shard=shard, jobs=jobs)
 
 
 def enumerate_prepared(
@@ -278,7 +280,6 @@ def enumerate_prepared(
     prepared: tuple[list[CompressedQuad], CandidateSets, dict[str, float]],
     *,
     start: float,
-    eps: float = EPS,
     filters: FilterConfig = FilterConfig(),
     shard: Optional[tuple[int, int]] = None,
     jobs: int = 1,
@@ -296,9 +297,11 @@ def enumerate_prepared(
         if not (0 <= i < total):
             raise InvalidInputError(f"shard index {i} not in range 0..{total - 1}")
         instance_quads = instance_quads[i::total]
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
 
     t0 = time.perf_counter()
-    run = partial(uncompress_all, eps=eps, row_filter=filters.psd_candidates,
+    run = partial(uncompress_all, row_filter=filters.psd_candidates,
                   pair_filter=filters.psd_pairs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -25,7 +25,7 @@ true, i.e. the four clauses (b∨c∨d), (¬b∨¬c∨d), (¬b∨c∨¬d), (b∨
 Theory callback.  At every conflict-free propagation fixpoint the callback
 collects the fully-assigned rows, sorts them by descending peak PSD, and
 checks the cumulative PSD sums of the 1-, 2- and 3-row prefixes against
-4n + ε; a violation yields a clause negating the current values of the
+4n + EPS; a violation yields a clause negating the current values of the
 violating rows' free variables.  When all four rows are assigned, the exact
 integer PAF certificate decides whether to record the quad as a solution,
 and in every such case a blocking clause over all 4d free literals is
@@ -261,15 +261,15 @@ def _callback_core(
     row_values: list[Optional[tuple[int, ...]]],
     instance: CnfInstance,
     *,
-    eps: float,
+    bound: float,
     record: Optional[Callable[[DefiningQuad], None]],
-    prefix_checks: bool,
     cache: _ProfileCache,
 ) -> tuple[Optional[LearnedClause], Optional[bool]]:
     """Steps of the PSD theory check on the four rows' folded values.
 
     row_values[r] is a tuple of ±1 of length d+1 when row r is fully
-    assigned, else None.  Returns (clause, certified) where certified is
+    assigned, else None.  bound is the prefix PSD bound (+inf with the
+    prefix checks off).  Returns (clause, certified) where certified is
     only meaningful for blocking clauses.
     """
     n, d = instance.n, instance.d
@@ -280,14 +280,12 @@ def _callback_core(
     profiled = [(cache.get(r == 0, vals), r, vals) for r, vals in assigned]
     profiled.sort(key=lambda item: -item[0][1])  # descending peak PSD
 
-    bound = 4 * n + eps
-    if prefix_checks:
-        total = np.zeros(d + 1)
-        for t in range(min(3, len(profiled))):
-            total = total + profiled[t][0][0]
-            if (total > bound).any():
-                violators = [(r, vals) for _, r, vals in profiled[: t + 1]]
-                return _negation_clause(violators, d), None
+    total = np.zeros(d + 1)
+    for t in range(min(3, len(profiled))):
+        total = total + profiled[t][0][0]
+        if (total > bound).any():
+            violators = [(r, vals) for _, r, vals in profiled[: t + 1]]
+            return _negation_clause(violators, d), None
 
     if len(assigned) < 4:
         return None, None
@@ -319,7 +317,6 @@ def psd_callback(
     assignment: Assignment,
     instance: CnfInstance,
     *,
-    eps: float = EPS,
     record: Optional[Callable[[DefiningQuad], None]] = None,
     prefix_checks: bool = True,
     cache: Optional[_ProfileCache] = None,
@@ -338,10 +335,8 @@ def psd_callback(
         row_values.append(tuple(vals) if vals is not None else None)
     if cache is None:
         cache = _ProfileCache(instance.n, instance.d)
-    clause, _ = _callback_core(
-        row_values, instance, eps=eps, record=record,
-        prefix_checks=prefix_checks, cache=cache,
-    )
+    bound = 4 * instance.n + EPS if prefix_checks else np.inf
+    clause, _ = _callback_core(row_values, instance, bound=bound, record=record, cache=cache)
     return clause
 
 
@@ -352,14 +347,12 @@ class UncompressionTheory:
         self,
         instance: CnfInstance,
         *,
-        eps: float = EPS,
-        prefix_checks: bool = True,
+        bound: float,
         sink: Optional[Callable[[DefiningQuad], None]] = None,
         audit: Optional[list[AuditRecord]] = None,
     ):
         self.instance = instance
-        self.eps = eps
-        self.prefix_checks = prefix_checks
+        self.bound = bound
         self.sink = sink
         self.audit = audit
         self.cache = _ProfileCache(instance.n, instance.d)
@@ -376,8 +369,7 @@ class UncompressionTheory:
         recorded = []
         sink = None if self.sink is None else (lambda q: (recorded.append(q), self.sink(q)))
         clause, certified = _callback_core(
-            row_values, self.instance, eps=self.eps, record=sink,
-            prefix_checks=self.prefix_checks, cache=self.cache,
+            row_values, self.instance, bound=self.bound, record=sink, cache=self.cache,
         )
         if clause is None:
             return None
@@ -402,7 +394,6 @@ def solve_all(
     *,
     seed: int = 0,
     max_conflicts: Optional[int] = None,
-    eps: float = EPS,
     prefix_checks: bool = True,
     audit: Optional[list[AuditRecord]] = None,
 ) -> list[DefiningQuad]:
@@ -415,9 +406,8 @@ def solve_all(
     as if exhaustive.
     """
     raw: list[DefiningQuad] = []
-    theory = UncompressionTheory(
-        instance, eps=eps, prefix_checks=prefix_checks, sink=raw.append, audit=audit
-    )
+    bound = 4 * instance.n + EPS if prefix_checks else np.inf
+    theory = UncompressionTheory(instance, bound=bound, sink=raw.append, audit=audit)
     solver = Solver(
         instance.num_vars, instance.clauses,
         seed=seed, theory=theory, max_conflicts=max_conflicts,

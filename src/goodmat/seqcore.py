@@ -1,5 +1,6 @@
 """Core sequence types: ±1 defining rows, skew/symmetric construction,
-3-compression, rowsums, and the ±-string persistence format.
+3-compression, rowsums, and the row formats: ±-strings for defining rows,
+comma-separated integers for compressed rows.
 
 A circulant matrix is determined by its first ("defining") row, so the whole
 search works on rows.  A quad (A, B, C, D) of defining rows is the search
@@ -169,6 +170,12 @@ def format_row(x: Sequence[int]) -> str:
 
 def _bad(e):
     raise InvalidInputError(f"cannot format entry {e!r}; expected +1 or -1")
+
+
+def format_int_row(x: Sequence[int]) -> str:
+    """Render a row as comma-separated integers: the format of compressed
+    rows in s_sk.txt, s_sy.txt and s_q.txt."""
+    return ",".join(map(str, x))
 
 
 def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = format_row) -> None:

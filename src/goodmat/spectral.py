@@ -1,5 +1,5 @@
 """Power spectral density, periodic autocorrelation, and the two tests built
-on them: the one-sided PSD filter and the exact integer PAF certificate.
+on them: the one-sided PSD bound and the exact integer PAF certificate.
 
 For a sequence X of length n and omega = exp(2*pi*i/n),
 
@@ -16,9 +16,10 @@ closed form over the half basis h = floor(n/2), j = 1..h:
 which mirror_psd evaluates with one real matmul against half_basis(n).
 A quad of defining rows yields good matrices iff sum_X PSD_X(k) = 4n for all
 k, equivalently iff sum_X PAF_X(k) = 0 for all 1 <= k <= floor(n/2).  The
-filter uses the PSD form (any subset of rows must satisfy sum <= 4n) with a
-slack of EPS; the final accept/reject decision always uses the integer PAF
-form, so floating point can never drop a solution.
+filters use the PSD form: any subset of rows must satisfy sum <= 4n, tested
+as sum <= 4n + EPS, and a filter that is off tests against the bound +inf,
+which every finite PSD value meets.  The final accept/reject decision always
+uses the integer PAF form, so floating point can never drop a solution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .seqcore import DefiningQuad
 
-#: Slack used for every floating-point comparison in the pipeline.
+#: The one slack of every PSD bound in the pipeline: a filter keeps what
+#: stays within 4n + EPS.
 EPS = 1e-2
 
 
@@ -99,23 +101,6 @@ def paf(x: Sequence[int], k: int) -> int:
 def paf_vector(x: Sequence[int]) -> tuple[int, ...]:
     """PAF_X(k) for k = 0..floor(n/2)."""
     return tuple(paf(x, k) for k in range(len(x) // 2 + 1))
-
-
-def passes_psd_filter(rows: Sequence[Sequence[int]], n: int, eps: float = EPS) -> bool:
-    """True iff sum of the rows' PSDs is <= 4n + eps at every k.
-
-    `n` is the UNCOMPRESSED order: the 4n bound applies unchanged to
-    compressed rows (of length n/3).  All rows must have equal length.
-    """
-    if not rows:
-        raise InvalidInputError("PSD filter needs a nonempty set of rows")
-    length = len(rows[0])
-    if any(len(r) != length for r in rows):
-        raise InvalidInputError("all rows must have the same length")
-    total = psd_values(rows[0]).copy()
-    for row in rows[1:]:
-        total += psd_values(row)
-    return bool((total <= 4 * n + eps).all())
 
 
 def paf_certificate(quad: DefiningQuad) -> bool:

@@ -6,38 +6,37 @@ shared helpers beyond the row constructors) of the compressed candidate sets.
 
 import cmath
 import hashlib
-import io
 
 import pytest
 
 from goodmat import candidates
-from goodmat.candidates import CandidateSets, generate_candidates, write_compressed_rows
+from goodmat.candidates import CandidateSets, generate_candidates
 from goodmat.diophantine import rowsum_components, signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
 
 
-def psd_ok(row, eps=1e-2):
+def psd_ok(row, slack=1e-2):
     n = len(row)
     return all(
         abs(sum(v * cmath.exp(2j * cmath.pi * j * k / n)
-                for j, v in enumerate(row))) ** 2 <= 4 * n + eps
+                for j, v in enumerate(row))) ** 2 <= 4 * n + slack
         for k in range(n)
     )
 
 
-def oracle_candidates(n, rowsums, psd_filter=True, rowsum_filter=True, eps=1e-2):
+def oracle_candidates(n, rowsums, psd_filter=True, rowsum_filter=True, slack=1e-2):
     d = n // 2
     allowed = rowsum_components(rowsums)
     s_sk, s_sy = set(), set()
     for half in iter_halves(d):
         row = make_skew(half, n)
-        if not psd_filter or psd_ok(row, eps):
+        if not psd_filter or psd_ok(row, slack):
             s_sk.add(compress3(row))
         row = make_symmetric(half, n)
         if rowsum_filter and sum(row) not in allowed:
             continue
-        if not psd_filter or psd_ok(row, eps):
+        if not psd_filter or psd_ok(row, slack):
             s_sy.add(compress3(row))
     return s_sk, s_sy
 
@@ -105,13 +104,6 @@ def test_order_validation():
         generate_candidates(1, rowsums)
 
 
-def test_compressed_rows_round_trip():
-    rows = [(1, 3, -1), (1, -3, 1)]
-    buf = io.StringIO()
-    write_compressed_rows(buf, rows)
-    assert buf.getvalue() == "1,3,-1\n1,-3,1\n"
-
-
 # ── blocks, witness rounds and frozen sets ─────────────────────────────────
 
 def sets_digest(cands):
@@ -142,14 +134,18 @@ def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
 
 
 @pytest.mark.parametrize("n", [15, 21])
-@pytest.mark.parametrize("eps", [-30.0, -40.0])
-def test_tight_bounds_match_oracle(n, eps):
+@pytest.mark.parametrize("slack", [-30.0, -40.0])
+def test_tight_bounds_match_oracle(n, slack):
     # under 4n − 30 or 4n − 40 some compressed rows pass their own PSD and
     # rowsum screen but have no preimage within the bound
     rowsums = signed_rowsums(n)
-    got = generate_candidates(n, rowsums, eps=eps)
-    want_sk, want_sy = oracle_candidates(n, rowsums, eps=eps)
-    assert got.s_sk == want_sk and got.s_sy == want_sy
+    allowed = sorted(rowsum_components(rowsums))
+    s_sk = candidates._sweep(n // 3, True, 4 * n + slack, None)
+    s_sy = candidates._sweep(n // 3, False, 4 * n + slack, allowed)
+    want_sk, want_sy = oracle_candidates(n, rowsums, slack=slack)
+    assert s_sk == want_sk and s_sy == want_sy
+    full = generate_candidates(n, rowsums)  # a tighter bound only shrinks the sets
+    assert s_sk < full.s_sk and s_sy <= full.s_sy
 
 
 def test_every_row_has_a_preimage_within_the_bound():

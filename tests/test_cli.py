@@ -29,7 +29,8 @@ def test_candidates_writes_files(tmp_path, capsys):
     code, out, _ = run(capsys, "candidates", 9, "--out", tmp_path)
     assert code == 0
     assert "|s_sk|=4 |s_sy|=6" in out
-    assert (tmp_path / "s_sk.txt").exists()
+    lines = (tmp_path / "s_sk.txt").read_text().splitlines()
+    assert len(lines) == 4 and all(len(line.split(",")) == 3 for line in lines)
     assert (tmp_path / "s_sy.txt").exists()
 
 
@@ -241,10 +242,13 @@ def test_version(capsys):
 
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "rowsums", 14)[0] == 2          # even order
-    assert run(capsys, "enumerate", 45)[0] == 2        # needs --allow-large
+    assert run(capsys, "enumerate", 51)[0] == 2        # needs --allow-large
     assert run(capsys, "verify", tmp_path / "nope")[0] == 2
     assert run(capsys, "solve", 15, "--shard", "3/3")[0] == 2
     assert run(capsys, "solve", 15, "--shard", "x")[0] == 2
+    for jobs in (0, -2):
+        code, _, err = run(capsys, "enumerate", 9, "--jobs", jobs, "--out", tmp_path)
+        assert code == 2 and "--jobs" in err
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "report", tmp_path)[0] == 2     # no reports in dir
 

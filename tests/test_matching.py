@@ -4,27 +4,28 @@ Oracle: a quadruple loop over the candidate sets applying the exact
 compressed goodness conditions directly (pure Python PAF + rowsums).
 """
 
-import io
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from goodmat import matching
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.equiv import decode_quads, quad_key
 from goodmat.matching import (
+    _screen_pairs,
     join_equal_keys,
     join_quads,
     match_codes,
     match_quadruples,
     packed_keys,
     paf_matrix,
-    write_quadruples,
 )
 from goodmat.pipeline import FilterConfig
 from goodmat.seqcore import CompressedQuad
@@ -119,31 +120,52 @@ def test_join_quads_equals_the_nested_loop(data):
     length = data.draw(st.integers(1, 7), label="length")
     row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
     tables = [data.draw(st.lists(row, max_size=4), label=name) for name in "abcd"]
-    upper_cd = data.draw(st.booleans(), label="upper_cd")
-    if upper_cd and data.draw(st.booleans(), label="d is c"):
-        tables[3] = tables[2]  # as in matching: one table on both C×D sides
-    pair_filter = data.draw(st.booleans(), label="pair_filter")
-    bound = data.draw(st.floats(0, 200), label="bound")
+    if data.draw(st.booleans(), label="d is c"):
+        tables[3] = tables[2]  # as in uncompression when C′ = D′
+    bound = data.draw(st.one_of(st.floats(0, 200), st.just(np.inf)), label="bound")
     paf_bound = max((sum(e * e for e in r) for t in tables for r in t), default=1)
     if data.draw(st.booleans(), label="one-column keys"):
         paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
     sides = [join_side(t, length, paf_bound) for t in tables]
     stats = Counter()
-    got = join_quads(*sides, bound, pair_filter=pair_filter, upper_cd=upper_cd, stats=stats)
+    got = join_quads(*sides, bound, stats=stats)
     got = list(zip(*(idx.tolist() for idx in got)))
 
-    def pairs(x, y, upper):
+    def pairs(x, y):
         return [(i, j) for i in range(len(tables[x])) for j in range(len(tables[y]))
-                if not (upper and i > j)
-                and not (pair_filter and (sides[x][0][:, i] + sides[y][0][:, j] > bound).any())]
+                if not (sides[x][0][:, i] + sides[y][0][:, j] > bound).any()]
 
-    ab, cd = pairs(0, 1, False), pairs(2, 3, upper_cd)
+    ab, cd = pairs(0, 1), pairs(2, 3)
     want = {(i, j, k, l) for (i, j), (k, l) in itertools.product(ab, cd)
             if all(sum(oracle_paf(t[x], s) for t, x in zip(tables, (i, j, k, l))) == 0
                    for s in range(1, length // 2 + 1))}
     assert len(got) == len(want) and set(got) == want
     assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
     assert stats["key_hits"] >= len(want)
+
+
+@given(st.data())
+def test_screen_pairs_equals_the_nested_loop(data):
+    # small integer PSD values and bounds, so sums land on the bound often
+    planes = data.draw(st.integers(0, 3), label="planes")
+
+    def table(label):
+        rows = data.draw(st.integers(0, 6), label=f"{label} rows")
+        values = st.lists(st.integers(0, 20), min_size=planes * rows, max_size=planes * rows)
+        return np.array(data.draw(values, label=label), dtype=float).reshape(planes, rows)
+
+    left = table("left")
+    upper = data.draw(st.booleans(), label="upper")
+    right = left if upper and data.draw(st.booleans(), label="one table") else table("right")
+    bound = data.draw(st.one_of(st.integers(0, 40).map(float), st.just(np.inf)), label="bound")
+    chunk = data.draw(st.sampled_from([1, 2, matching._PAIR_CHUNK]), label="chunk")
+    with mock.patch.object(matching, "_PAIR_CHUNK", chunk):
+        got = list(zip(*(idx.tolist() for idx in _screen_pairs(left, right, bound, upper=upper))))
+    product = [(i, j) for i in range(left.shape[1]) for j in range(right.shape[1])
+               if not (upper and i > j)]  # row-major
+    assert got == [(i, j) for i, j in product if (left[:, i] + right[:, j] <= bound).all()]
+    if bound == np.inf:
+        assert got == product
 
 
 def balanced_digits(value, radix, width):
@@ -219,13 +241,3 @@ def test_rejects_mismatched_order():
 def test_empty_candidates_give_empty_match():
     cands = generate_candidates(9, frozenset())
     assert match_quadruples(cands, 9) == []
-
-
-def test_quadruple_file_round_trip():
-    quads = [
-        CompressedQuad((1,), (3,), (-1,), (-1,)),
-        CompressedQuad((1,), (-1,), (3,), (-1,)),
-    ]
-    buf = io.StringIO()
-    write_quadruples(buf, quads)
-    assert buf.getvalue() == "1\n3\n-1\n-1\n\n1\n-1\n3\n-1\n\n"

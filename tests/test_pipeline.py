@@ -249,12 +249,18 @@ def test_parallel_jobs_match_sequential():
     assert par_report.solver_stats == seq_report.solver_stats
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(InvalidInputError):
+        enumerate_good_matrices(9, jobs=jobs)
+
+
 def test_order_validation():
     for bad in (6, 25, 0, -9):
         with pytest.raises(InvalidInputError):
             enumerate_good_matrices(bad)
     with pytest.raises(InvalidInputError):
-        enumerate_good_matrices(45)  # beyond the desk-scale limit without opt-in
+        enumerate_good_matrices(51)  # beyond the desk-scale limit without opt-in
 
 
 def test_report_json_round_trip():

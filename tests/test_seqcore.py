@@ -11,6 +11,7 @@ from goodmat.seqcore import (
     CompressedQuad,
     DefiningQuad,
     compress3,
+    format_int_row,
     format_row,
     is_skew,
     is_symmetric,
@@ -166,6 +167,21 @@ def test_write_read_quads_round_trip(known3, known27):
     write_quads(buf, [known3, known27])
     buf.seek(0)
     assert read_quads(buf) == [known3, known27]
+
+
+def test_compressed_rows_round_trip():
+    rows = [(1, 3, -1), (1, -3, 1)]
+    assert "".join(format_int_row(row) + "\n" for row in rows) == "1,3,-1\n1,-3,1\n"
+
+
+def test_quadruple_file_round_trip():
+    quads = [
+        CompressedQuad((1,), (3,), (-1,), (-1,)),
+        CompressedQuad((1,), (-1,), (3,), (-1,)),
+    ]
+    buf = io.StringIO()
+    write_quads(buf, quads, fmt=format_int_row)
+    assert buf.getvalue() == "1\n3\n-1\n-1\n\n1\n-1\n3\n-1\n\n"
 
 
 def test_read_quads_validates_by_default():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goodmat.errors import InvalidInputError
 from goodmat.seqcore import DefiningQuad
 from goodmat.spectral import (
     EPS,
@@ -23,7 +22,6 @@ from goodmat.spectral import (
     paf_certificate,
     paf_sums,
     paf_vector,
-    passes_psd_filter,
     psd_values,
 )
 
@@ -158,31 +156,19 @@ def test_certificate_is_exact_integer_arithmetic(known3):
     assert not paf_certificate(bad)
 
 
-# ── the PSD filter ───────────────────────────────────────────────────────────
+# ── the PSD bound ────────────────────────────────────────────────────────────
 
 def test_good_quad_rows_saturate_filter(known27):
-    # For a good quad the four PSDs sum to exactly 4n at every k.
-    assert passes_psd_filter(known27.rows(), 27)
-    total = sum(psd_values(r) for r in known27.rows())
-    assert total == pytest.approx([4 * 27] * 14, abs=1e-6)
+    # For a good quad the four PSDs sum to exactly 4n at every k, so the
+    # filters' bound 4n + EPS keeps it with the slack EPS to spare.
+    a, *bcd = (np.array([r]) for r in known27.rows())
+    total = mirror_psd(a, skew=True) + sum(mirror_psd(r, skew=False) for r in bcd)
+    assert total[0] == pytest.approx([4 * 27] * 14, abs=1e-6)
+    assert (total <= 4 * 27 + EPS).all()
 
 
 def test_filter_rejects_overshooting_row():
     n = 9
-    assert not passes_psd_filter([(1,) * 9], n)  # PSD(0) = 81 > 36 + ε
-
-
-def test_filter_requires_nonempty_equal_lengths():
-    with pytest.raises(InvalidInputError):
-        passes_psd_filter([], 9)
-    with pytest.raises(InvalidInputError):
-        passes_psd_filter([(1, 1, -1), (1, 1, 1, 1, 1)], 9)
-
-
-@given(st.sampled_from([3, 9, 15]), st.data())
-def test_filter_monotone_in_eps(n, data):
-    d = n // 2
-    half = data.draw(st.tuples(*([st.sampled_from((1, -1))] * d)))
-    row = (1,) + half + tuple(half[::-1])
-    if passes_psd_filter([row], n, eps=0.0):
-        assert passes_psd_filter([row], n, eps=1.0)
+    psd = mirror_psd(np.ones((1, n)), skew=False)
+    assert psd[0, 0] == pytest.approx(81)  # PSD(0) = rowsum² = 81 > 36 + EPS
+    assert not (psd <= 4 * n + EPS).all()

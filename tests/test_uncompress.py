@@ -23,7 +23,7 @@ from goodmat.seqcore import (
     make_symmetric,
 )
 from goodmat.spectral import paf_certificate
-from goodmat.uncompress import preimage_table, preimages, uncompress, uncompress_all
+from goodmat.uncompress import preimage_table, preimages, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
 
@@ -60,7 +60,7 @@ def test_preimage_table_slices_one_mixed_batch(n):
     sk, sy = sorted(want[True]), sorted(want[False])
     batch = [sk[0], sy[0], (1,) * m, (1,) + (-1,) * (m - 1), sk[1], sy[1]] + sk + sy[::-1]
     for skew in (True, False):
-        table = preimage_table(np.array(batch), skew, bound=np.inf, row_filter=False)
+        table = preimage_table(np.array(batch), skew, bound=np.inf)
         assert table.offsets[0] == 0 and len(table.offsets) == len(batch) + 1
         assert table.offsets[-1] == len(table.rows) == len(table.keys) == table.psd.shape[1]
         for r, crow in enumerate(batch):
@@ -134,7 +134,7 @@ def test_frozen_raw_models_per_instance(n):
 def test_known_57_instance_uncompresses_to_its_class(known57):
     # the order-57 instance alone, without the n = 57 sweep or matching
     instance = canonical_compressed(CompressedQuad(*map(compress3, known57.rows())), 57)
-    found = {canonical_form(q) for q in uncompress(instance)}
+    found = {canonical_form(q) for q in uncompress_all([instance])[0][0]}
     assert canonical_form(known57) in found
 
 
