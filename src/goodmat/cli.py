@@ -352,3 +352,7 @@ def _sum_counts(counts: list[dict]) -> dict:
         for key, value in one.items():
             out[key] = out.get(key, 0) + value
     return out
+
+
+if __name__ == "__main__":
+    main()

@@ -248,6 +248,35 @@ def orbit_minimal_rows(rows: Iterable[Row], m: int) -> frozenset[Row]:
     return frozenset(row for row, k in zip(rows, keep) if k)
 
 
+@lru_cache(maxsize=None)
+def compression_units(n: int) -> tuple[int, ...]:
+    """The units u modulo n = 3m with u ≡ 1 (mod m), 1 first: 3 of them
+    when 9 | n, else 2 (n = 3 has m = 1, so every unit: 1 and 2).
+
+    j ↦ u·j mod n keeps every residue class mod m, so it fixes the
+    3-compression of every row, x_0 and the mirror x_{n−j} = ±x_j; it maps
+    PAF(k) to PAF(u·k), so it permutes the PAF and PSD columns, and the
+    columns k ≢ 0 (mod 3) among themselves (u is prime to 3).
+    """
+    m = n // 3
+    return tuple(u for u in units(n) if (u - 1) % m == 0)
+
+
+def compression_minimal(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (N × n) ±1 array are the minimum, in row_key order,
+    of their orbit under the index maps j ↦ u·j mod n of compression_units,
+    as a bool mask.  A row compares with each image at their first differing
+    entry; row_key puts +1 first there."""
+    n = rows.shape[1]
+    at = np.arange(len(rows))
+    keep = np.ones(len(rows), dtype=bool)
+    for u in compression_units(n)[1:]:
+        image = rows[:, (u * np.arange(n)) % n]
+        first = (image != rows).argmax(axis=1)  # 0 for a row the map fixes
+        keep &= rows[at, first] >= image[at, first]
+    return keep
+
+
 def unique_rows(codes: np.ndarray) -> np.ndarray:
     """np.unique(codes, axis=0) for a 2-D integer array: the distinct rows in
     lexicographic order, by one lexsort and an adjacent-row difference mask."""

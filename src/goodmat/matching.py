@@ -7,17 +7,19 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-the steps of join_quads — pair screen, packed-key join, exact PAF
-confirmation — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy, partitioned
-by rowsum: only the partitions with r_B ≤ r_C ≤ r_D that can meet the k = 0
-identity are paired at all, and that identity still confirms every hit.
+the quad join — pair screen (_screen_pairs), then packed-key join and exact
+PAF confirmation (_join_pairs) — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆
+s_sy × s_sy, partitioned by rowsum: only the partitions with
+r_B ≤ r_C ≤ r_D that can meet the k = 0 identity are paired at all, and
+that identity still confirms every hit.
 Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
 permuting them; match_codes emits one arrangement of each quad, and
 all_arrangements expands these to S_q.  Quads are kept as rows of
 integer codes (equiv's row code), whose lexicographic order is quad_key
-order, so one unique_rows yields the sorted set.  Uncompression runs
-join_quads on the full-length preimages of one instance, slices of one
-preimage table per run.
+order, so one unique_rows yields the sorted set.  Uncompression runs the
+same screen and join on the full-length preimages of a batch of instances,
+slices of one preimage table per run, and tags each pair with its instance
+(_join_pairs' owners).
 
 The pair screen (_screen_pairs) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
@@ -58,10 +60,9 @@ from .spectral import EPS, mirror_psd
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
 
-#: One side of join_quads: (PSD table, plane-major: one line per frequency,
-#: one column per row; PAF table, one line per row with columns
+#: One table of _join_pairs: (PAF table, one line per row with columns
 #: k = 0..⌊len/2⌋; packed PAF keys, one per row).
-JoinSide = tuple[np.ndarray, np.ndarray, np.ndarray]
+JoinSide = tuple[np.ndarray, np.ndarray]
 
 
 def match_quadruples(
@@ -126,8 +127,8 @@ def match_codes(
     # plane-major, planes k ≥ 1
     psd_sk = np.ascontiguousarray(mirror_psd(sk_arr, skew=True).T[1:])
     psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T[1:])
-    sk = (psd_sk, paf_sk, packed_keys(paf_sk, paf_bound))
-    sy = (psd_sy, paf_sy, packed_keys(paf_sy, paf_bound))
+    sk = (paf_sk, packed_keys(paf_sk, paf_bound))
+    sy = (paf_sy, packed_keys(paf_sy, paf_bound))
     bound = 4 * n + EPS if pair_filter else np.inf
 
     rs_sy = sy_arr.sum(axis=1)
@@ -145,45 +146,14 @@ def match_codes(
                                        upper=rc == rd)
             cd.append((part[rc][cd_i], part[rd][cd_j]))
         cd_i, cd_j = map(np.concatenate, zip(*cd))
-        ia, jb, ic, jd = _join_pairs(sk, sy, sy, sy, (ab_i, group[ab_j]), (cd_i, cd_j))
+        ab_j = group[ab_j]
+        hit_ab, hit_cd = _join_pairs(sk, sy, sy, sy, (ab_i, ab_j), (cd_i, cd_j))
+        ia, jb, ic, jd = ab_i[hit_ab], ab_j[hit_ab], cd_i[hit_cd], cd_j[hit_cd]
         a, b, c, d = code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]
         ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
         ok &= (rs_sy[jb] < rs_sy[ic]) | (b <= c)
         found.append(np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1))
     return unique_rows(np.concatenate(found))
-
-
-def join_quads(
-    a: JoinSide,
-    b: JoinSide,
-    c: JoinSide,
-    d: JoinSide,
-    bound: float,
-    *,
-    stats: Optional[Counter] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every index quad (i, j, k, l) into the tables a, b, c, d whose PAF
-    rows sum to zero at every column k ≥ 1, as four index arrays.
-
-      (i)   pair A×B and C×D, and keep the pairs whose summed PSD profile
-            stays within bound on every plane of the tables (_screen_pairs;
-            the bound +inf keeps every pair);
-      (ii)  key each A×B pair by P_a + P_b and each C×D pair by
-            −(P_c + P_d), where P is the packed key of one row (packed_keys;
-            all four tables packed with the same bound), and join equal keys
-            (join_equal_keys): equal keys mean the PAF sums cancel at
-            columns 1..K;
-      (iii) confirm each hit, in blocks of _EMIT_CHUNK, with the full exact
-            PAF sum, which covers the columns past K.  A hit that differs
-            only there is expected and dropped.
-
-    Steps (ii)–(iii) are _join_pairs.  stats, when given, gains pairs_ab and
-    pairs_cd (pairs after the pair screen) and key_hits (packed-key matches
-    before the exact check).
-    """
-    ab = _screen_pairs(a[0], b[0], bound)
-    cd = _screen_pairs(c[0], d[0], bound)
-    return _join_pairs(a, b, c, d, ab, cd, stats=stats)
 
 
 def _join_pairs(
@@ -194,24 +164,42 @@ def _join_pairs(
     pairs_ab: tuple[np.ndarray, np.ndarray],
     pairs_cd: tuple[np.ndarray, np.ndarray],
     *,
+    owners: Optional[tuple[np.ndarray, np.ndarray]] = None,
     stats: Optional[Counter] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Steps (ii)–(iii) of join_quads on given A×B and C×D index pairs."""
-    (_, paf_a, key_a), (_, paf_b, key_b) = a, b
-    (_, paf_c, key_c), (_, paf_d, key_d) = c, d
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quad join on screened A×B and C×D index pairs into the tables a,
+    b, c, d: the positions (p, q) in the two pair lists of every A×B pair p
+    and C×D pair q whose four PAF rows sum to zero at every column k ≥ 1.
+
+      (i)  key each A×B pair by P_a + P_b and each C×D pair by
+           −(P_c + P_d), where P is the packed key of one row (packed_keys;
+           all four tables packed with the same bound), and join equal keys
+           (join_equal_keys): equal keys mean the PAF sums cancel at
+           columns 1..K;
+      (ii) confirm each hit, in blocks of _EMIT_CHUNK, with the full exact
+           PAF sum, which covers the columns past K.  A hit that differs
+           only there is expected and dropped.
+
+    owners, when given, holds an instance id per A×B and per C×D pair, and
+    hits between pairs of different instances are dropped before (ii).
+    stats, when given, gains pairs_ab and pairs_cd (the pairs given) and
+    key_hits (packed-key matches kept for the exact check).
+    """
+    (paf_a, key_a), (paf_b, key_b), (paf_c, key_c), (paf_d, key_d) = a, b, c, d
     (ab_i, ab_j), (cd_i, cd_j) = pairs_ab, pairs_cd
     hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
+    if owners is not None:
+        same = owners[0][hit_ab] == owners[1][hit_cd]
+        hit_ab, hit_cd = hit_ab[same], hit_cd[same]
     if stats is not None:
         stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))
-    found = [np.empty((4, 0), dtype=np.int64)]
+    found = [np.empty((2, 0), dtype=np.int64)]
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
         ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
-        quads = np.stack([ab_i[ab], ab_j[ab], cd_i[cd], cd_j[cd]])
-        ia, jb, ic, jd = quads
-        total = paf_a[ia] + paf_b[jb] + paf_c[ic] + paf_d[jd]
-        found.append(quads[:, (total[:, 1:] == 0).all(axis=1)])
-    ia, jb, ic, jd = np.concatenate(found, axis=1)
-    return ia, jb, ic, jd
+        total = paf_a[ab_i[ab]] + paf_b[ab_j[ab]] + paf_c[cd_i[cd]] + paf_d[cd_j[cd]]
+        found.append(np.stack([ab, cd])[:, (total[:, 1:] == 0).all(axis=1)])
+    hit_ab, hit_cd = np.concatenate(found, axis=1)
+    return hit_ab, hit_cd
 
 
 def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:

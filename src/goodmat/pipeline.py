@@ -10,7 +10,10 @@ The enumeration pipeline for an odd order n divisible by 3:
                              dedup on, only the quads whose A′ is
                              orbit-minimal);
   4. canonical_codes dedup → one instance per compressed class;
-  5. uncompress each instance: join_quads at full length → defining quads;
+  5. uncompress_all: the quad join at full length, a batch of instances at
+                             a time → defining quads, one per orbit of the
+                             index maps u ≡ 1 (mod n/3) that fix every
+                             compressed row;
   6. canonical_forms dedup → the sorted list of inequivalent good matrices.
 
 Verification is deliberately independent of the search code: it materializes
@@ -64,7 +67,7 @@ from .uncompress import uncompress_all
 REPORT_SCHEMA_VERSION = 2
 
 #: Orders above this need an explicit opt-in (allow_large / --allow-large).
-#: n = 45 runs in about a minute and 255 MB on one core of a 2-core Xeon;
+#: n = 45 runs in about 40 s and 240 MB on one core of a 2-core Xeon;
 #: n = 51 takes minutes on two cores and over 1 GB in a worker.
 UNLIMITED_MAX_ORDER = 45
 
@@ -119,7 +122,10 @@ class SearchReport:
 
     instances_fingerprint identifies the full, unsharded instance list the
     run drew its shard from (see instances_fingerprint), so shards of one
-    run agree on it and shards of different runs do not.
+    run agree on it and shards of different runs do not.  solver_stats holds
+    uncompress_all's join counters (pairs_ab, pairs_cd, key_hits) and
+    raw_models, the quads it certified: one per orbit of the maps that fix
+    every compressed row, not every model of the instances' SAT encodings.
     """
 
     n: int

@@ -1,9 +1,10 @@
-"""Uncompression: every quad of defining rows above one compressed quadruple.
+"""Uncompression: the quads of defining rows above one compressed quadruple,
+one quad per orbit of the index maps that fix every compressed row.
 
 This is the compression/uncompression scheme of Đoković and Kotsireas
 (Compression of periodic complementary sequences and applications, Des.
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
-(join_quads) — one join at two lengths:
+(_screen_pairs and _join_pairs) — one join at two lengths:
 
   (i)   enumerate the preimages of compressed rows directly, with the
         candidate sweep's mixed-radix enumerator (candidates._preimage_rows);
@@ -13,11 +14,14 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         filter) and store each kept row with its PSD, PAF table and packed
         PAF key (PAF(0) = n bounds every other PAF value of a ±1 row), in
         CSR form — row r's preimages are lines offsets[r]..offsets[r+1] of
-        flat arrays;
-  (iii) join the four table slices of each instance with join_quads over
-        the ordered A×B and C×D products.  Every quad it returns must pass
-        the PAF certificate, checked for a whole run in one exact integer
-        pass (spectral.paf_sums); a failure is a bug: InternalError.
+        flat arrays.  The A table keeps only the rows that are the minimum
+        of their orbit under equiv.compression_units;
+  (iii) screen the ordered A×B and C×D products of each instance's four
+        table slices, and join the screened pairs of a batch of consecutive
+        instances at once, dropping the hits across instances.  Every quad
+        found must pass the PAF certificate, checked for a whole run in one
+        exact integer pass (spectral.paf_sums); a failure is a bug:
+        InternalError.
 
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
 PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
@@ -25,9 +29,14 @@ screen has already bounded those sums; dropping them keeps every pair the
 full profile keeps.  The row filter reads every plane.  uncompress_all turns
 each disabled filter into the bound +inf, which every row and pair meets.
 
-C×D is the ordered product even when C′ = D′, so the quads found for one
-instance are exactly the certified models of its SAT encoding (satsearch,
-kept as the reference and for DIMACS export).
+Why the A cut is exact: each u ∈ H = compression_units(n) maps every quad
+of an instance to a quad of the same instance and canonical_form class, and
+the row bound and the pair screen decide both alike (u permutes the PSD
+planes k ≢ 0 (mod 3)).  So every H-orbit of an instance's quads keeps a
+member whose A is H-minimal, and the quads found are exactly the certified
+models of the instance's SAT encoding (satsearch, kept as the reference and
+for DIMACS export) whose A is H-minimal.  C×D is the ordered product even
+when C′ = D′.
 """
 
 from __future__ import annotations
@@ -39,9 +48,16 @@ import numpy as np
 
 from .candidates import _ROW_BLOCK, _layout, _preimage_blocks
 from .errors import InternalError
-from .matching import JoinSide, join_quads, packed_keys, paf_matrix
+from .equiv import compression_minimal
+from .matching import _join_pairs, _screen_pairs, packed_keys, paf_matrix
 from .seqcore import CompressedQuad, DefiningQuad
 from .spectral import EPS, mirror_psd, paf_sums
+
+
+#: The summed A×B and C×D preimage products of the instances joined at once;
+#: a batch closes with the instance that reaches it (so at n ≥ 51, where one
+#: instance exceeds it, each instance is its own batch).
+_BATCH_PAIRS = 1 << 16
 
 
 class PreimageTable(NamedTuple):
@@ -54,11 +70,6 @@ class PreimageTable(NamedTuple):
     psd: np.ndarray      # (F′ × N) float64, planes k ≢ 0 (mod 3) of k = 0..⌊n/2⌋
     paf: np.ndarray      # (N × (⌊n/2⌋ + 1)) int16
     keys: np.ndarray     # (N) int64 packed PAF keys
-
-    def side(self, r: int) -> JoinSide:
-        """Compressed row r's preimages as one join_quads side (views)."""
-        lo, hi = self.offsets[r], self.offsets[r + 1]
-        return self.psd[:, lo:hi], self.paf[lo:hi], self.keys[lo:hi]
 
 
 def preimages(crow: Sequence[int], skew: bool) -> np.ndarray:
@@ -73,19 +84,29 @@ def preimage_table(crows: np.ndarray, skew: bool, *, bound: float) -> PreimageTa
     whose PSD stays within bound at every k, with their PSD, PAF tables and
     packed keys.
 
-    Two passes of _ROW_BLOCK rows: the first enumerates and filters the rows,
-    the second fills the other columns in place, so of the whole table only
-    the int8 rows are ever copied (joined from their blocks).
+    Two passes of _ROW_BLOCK rows: the first (_kept_preimages) enumerates and
+    filters the rows, the second (_complete) fills the other columns in
+    place, so of the whole table only the int8 rows are ever copied (joined
+    from their blocks).
     """
+    return _complete(*_kept_preimages(crows, skew, bound), skew)
+
+
+def _kept_preimages(crows: np.ndarray, skew: bool, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """preimage_table's first pass: per compressed row, how many preimages
+    stay within bound, and those int8 rows, grouped by compressed row."""
     layout = _layout(crows, skew)
-    n = 3 * crows.shape[1]
     kept = np.zeros(len(crows), dtype=np.int64)
     blocks = []
     for owner, rows in _preimage_blocks(layout, skew, bound, np.arange(len(crows)), layout[2]):
         kept += np.bincount(owner, minlength=len(crows))
         blocks.append(rows)
-    rows = np.concatenate(blocks)
-    del blocks
+    return kept, np.concatenate(blocks)
+
+
+def _complete(kept: np.ndarray, rows: np.ndarray, skew: bool) -> PreimageTable:
+    """preimage_table's second pass: the PSD, PAF and key columns of rows."""
+    n = rows.shape[1]
     planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
     psd = np.empty((len(planes), len(rows)))
     paf = np.empty((len(rows), n // 2 + 1), dtype=np.int16)
@@ -104,12 +125,18 @@ def uncompress_all(
     row_filter: bool = True,
     pair_filter: bool = True,
 ) -> tuple[list[list[DefiningQuad]], dict[str, int]]:
-    """The certified quads of each instance, from one preimage table per
-    skewness over the distinct compressed rows of all instances.
+    """The certified quads of each instance whose A is compression_minimal,
+    from one preimage table per skewness over the distinct compressed rows
+    of all instances (the A table cut to those rows before its second pass).
+
+    Each instance's A×B and C×D pairs are screened on their own and tagged
+    with it; consecutive instances whose pair products sum to about
+    _BATCH_PAIRS share one _join_pairs, which drops hits across instances.
+    An instance with no preimages on some side has no quad and no pairs.
 
     Returns the quads of each instance, sorted (the join leaves their order
-    unspecified), and the summed join_quads counters pairs_ab, pairs_cd and
-    key_hits.  A disabled row or pair filter is the bound +inf.
+    unspecified), and the summed _join_pairs counters pairs_ab, pairs_cd
+    and key_hits.  A disabled row or pair filter is the bound +inf.
     """
     stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
     if not instances:
@@ -120,24 +147,50 @@ def uncompress_all(
     quads = np.array([cq.rows() for cq in instances])  # [instance, A/B/C/D, entry]
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
-    table_a = preimage_table(sk, True, bound=row_bound)
+    kept, rows = _kept_preimages(sk, True, row_bound)
+    minimal = compression_minimal(rows)
+    owner = np.repeat(np.arange(len(sk)), kept)[minimal]
+    table_a = _complete(np.bincount(owner, minlength=len(sk)), rows[minimal], True)
+    del rows
     table_bcd = preimage_table(sy, False, bound=row_bound)
     tables = (table_a, table_bcd, table_bcd, table_bcd)
-    blocks = []  # per instance, its quads as a (count × 4 × n) int8 array
-    for index in np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)]).tolist():
-        sides = [table.side(r) for table, r in zip(tables, index)]
-        if any(len(keys) == 0 for _, _, keys in sides):
-            blocks.append(np.empty((0, 4, n), dtype=np.int8))
-            continue
-        hits = join_quads(*sides, pair_bound, stats=stats)
-        blocks.append(np.stack([table.rows[table.offsets[r] + i]
-                                for table, r, i in zip(tables, index, hits)], axis=1))
-    joined = np.concatenate(blocks)
+    index = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)])  # [instance, side]
+    start = np.column_stack([t.offsets[index[:, s]] for s, t in enumerate(tables)])
+    end = np.column_stack([t.offsets[index[:, s] + 1] for s, t in enumerate(tables)])
+    size = end - start
+    work = np.where((size > 0).all(axis=1), size[:, 0] * size[:, 1] + size[:, 2] * size[:, 3], 0)
+    live = np.flatnonzero(work)
+    batch = (np.cumsum(work[live]) - work[live]) // _BATCH_PAIRS  # consecutive, ≈ equal work
+    edges = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(live)]
+
+    def screen(part: list[int], x: int, y: int) -> list[np.ndarray]:
+        """The screened pairs of sides x and y of the instances in part, as
+        table rows, and the instance of each pair."""
+        found = []
+        for i in part:
+            (lx, ly), (hx, hy) = start[i, [x, y]], end[i, [x, y]]
+            ii, jj = _screen_pairs(tables[x].psd[:, lx:hx], tables[y].psd[:, ly:hy], pair_bound)
+            found.append((ii + lx, jj + ly, np.full(len(ii), i)))
+        return [np.concatenate(column) for column in zip(*found)]
+
+    sides = [(t.paf, t.keys) for t in tables]
+    hits = [np.empty((0, 5), dtype=np.int64)]  # instance and the four table rows
+    for lo, hi in zip(edges, edges[1:]):
+        part = live[lo:hi].tolist()
+        (ia, jb, ab_owner), (ic, jd, cd_owner) = screen(part, 0, 1), screen(part, 2, 3)
+        hit_ab, hit_cd = _join_pairs(*sides, (ia, jb), (ic, jd), owners=(ab_owner, cd_owner),
+                                     stats=stats)
+        hits.append(np.column_stack([ab_owner[hit_ab], ia[hit_ab], jb[hit_ab],
+                                     ic[hit_cd], jd[hit_cd]]))
+    hits = np.concatenate(hits)
+    hits = hits[np.argsort(hits[:, 0], kind="stable")]
+    joined = np.stack([t.rows[hits[:, s + 1]] for s, t in enumerate(tables)], axis=1)
     failed = paf_sums(joined).any(axis=1)
     if failed.any():
         bad = joined[np.argmax(failed)].tolist()
         raise InternalError(
             f"joined quad fails the PAF certificate: {DefiningQuad(*map(tuple, bad))}")
+    counts = np.bincount(hits[:, 0], minlength=len(instances))
     found = [sorted(DefiningQuad(*map(tuple, quad)) for quad in block.tolist())
-             for block in blocks]
+             for block in np.split(joined, np.cumsum(counts)[:-1])]
     return found, dict(stats)

@@ -1,6 +1,10 @@
 """The goodmat command line: outputs, exit codes, sharding, and merging."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert code == 2 and "--jobs" in err
     assert run(capsys, "definitely-not-a-command")[0] == 2
     assert run(capsys, "report", tmp_path)[0] == 2     # no reports in dir
+
+
+@pytest.mark.parametrize("module", ["goodmat", "goodmat.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "enumerate", "9", "--jobs", "-2",
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "--jobs" in proc.stderr
 
 
 def test_verification_failure_exits_1(tmp_path, capsys):

@@ -17,6 +17,8 @@ from goodmat.equiv import (
     canonical_compressed,
     canonical_form,
     canonical_forms,
+    compression_minimal,
+    compression_units,
     decode_quads,
     dedup,
     negate_row,
@@ -32,7 +34,15 @@ from goodmat.equiv import (
 )
 from goodmat.errors import InvalidInputError
 from goodmat.matching import match_codes, match_quadruples
-from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3
+from goodmat.seqcore import (
+    CompressedQuad,
+    DefiningQuad,
+    compress3,
+    iter_halves,
+    make_skew,
+    make_symmetric,
+)
+from goodmat.spectral import paf_vector
 
 
 # ── ordering convention: +1 before −1 ────────────────────────────────────────
@@ -231,6 +241,39 @@ def test_orbit_minimal_rows_are_their_orbit_minimum(data):
                               max_size=8))
     want = {r for r in rows if r == min((permute_row(r, u) for u in units(m)), key=row_key)}
     assert orbit_minimal_rows(rows, m) == want
+
+
+@pytest.mark.parametrize("n", [3, 9, 15, 21])
+def test_compression_units_fix_every_compressed_row(n):
+    m = n // 3
+    group = compression_units(n)
+    assert group[0] == 1 and len(group) == (3 if n % 9 == 0 else 2)
+    assert set(group) == {u for u in units(n) if u % m == 1 % m}
+    for u in group:
+        assert (u * u) % n in group  # closed: a group, not just a set
+        cols = sorted({min(u * k % n, -u * k % n) for k in range(1, n // 2 + 1)})
+        assert cols == list(range(1, n // 2 + 1))  # PAF columns permuted
+        for make, sign in ((make_skew, -1), (make_symmetric, 1)):
+            for half in iter_halves(n // 2):
+                row = make(half, n)
+                image = permute_row(row, u)
+                assert compress3(image) == compress3(row)
+                assert image[0] == row[0] == 1
+                assert all(image[n - j] == sign * image[j] for j in range(1, n))
+                # PAF_{X∘u}(k) = PAF_X(u·k), and PAF is even in k
+                paf, paf_image = paf_vector(row), paf_vector(image)  # k = 0..⌊n/2⌋
+                assert all(paf_image[k] == paf[min(u * k % n, -u * k % n)]
+                           for k in range(1, n // 2 + 1))
+
+
+@given(st.data())
+def test_compression_minimal_rows_are_their_orbit_minimum(data):
+    n = data.draw(st.sampled_from((3, 9, 15, 21, 27)))
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from((1, -1))] * n), max_size=8))
+    want = [r == min((permute_row(r, u) for u in compression_units(n)), key=row_key)
+            for r in rows]
+    got = compression_minimal(np.array(rows, dtype=np.int8).reshape(len(rows), n))
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("n", [9, 15, 21])

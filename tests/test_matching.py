@@ -19,9 +19,9 @@ from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.equiv import decode_quads, quad_key
 from goodmat.matching import (
+    _join_pairs,
     _screen_pairs,
     join_equal_keys,
-    join_quads,
     match_codes,
     match_quadruples,
     packed_keys,
@@ -108,15 +108,17 @@ def test_join_equals_the_nested_loop(left, right):
 
 
 def join_side(rows, length, paf_bound):
-    """One join_quads side (plane-major PSD, PAF table, packed keys) of rows
-    of one length."""
+    """One table's plane-major PSD and its _join_pairs side (PAF table,
+    packed keys), for rows of one length."""
     table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
     paf = paf_matrix(table)
-    return np.abs(np.fft.fft(table, axis=1)).T ** 2, paf, packed_keys(paf, paf_bound)
+    return np.abs(np.fft.fft(table, axis=1)).T ** 2, (paf, packed_keys(paf, paf_bound))
 
 
 @given(st.data())
-def test_join_quads_equals_the_nested_loop(data):
+def test_quad_join_equals_the_nested_loop(data):
+    # the screen and the join as uncompression runs them: every pair may
+    # carry an instance id (owners), and hits across instances are dropped
     length = data.draw(st.integers(1, 7), label="length")
     row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
     tables = [data.draw(st.lists(row, max_size=4), label=name) for name in "abcd"]
@@ -126,21 +128,30 @@ def test_join_quads_equals_the_nested_loop(data):
     paf_bound = max((sum(e * e for e in r) for t in tables for r in t), default=1)
     if data.draw(st.booleans(), label="one-column keys"):
         paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
-    sides = [join_side(t, length, paf_bound) for t in tables]
+    psd, sides = zip(*(join_side(t, length, paf_bound) for t in tables))
+    ab, cd = _screen_pairs(psd[0], psd[1], bound), _screen_pairs(psd[2], psd[3], bound)
+    owners = None
+    if data.draw(st.booleans(), label="owners"):
+        ids = st.integers(0, 2)
+        owners = tuple(np.array(data.draw(st.lists(ids, min_size=len(p[0]), max_size=len(p[0]))),
+                                dtype=np.int64) for p in (ab, cd))
     stats = Counter()
-    got = join_quads(*sides, bound, stats=stats)
-    got = list(zip(*(idx.tolist() for idx in got)))
+    hit_ab, hit_cd = _join_pairs(*sides, ab, cd, owners=owners, stats=stats)
+    got = list(zip(hit_ab.tolist(), hit_cd.tolist()))
 
     def pairs(x, y):
         return [(i, j) for i in range(len(tables[x])) for j in range(len(tables[y]))
-                if not (sides[x][0][:, i] + sides[y][0][:, j] > bound).any()]
+                if not (psd[x][:, i] + psd[y][:, j] > bound).any()]
 
-    ab, cd = pairs(0, 1), pairs(2, 3)
-    want = {(i, j, k, l) for (i, j), (k, l) in itertools.product(ab, cd)
-            if all(sum(oracle_paf(t[x], s) for t, x in zip(tables, (i, j, k, l))) == 0
-                   for s in range(1, length // 2 + 1))}
+    assert list(zip(*(p.tolist() for p in ab))) == pairs(0, 1)
+    assert list(zip(*(p.tolist() for p in cd))) == pairs(2, 3)
+    want = {(p, q) for p, q in itertools.product(range(len(ab[0])), range(len(cd[0])))
+            if (owners is None or owners[0][p] == owners[1][q])
+            and all(sum(oracle_paf(t[x], s) for t, x in
+                        zip(tables, (ab[0][p], ab[1][p], cd[0][q], cd[1][q]))) == 0
+                    for s in range(1, length // 2 + 1))}
     assert len(got) == len(want) and set(got) == want
-    assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
+    assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab[0]), len(cd[0]))
     assert stats["key_hits"] >= len(want)
 
 

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from goodmat import uncompress as uncompress_module
-from goodmat.equiv import canonical_compressed, canonical_form
+from goodmat.equiv import (
+    apply_automorphism,
+    canonical_compressed,
+    canonical_form,
+    compression_units,
+    permute_row,
+    row_key,
+)
 from goodmat.errors import InternalError
 from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.satsearch import build_instance, solve_all
@@ -71,10 +78,20 @@ def test_preimage_table_slices_one_mixed_batch(n):
         assert sizes[2] == sizes[3] == 0 and sizes[:2].any() and sizes[4:6].any()
 
 
+def closure(quads):
+    """The quads and their images under every compression unit; and a check
+    that each quad's A is the minimum of its orbit, as uncompress_all keeps."""
+    for q in quads:
+        assert q.a == min((permute_row(q.a, u) for u in compression_units(q.n)), key=row_key)
+    return {apply_automorphism(q, u) for q in quads for u in compression_units(q.n)}
+
+
 @pytest.mark.parametrize("cfg", [FilterConfig(), FilterConfig.no_filters()],
                          ids=["filters", "no_filters"])
 @pytest.mark.parametrize("n", [9, 15, 21])
 def test_join_equals_sat_per_instance(n, cfg):
+    # uncompress_all keeps one quad per orbit of the maps that fix every
+    # compressed row; their closure is every SAT model
     instances = prepare_instances(n, filters=cfg)[0]
     joined, _ = uncompress_all(instances, row_filter=cfg.psd_candidates,
                                pair_filter=cfg.psd_pairs)
@@ -82,7 +99,8 @@ def test_join_equals_sat_per_instance(n, cfg):
     for cq, got in zip(instances, joined):
         inst = build_instance(cq, parity=cfg.parity_clauses)
         solve_all(inst, prefix_checks=cfg.prefix_checks)
-        assert sorted(got) == sorted(inst.solutions), f"instance {cq}"
+        assert closure(got) == set(inst.solutions), f"instance {cq}"
+        assert len(set(inst.solutions)) == len(inst.solutions)
 
 
 def full_paf(rows):
@@ -96,7 +114,7 @@ def full_paf(rows):
 def test_join_equals_the_preimage_product_per_instance(n, filters):
     # The reference: every quad of the four preimage sets whose PAF sums
     # vanish at every lag — the PAF certificate, over the whole product at
-    # once.  No packing, no pair or row filter, no join.
+    # once.  No packing, no pair or row filter, no join, no orbit cut.
     for cq in prepare_instances(n)[0]:
         tables = [preimages(crow, r == 0) for r, crow in enumerate(cq.rows())]
         pa, pb, pc, pd = map(full_paf, tables)
@@ -106,18 +124,22 @@ def test_join_equals_the_preimage_product_per_instance(n, filters):
                 for idx in np.argwhere((total == 0).all(axis=-1))]
         assert all(paf_certificate(quad) for quad in want)
         got = uncompress_all([cq], row_filter=filters, pair_filter=filters)[0][0]
-        assert sorted(got) == sorted(want), f"instance {cq}"
+        assert closure(got) == set(want) and len(set(want)) == len(want), f"instance {cq}"
 
 
 #: Raw models per instance index (the others have none), recorded before the
-#: join keys were packed into one integer, and the join counters (pairs_ab,
-#: pairs_cd, key_hits) with the full-length pair screen on the PSD planes
-#: k ≢ 0 (mod 3) only.
+#: join keys were packed into one integer and before the A preimages were cut
+#: to one per orbit of compression_units (so they now count the closure of
+#: what uncompress_all returns), and the join counters (pairs_ab, pairs_cd,
+#: key_hits) with the full-length pair screen on the PSD planes k ≢ 0 (mod 3)
+#: only and the cut A table: the cut leaves pairs_cd as it was and shrinks
+#: pairs_ab and key_hits (36486 and 39 at n = 27, 470272 and 248 at n = 33
+#: without it).
 RAW_MODELS = {
     27: (186, {1: 3, 10: 6, 32: 3, 60: 3, 66: 3, 68: 3, 72: 3, 75: 3, 83: 3, 85: 3,
-               135: 3, 168: 3}, (36486, 12081, 39)),
+               135: 3, 168: 3}, (12262, 12081, 13)),
     33: (840, {134: 2, 169: 2, 301: 2, 405: 2, 473: 2, 499: 2, 504: 2, 549: 2, 575: 2,
-               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (470272, 152413, 248)),
+               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (235136, 152413, 138)),
 }
 
 
@@ -127,7 +149,7 @@ def test_frozen_raw_models_per_instance(n):
     instances = prepare_instances(n)[0]
     found, stats = uncompress_all(instances)
     assert len(found) == count
-    assert {i: len(quads) for i, quads in enumerate(found) if quads} == raw
+    assert {i: len(closure(quads)) for i, quads in enumerate(found) if quads} == raw
     assert (stats["pairs_ab"], stats["pairs_cd"], stats["key_hits"]) == counters
 
 
@@ -139,15 +161,37 @@ def test_known_57_instance_uncompresses_to_its_class(known57):
 
 
 def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
-    # Keys of width 0 match every A×B pair with every C×D pair, as a packed
-    # prefix does when the pairs differ only past its last column.
+    # Keys of width 0 match every A×B pair with every C×D pair of a batch, as
+    # a packed prefix does when the pairs differ only past its last column —
+    # the pairs of other instances included, which must never reach the output.
     instances = prepare_instances(15)[0]
     want, stats = uncompress_all(instances)
     monkeypatch.setattr(uncompress_module, "packed_keys",
                         lambda paf, bound: np.zeros(len(paf), dtype=np.int64))
+    mixed = []
+
+    def spy(*args, owners, **kwargs):
+        mixed.append(len(np.unique(owners[0])) > 1 and len(np.unique(owners[1])) > 1)
+        return join_pairs(*args, owners=owners, **kwargs)
+
+    join_pairs = uncompress_module._join_pairs
+    monkeypatch.setattr(uncompress_module, "_join_pairs", spy)
     got, wide = uncompress_all(instances)
+    assert any(mixed)  # some batch joined pairs of several instances
     assert got == want
     assert wide["key_hits"] > stats["key_hits"] >= sum(map(len, want))
+
+
+@pytest.mark.parametrize("filters", [True, False], ids=["filters", "no_filters"])
+@pytest.mark.parametrize("n", [15, 21])
+def test_batch_size_changes_nothing(n, filters, monkeypatch):
+    instances = prepare_instances(n)[0]
+    runs = []
+    for size in (1, uncompress_module._BATCH_PAIRS, 1 << 40):
+        monkeypatch.setattr(uncompress_module, "_BATCH_PAIRS", size)
+        runs.append(uncompress_all(instances, row_filter=filters, pair_filter=filters))
+    assert runs[0] == runs[1] == runs[2]
+    assert sum(map(len, runs[0][0])) > 0
 
 
 def test_failed_certificate_raises_internal_error(monkeypatch):
