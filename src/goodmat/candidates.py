@@ -81,7 +81,6 @@ class CandidateSets:
     s_sy: frozenset[Row]
     n: int
     m: int
-    d: int
 
 
 def generate_candidates(
@@ -97,13 +96,13 @@ def generate_candidates(
     rowsum_filter=False admits every rowsum."""
     if n < 3 or n % 2 == 0 or n % 3 != 0:
         raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
-    m, d = n // 3, n // 2
+    m = n // 3
     _place_values(m)  # raises for m > 31: matching's row codes would not fit an int64
     if not rowsums:
-        return CandidateSets(frozenset(), frozenset(), n, m, d)
+        return CandidateSets(frozenset(), frozenset(), n, m)
     bound = 4 * n + EPS if psd_filter else np.inf
     allowed = sorted(rowsum_components(rowsums)) if rowsum_filter else None
-    return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m, d)
+    return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m)
 
 
 def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> frozenset[Row]:

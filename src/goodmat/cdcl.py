@@ -26,9 +26,10 @@ import random
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import InternalError, ResourceLimitError
+from .errors import InternalError
 
 _ACTIVITY_RESCALE = 1e100
+_VAR_DECAY = 0.95
 _RESTART_BASE = 100
 _RANDOM_DECISION_FREQ = 0.02
 
@@ -57,13 +58,9 @@ class Solver:
         *,
         seed: int = 0,
         theory: Optional[Callable[["Solver"], Optional[Sequence[int]]]] = None,
-        max_conflicts: Optional[int] = None,
-        decay: float = 0.95,
     ):
         self.nvars = nvars
         self.theory = theory
-        self.max_conflicts = max_conflicts
-        self.decay = decay
         self.rng = random.Random(seed)
 
         v = nvars
@@ -349,12 +346,9 @@ class Solver:
     def solve(self) -> bool:
         """Run to completion: True = satisfying assignment found (and the
         theory, if any, accepted it); False = clause database unsatisfiable.
-
-        Raises ResourceLimitError when the conflict budget runs out.
         """
         if not self.ok:
             return False
-        budget = self.max_conflicts
         while True:
             confl = self.propagate()
             if confl is not None:
@@ -366,11 +360,7 @@ class Solver:
                 learnt, bt = self.analyze(confl)
                 self.backtrack(bt)
                 self._assert_learnt(learnt)
-                self.var_inc /= self.decay
-                if budget is not None and self.conflicts + self.theory_clauses > budget:
-                    raise ResourceLimitError(
-                        f"conflict budget {budget} exhausted"
-                    )
+                self.var_inc /= _VAR_DECAY
                 continue
             if self.theory is not None:
                 tc = self.theory(self)
@@ -379,10 +369,6 @@ class Solver:
                     if not self._add_theory_clause(list(tc)):
                         self.ok = False
                         return False
-                    if budget is not None and self.conflicts + self.theory_clauses > budget:
-                        raise ResourceLimitError(
-                            f"conflict budget {budget} exhausted"
-                        )
                     continue
             if len(self.trail) == self.nvars:
                 return True

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .candidates import generate_candidates
 from .diophantine import signed_rowsums
-from .equiv import canonical_form, dedup
+from .equiv import canonical_forms, dedup
 from .errors import GoodmatError, InvalidInputError, ParseError
 from .matching import match_quadruples
 from .pipeline import (
@@ -40,7 +40,7 @@ from .pipeline import (
     solution_digest,
 )
 from .satsearch import build_instance, export_dimacs
-from .seqcore import format_int_row, format_row, read_quads, write_quads
+from .seqcore import format_int_row, read_quads, write_quads
 
 
 def main() -> None:
@@ -253,10 +253,7 @@ def _cmd_hadamard(args) -> int:
         print(f"quad {idx}: skew Hadamard matrix of order {h.shape[0]} verified")
     if args.out is not None:
         with open(args.out, "w") as fp:
-            for h in matrices:
-                for row in h:
-                    fp.write(format_row(row) + "\n")
-                fp.write("\n")
+            write_quads(fp, matrices)  # one block of 4n ± rows per matrix
         print(f"wrote {args.out}")
     return 0
 
@@ -287,15 +284,19 @@ def _cmd_report(args) -> int:
         return 2
     n = orders.pop()
 
-    merged_quads = []
-    for path in sorted(args.dir.glob("solutions-*.rows")):
-        if path.name.endswith("-merged.rows"):
-            continue
-        with open(path) as fp:
-            merged_quads.extend(read_quads(fp))
-    canonical = dedup(merged_quads, canonical_form)
+    # each report's own rows file, whose classes must give the report's digest
+    classes, mismatched = [], []
+    for path, report in zip(report_paths, reports):
+        rows_path = path.with_name(f"solutions-{path.stem.removeprefix('report-')}.rows")
+        with open(rows_path) as fp:  # a missing file: OSError, exit 2
+            own = dedup(canonical_forms(read_quads(fp)), lambda c: c)
+        if solution_digest(own) != report.digest:
+            mismatched.append(rows_path.name)
+        classes.extend(own)
+    canonical = dedup(classes, lambda c: c)
 
-    gap = _coverage_gap(reports)
+    gap = (f"{', '.join(mismatched)} does not match its report's digest" if mismatched
+           else _coverage_gap(reports))
     covered = gap is None
 
     merged = SearchReport(

@@ -25,8 +25,8 @@ u mod m, and conversely every unit mod m lifts to one mod n (m | n), so
 acting with all units mod m is exactly the induced action, not a proxy.
 The compressed canonical form compares A′ first, and reorders leave A′
 alone, so its A′ is the minimum of A′'s orbit under the units: matching may
-skip every A′ that is not (orbit_minimal_rows), since the canonical quad of
-each class keeps its place in S_q.
+skip every A′ that is not (orbit_minimal), since the canonical quad of each
+class keeps its place in S_q.
 
 The compressed stages work on integer row codes instead of tuples: the code
 of a row is the base-4 number whose digits, most significant first, are
@@ -138,7 +138,6 @@ class CanonicalQuad:
     """A defining quad that is the minimum of its full equivalence orbit."""
 
     quad: DefiningQuad
-    certified: bool = True
 
     def sort_key(self):
         return quad_key(self.quad)
@@ -233,21 +232,6 @@ def unit_images(codes: np.ndarray, m: int) -> np.ndarray:
     return (_code_digits(codes, m)[:, perms] @ _place_values(m)).T
 
 
-def orbit_minimal_rows(rows: Iterable[Row], m: int) -> frozenset[Row]:
-    """The length-m rows that are the minimum of their orbit under the index
-    maps j ↦ u·j mod m.
-
-    canonical_codes compares A′ first and reorders leave A′ alone, so the A′
-    of every canonical compressed quad is one of these rows; a set closed
-    under the units keeps every class's canonical quad when its A′ rows are
-    cut to these.
-    """
-    rows = list(rows)
-    codes = row_codes(np.array(rows, dtype=np.int64).reshape(len(rows), m))
-    keep = codes == unit_images(codes, m).min(axis=0)  # image 0 is the row itself
-    return frozenset(row for row, k in zip(rows, keep) if k)
-
-
 @lru_cache(maxsize=None)
 def compression_units(n: int) -> tuple[int, ...]:
     """The units u modulo n = 3m with u ≡ 1 (mod m), 1 first: 3 of them
@@ -262,16 +246,33 @@ def compression_units(n: int) -> tuple[int, ...]:
     return tuple(u for u in units(n) if (u - 1) % m == 0)
 
 
-def compression_minimal(rows: np.ndarray) -> np.ndarray:
-    """Which rows of an (N × n) ±1 array are the minimum, in row_key order,
-    of their orbit under the index maps j ↦ u·j mod n of compression_units,
-    as a bool mask.  A row compares with each image at their first differing
-    entry; row_key puts +1 first there."""
-    n = rows.shape[1]
+def orbit_minimal(rows: np.ndarray, multipliers: Sequence[int]) -> np.ndarray:
+    """Which rows of an (N × L) integer array are the minimum, in row_key
+    order, of their orbit under the index maps j ↦ u·j mod L for u in
+    multipliers (a group of units mod L), as a bool mask.  A row compares
+    with each image at their first differing entry, where row_key puts the
+    larger entry first.
+
+    Both cuts of the search use it, and both are exact:
+
+      * prepare_instances passes the compressed A′ rows and units(m).
+        canonical_codes compares A′ first and reorders leave A′ alone, so
+        the A′ of every canonical compressed quad is orbit-minimal; S_q is
+        closed under the units, so cutting its A′ rows to these keeps every
+        class's canonical quad.
+      * uncompress_all passes the full A preimages and compression_units(n).
+        Each such u maps every quad of an instance to a quad of the same
+        instance and canonical_form class, and the row bound and the pair
+        screen decide both alike (u permutes the PSD planes k ≢ 0 (mod 3)).
+        So every orbit of an instance's quads keeps a member whose A is
+        orbit-minimal.
+    """
+    rows = np.asarray(rows)
+    length = rows.shape[1]
     at = np.arange(len(rows))
     keep = np.ones(len(rows), dtype=bool)
-    for u in compression_units(n)[1:]:
-        image = rows[:, (u * np.arange(n)) % n]
+    for u in multipliers:
+        image = rows[:, (u * np.arange(length)) % length]
         first = (image != rows).argmax(axis=1)  # 0 for a row the map fixes
         keep &= rows[at, first] >= image[at, first]
     return keep

@@ -31,20 +31,3 @@ class InfeasibleInstanceError(GoodmatError):
 
 class ConstructionError(GoodmatError):
     """A matrix construction failed its exact verification (soundness bug)."""
-
-
-class ResourceLimitError(GoodmatError):
-    """A configured resource budget was exhausted."""
-
-
-class PartialResultError(ResourceLimitError):
-    """A budget ran out mid-search; carries whatever was found so far.
-
-    The partial results are never silently presented as exhaustive: callers
-    receive them only through this exception.
-    """
-
-    def __init__(self, message: str, solutions=None, report=None):
-        super().__init__(message)
-        self.solutions = list(solutions) if solutions is not None else []
-        self.report = report

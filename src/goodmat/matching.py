@@ -7,8 +7,9 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-the quad join — pair screen (_screen_pairs), then packed-key join and exact
-PAF confirmation (_join_pairs) — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆
+the quad join — one join_table per side (plane-major PSD, PAF table, packed
+keys), the pair screen (_screen_pairs), then packed-key join and exact PAF
+confirmation (_join_pairs) — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆
 s_sy × s_sy, partitioned by rowsum: only the partitions with
 r_B ≤ r_C ≤ r_D that can meet the k = 0 identity are paired at all, and
 that identity still confirms every hit.
@@ -16,10 +17,11 @@ Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed und
 permuting them; match_codes emits one arrangement of each quad, and
 all_arrangements expands these to S_q.  Quads are kept as rows of
 integer codes (equiv's row code), whose lexicographic order is quad_key
-order, so one unique_rows yields the sorted set.  Uncompression runs the
-same screen and join on the full-length preimages of a batch of instances,
-slices of one preimage table per run, and tags each pair with its instance
-(_join_pairs' owners).
+order, so one unique_rows yields the sorted set.  Uncompression builds its
+preimage tables with the same join_table and runs the same screen and join
+on the full-length preimages of a batch of instances, slices of one
+preimage table per run, and tags each pair with its instance (_join_pairs'
+owners).
 
 The pair screen (_screen_pairs) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
@@ -51,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .candidates import CandidateSets
+from .candidates import _ROW_BLOCK, CandidateSets
 from .equiv import decode_quads, row_codes, row_key, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
@@ -121,14 +123,12 @@ def match_codes(
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
     sy_arr = np.array(sorted(cands.s_sy, key=row_key), dtype=np.int64)  # code order
     code_sk, code_sy = row_codes(sk_arr), row_codes(sy_arr)
-    paf_sk, paf_sy = paf_matrix(sk_arr), paf_matrix(sy_arr)
-    paf_bound = max(paf_sk[:, 0].max(), paf_sy[:, 0].max())  # ≥ |PAF(k)| by Cauchy–Schwarz
-    # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i];
-    # plane-major, planes k ≥ 1
-    psd_sk = np.ascontiguousarray(mirror_psd(sk_arr, skew=True).T[1:])
-    psd_sy = np.ascontiguousarray(mirror_psd(sy_arr, skew=False).T[1:])
-    sk = (paf_sk, packed_keys(paf_sk, paf_bound))
-    sy = (paf_sy, packed_keys(paf_sy, paf_bound))
+    # the largest PAF(0) = Σ e² of either table: ≥ |PAF(k)| by Cauchy–Schwarz
+    paf_bound = max(int((rows * rows).sum(axis=1).max()) for rows in (sk_arr, sy_arr))
+    # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
+    planes = np.arange(1, cands.m // 2 + 1)
+    psd_sk, *sk = join_table(sk_arr, True, planes, paf_bound)
+    psd_sy, *sy = join_table(sy_arr, False, planes, paf_bound)
     bound = 4 * n + EPS if pair_filter else np.inf
 
     rs_sy = sy_arr.sum(axis=1)
@@ -154,6 +154,31 @@ def match_codes(
         ok &= (rs_sy[jb] < rs_sy[ic]) | (b <= c)
         found.append(np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1))
     return unique_rows(np.concatenate(found))
+
+
+def join_table(
+    rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the quad join reads of an (N × L) array of skew (or symmetric)
+    mirror rows, filled in blocks of _ROW_BLOCK rows: the plane-major PSD on
+    planes (one line per k of planes, for _screen_pairs), the int16 PAF table
+    (columns k = 0..⌊L/2⌋) and the packed PAF keys with bound (packed_keys;
+    one _join_pairs side is the table and the keys).
+
+    Matching passes planes k ≥ 1 and the largest PAF(0) of its two tables,
+    uncompression planes k ≢ 0 (mod 3) and PAF(0) = n.  int16 holds every
+    PAF value, and every sum of four, of rows with entries in ±1, ±3 and
+    length at most 93.
+    """
+    psd = np.empty((len(planes), len(rows)))
+    paf = np.empty((len(rows), rows.shape[1] // 2 + 1), dtype=np.int16)
+    keys = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
+        paf[block] = paf_matrix(rows[block].astype(np.int16))
+        keys[block] = packed_keys(paf[block], bound)
+    return psd, paf, keys
 
 
 def _join_pairs(

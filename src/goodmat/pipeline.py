@@ -35,6 +35,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,8 +48,9 @@ from .equiv import (
     canonical_forms,
     decode_quads,
     dedup,
-    orbit_minimal_rows,
+    orbit_minimal,
     unique_rows,
+    units,
 )
 from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
 from .matching import all_arrangements, match_codes
@@ -60,6 +62,7 @@ from .seqcore import (
     iter_halves,
     make_skew,
     make_symmetric,
+    write_quads,
 )
 from .spectral import paf_certificate, paf_vector
 from .uncompress import uncompress_all
@@ -170,7 +173,7 @@ class SearchReport:
             stage_seconds=dict(data.get("stage_seconds", {})),
             solver_stats=dict(data.get("solver_stats", {})),
             shard=tuple(data["shard"]) if data.get("shard") else None,
-            exhaustive=data.get("exhaustive", True),
+            exhaustive=data.get("exhaustive", False),
             digest=data.get("digest", ""),
             instances_fingerprint=data.get("instances_fingerprint", ""),
             schema_version=data.get("schema_version", REPORT_SCHEMA_VERSION),
@@ -179,23 +182,19 @@ class SearchReport:
 
 def solution_digest(quads: Sequence[CanonicalQuad]) -> str:
     """SHA-256 of the sorted canonical row file — the auditable fingerprint."""
-    buf = io.StringIO()
-    for cq in quads:
-        for row in cq.quad.rows():
-            buf.write(format_row(row) + "\n")
-        buf.write("\n")
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return _rows_digest((cq.quad for cq in quads), format_row)
 
 
 def instances_fingerprint(instances: Sequence[CompressedQuad]) -> str:
-    """SHA-256 of the sorted instance list: one row per line as comma-separated
-    integers, a blank line after each quad."""
-    h = hashlib.sha256()
-    for quad in sorted(instances):
-        for row in quad.rows():
-            h.update(format_int_row(row).encode() + b"\n")
-        h.update(b"\n")
-    return h.hexdigest()
+    """SHA-256 of the sorted instance list, written as write_quads writes
+    compressed rows: comma-separated integers, a blank line after each quad."""
+    return _rows_digest(sorted(instances), format_int_row)
+
+
+def _rows_digest(quads, fmt: Callable) -> str:
+    buf = io.StringIO()
+    write_quads(buf, quads, fmt=fmt)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 def _validate_order(n: int, allow_large: bool) -> None:
@@ -218,8 +217,8 @@ def prepare_instances(
 
     With dedup_instances, matching gets only the A′ rows that are the minimum
     of their orbit under j ↦ u·j mod m.  S_q is closed under the compressed
-    group, so by equiv.orbit_minimal_rows every class's canonical quad is
-    still matched and the dedup returns the same instances.  match_codes
+    group, so by equiv.orbit_minimal every class's canonical quad is still
+    matched and the dedup returns the same instances.  match_codes
     returns one (B′, C′, D′) arrangement per quad, which canonical_codes maps
     to the same class as every other.  The returned candidate sets are the
     full ones.  Without dedup the instances are the whole sorted S_q, every
@@ -243,7 +242,9 @@ def prepare_instances(
     t0 = time.perf_counter()
     matched = cands
     if filters.dedup_instances:
-        matched = replace(cands, s_sk=orbit_minimal_rows(cands.s_sk, cands.m))
+        sk = list(cands.s_sk)
+        minimal = orbit_minimal(np.array(sk).reshape(len(sk), cands.m), units(cands.m))
+        matched = replace(cands, s_sk=frozenset(compress(sk, minimal)))
     s_q = match_codes(matched, n, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 

@@ -44,14 +44,7 @@ import numpy as np
 
 from .cdcl import Solver
 from .equiv import canonical_form
-from .errors import (
-    InfeasibleInstanceError,
-    InternalError,
-    InvalidInputError,
-    ParseError,
-    PartialResultError,
-    ResourceLimitError,
-)
+from .errors import InfeasibleInstanceError, InternalError, InvalidInputError, ParseError
 from .seqcore import CompressedQuad, DefiningQuad, compress3
 from .spectral import EPS, paf_certificate, psd_values
 
@@ -67,14 +60,12 @@ def var_id(row: int, i: int, d: int) -> int:
     return row * (d + 1) + i + 1
 
 
-def fold_index(row: int | str, j: int, n: int) -> tuple[int, int]:
-    """Map entry index j to its variable index and polarity.
+def fold_index(row: int, j: int, n: int) -> tuple[int, int]:
+    """Map entry index j of row 0..3 to its variable index and polarity.
 
     Returns (i, s) with x_j = s · x_i and i ≤ ⌊n/2⌋: indices beyond n/2 fold
     via a_j = −a_{n−j} for the skew row and x_j = x_{n−j} for symmetric rows.
     """
-    if isinstance(row, str):
-        row = ROW_LABELS.index(row)
     j %= n
     d = n // 2
     if j <= d:
@@ -196,20 +187,6 @@ def build_instance(cq: CompressedQuad, *, parity: bool = True) -> CnfInstance:
 
 # ── the theory callback ─────────────────────────────────────────────────────
 
-class Assignment:
-    """Tri-state view of variable values: True / False / None (unassigned)."""
-
-    def __init__(self, lookup: Callable[[int], Optional[bool]]):
-        self._lookup = lookup
-
-    @classmethod
-    def from_values(cls, values: dict[int, bool]) -> "Assignment":
-        return cls(values.get)
-
-    def value(self, var: int) -> Optional[bool]:
-        return self._lookup(var)
-
-
 @dataclass(frozen=True)
 class LearnedClause:
     """A theory clause plus the reason it was produced."""
@@ -313,33 +290,6 @@ def _negation_clause(
     return LearnedClause(tuple(lits), origin or f"psd_prefix_{len(rows)}")
 
 
-def psd_callback(
-    assignment: Assignment,
-    instance: CnfInstance,
-    *,
-    record: Optional[Callable[[DefiningQuad], None]] = None,
-    prefix_checks: bool = True,
-    cache: Optional[_ProfileCache] = None,
-) -> Optional[LearnedClause]:
-    """The theory check on an arbitrary Assignment (None = no conflict)."""
-    d = instance.d
-    row_values: list[Optional[tuple[int, ...]]] = []
-    for r in range(4):
-        vals = []
-        for i in range(d + 1):
-            b = assignment.value(var_id(r, i, d))
-            if b is None:
-                vals = None
-                break
-            vals.append(1 if b else -1)
-        row_values.append(tuple(vals) if vals is not None else None)
-    if cache is None:
-        cache = _ProfileCache(instance.n, instance.d)
-    bound = 4 * instance.n + EPS if prefix_checks else np.inf
-    clause, _ = _callback_core(row_values, instance, bound=bound, record=record, cache=cache)
-    return clause
-
-
 class UncompressionTheory:
     """Solver-facing adapter: fast value extraction + audit trail."""
 
@@ -393,7 +343,6 @@ def solve_all(
     instance: CnfInstance,
     *,
     seed: int = 0,
-    max_conflicts: Optional[int] = None,
     prefix_checks: bool = True,
     audit: Optional[list[AuditRecord]] = None,
 ) -> list[DefiningQuad]:
@@ -401,26 +350,13 @@ def solve_all(
 
     Every certified raw model is recorded on instance.solutions (several raw
     models may be equivalent quads); the return value keeps the first model
-    of each class.  A conflict budget overrun raises PartialResultError
-    carrying the classes found so far — partial results are never returned
-    as if exhaustive.
+    of each class.
     """
     raw: list[DefiningQuad] = []
     bound = 4 * instance.n + EPS if prefix_checks else np.inf
     theory = UncompressionTheory(instance, bound=bound, sink=raw.append, audit=audit)
-    solver = Solver(
-        instance.num_vars, instance.clauses,
-        seed=seed, theory=theory, max_conflicts=max_conflicts,
-    )
-    try:
-        sat = solver.solve()
-    except ResourceLimitError as exc:
-        instance.solutions.extend(raw)
-        raise PartialResultError(
-            f"instance for {instance.source} hit its conflict budget",
-            solutions=_first_per_class(raw),
-        ) from exc
-    if sat:
+    solver = Solver(instance.num_vars, instance.clauses, seed=seed, theory=theory)
+    if solver.solve():
         raise InternalError("the blocking theory must reject every full assignment")
     instance.solutions.extend(raw)
     instance.stats = {
@@ -447,27 +383,15 @@ def _first_per_class(raw: Sequence[DefiningQuad]) -> list[DefiningQuad]:
 
 # ── DIMACS export / import ──────────────────────────────────────────────────
 
-def export_dimacs(instance: CnfInstance, include_solution_blocking: bool = False) -> str:
+def export_dimacs(instance: CnfInstance) -> str:
     """Standard CNF text for the clause part of the instance.
 
     The PSD callback is not expressible in CNF, so exported instances
     over-approximate the search: external models must be cross-checked
-    against recorded solutions / the PAF certificate.  With
-    include_solution_blocking, a blocking clause per recorded raw model is
-    appended (useful for "no further models" checks with external solvers).
+    against recorded solutions / the PAF certificate.
     """
-    clauses: list[Clause] = list(instance.clauses)
-    if include_solution_blocking:
-        d = instance.d
-        for quad in instance.solutions:
-            lits = []
-            for r, row in enumerate(quad.rows()):
-                for i in range(1, d + 1):
-                    var = var_id(r, i, d)
-                    lits.append(-var if row[i] == 1 else var)
-            clauses.append(tuple(lits))
-    lines = [f"p cnf {instance.num_vars} {len(clauses)}"]
-    lines += [" ".join(map(str, c)) + " 0" for c in clauses]
+    lines = [f"p cnf {instance.num_vars} {len(instance.clauses)}"]
+    lines += [" ".join(map(str, c)) + " 0" for c in instance.clauses]
     return "\n".join(lines) + "\n"
 
 

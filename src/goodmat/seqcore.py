@@ -179,8 +179,10 @@ def format_int_row(x: Sequence[int]) -> str:
 
 
 def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = format_row) -> None:
-    """Quads serialized as four consecutive lines A, B, C, D + a blank line;
-    fmt renders one row (±-strings by default)."""
+    """The one writer of the blank-line block format: each quad as four
+    consecutive lines A, B, C, D and a blank line (any block of rows, such
+    as a matrix, the same way); fmt renders one row (±-strings by default).
+    Row files, solution digests and instance fingerprints all come from it."""
     for quad in quads:
         for row in quad:
             fp.write(fmt(row) + "\n")

@@ -4,18 +4,19 @@ one quad per orbit of the index maps that fix every compressed row.
 This is the compression/uncompression scheme of Đoković and Kotsireas
 (Compression of periodic complementary sequences and applications, Des.
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
-(_screen_pairs and _join_pairs) — one join at two lengths:
+(join_table, _screen_pairs and _join_pairs) — one join at two lengths:
 
   (i)   enumerate the preimages of compressed rows directly, with the
         candidate sweep's mixed-radix enumerator (candidates._preimage_rows);
   (ii)  build one preimage table per skewness for all the distinct
         compressed rows of a run (preimage_table), in blocks of
         _ROW_BLOCK rows: keep the rows inside the row PSD bound (a float
-        filter) and store each kept row with its PSD, PAF table and packed
-        PAF key (PAF(0) = n bounds every other PAF value of a ±1 row), in
-        CSR form — row r's preimages are lines offsets[r]..offsets[r+1] of
-        flat arrays.  The A table keeps only the rows that are the minimum
-        of their orbit under equiv.compression_units;
+        filter) and store each kept row with its join_table columns — PSD,
+        PAF table and packed PAF key (PAF(0) = n bounds every other PAF
+        value of a ±1 row) — in CSR form: row r's preimages are lines
+        offsets[r]..offsets[r+1] of flat arrays.  The A table keeps only
+        the rows that are equiv.orbit_minimal under
+        equiv.compression_units(n), whose docstring says why that is exact;
   (iii) screen the ordered A×B and C×D products of each instance's four
         table slices, and join the screened pairs of a batch of consecutive
         instances at once, dropping the hits across instances.  Every quad
@@ -28,15 +29,9 @@ PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
 screen has already bounded those sums; dropping them keeps every pair the
 full profile keeps.  The row filter reads every plane.  uncompress_all turns
 each disabled filter into the bound +inf, which every row and pair meets.
-
-Why the A cut is exact: each u ∈ H = compression_units(n) maps every quad
-of an instance to a quad of the same instance and canonical_form class, and
-the row bound and the pair screen decide both alike (u permutes the PSD
-planes k ≢ 0 (mod 3)).  So every H-orbit of an instance's quads keeps a
-member whose A is H-minimal, and the quads found are exactly the certified
-models of the instance's SAT encoding (satsearch, kept as the reference and
-for DIMACS export) whose A is H-minimal.  C×D is the ordered product even
-when C′ = D′.
+The quads found are exactly the certified models of the instance's SAT
+encoding (satsearch, kept as the reference and for DIMACS export) whose A
+is orbit-minimal.  C×D is the ordered product even when C′ = D′.
 """
 
 from __future__ import annotations
@@ -46,12 +41,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .candidates import _ROW_BLOCK, _layout, _preimage_blocks
+from .candidates import _layout, _preimage_blocks
 from .errors import InternalError
-from .equiv import compression_minimal
-from .matching import _join_pairs, _screen_pairs, packed_keys, paf_matrix
+from .equiv import compression_units, orbit_minimal
+from .matching import _join_pairs, _screen_pairs, join_table
 from .seqcore import CompressedQuad, DefiningQuad
-from .spectral import EPS, mirror_psd, paf_sums
+from .spectral import EPS, paf_sums
 
 
 #: The summed A×B and C×D preimage products of the instances joined at once;
@@ -108,15 +103,8 @@ def _complete(kept: np.ndarray, rows: np.ndarray, skew: bool) -> PreimageTable:
     """preimage_table's second pass: the PSD, PAF and key columns of rows."""
     n = rows.shape[1]
     planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
-    psd = np.empty((len(planes), len(rows)))
-    paf = np.empty((len(rows), n // 2 + 1), dtype=np.int16)
-    keys = np.empty(len(rows), dtype=np.int64)
-    for lo in range(0, len(rows), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
-        paf[block] = paf_matrix(rows[block].astype(np.int16))  # |PAF(k)| ≤ PAF(0) = n
-        keys[block] = packed_keys(paf[block], n)
-    return PreimageTable(np.concatenate([[0], np.cumsum(kept)]), rows, psd, paf, keys)
+    return PreimageTable(np.concatenate([[0], np.cumsum(kept)]), rows,
+                         *join_table(rows, skew, planes, n))  # |PAF(k)| ≤ PAF(0) = n
 
 
 def uncompress_all(
@@ -125,9 +113,10 @@ def uncompress_all(
     row_filter: bool = True,
     pair_filter: bool = True,
 ) -> tuple[list[list[DefiningQuad]], dict[str, int]]:
-    """The certified quads of each instance whose A is compression_minimal,
-    from one preimage table per skewness over the distinct compressed rows
-    of all instances (the A table cut to those rows before its second pass).
+    """The certified quads of each instance whose A is orbit_minimal under
+    compression_units, from one preimage table per skewness over the
+    distinct compressed rows of all instances (the A table cut to those
+    rows before its second pass).
 
     Each instance's A×B and C×D pairs are screened on their own and tagged
     with it; consecutive instances whose pair products sum to about
@@ -148,7 +137,7 @@ def uncompress_all(
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
     kept, rows = _kept_preimages(sk, True, row_bound)
-    minimal = compression_minimal(rows)
+    minimal = orbit_minimal(rows, compression_units(n))
     owner = np.repeat(np.arange(len(sk)), kept)[minimal]
     table_a = _complete(np.bincount(owner, minlength=len(sk)), rows[minimal], True)
     del rows

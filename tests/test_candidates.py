@@ -48,7 +48,7 @@ def test_matches_pure_python_oracle(n):
     want_sk, want_sy = oracle_candidates(n, rowsums)
     assert got.s_sk == want_sk
     assert got.s_sy == want_sy
-    assert (got.n, got.m, got.d) == (n, n // 3, n // 2)
+    assert (got.n, got.m) == (n, n // 3)
 
 
 def test_frozen_counts_n9_n15():

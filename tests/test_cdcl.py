@@ -3,7 +3,7 @@
 The solver is the engine under the enumeration, so it gets adversarial
 coverage: random CNFs checked for SAT/UNSAT agreement and model validity,
 full model enumeration through a blocking theory, pigeonhole instances,
-budget behavior, and theory-clause edge cases.
+and theory-clause edge cases.
 """
 
 import itertools
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from goodmat.cdcl import Solver, luby
-from goodmat.errors import ResourceLimitError
 
 
 def random_cnf(rng, nvars, nclauses, width=3):
@@ -101,12 +100,6 @@ def test_pigeonhole_unsat(holes):
     assert not Solver(nvars, cnf, seed=7).solve()
 
 
-def test_budget_raises_resource_limit():
-    nvars, cnf = pigeonhole(6)
-    with pytest.raises(ResourceLimitError):
-        Solver(nvars, cnf, max_conflicts=20).solve()
-
-
 def test_seeds_agree_on_satisfiability():
     rng = random.Random(99)
     nvars = 9
@@ -167,15 +160,6 @@ def test_level_zero_theory_clause_is_unsat():
     solver = Solver(nvars, cnf, theory=theory)
     assert not solver.solve()
     assert theory.models == [(True, True, True)]
-
-
-def test_theory_budget_counts_theory_clauses():
-    nvars = 12
-    theory = BlockEverything(nvars)
-    solver = Solver(nvars, [], theory=theory, max_conflicts=50)
-    with pytest.raises(ResourceLimitError):
-        solver.solve()
-    assert len(theory.models) <= 51
 
 
 # ── determinism and statistics ───────────────────────────────────────────────

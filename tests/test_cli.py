@@ -165,8 +165,9 @@ def test_report_ignores_an_earlier_merge(tmp_path, capsys):
 def test_report_flags_a_duplicate_shard_index(tmp_path, capsys):
     for i in range(2):
         run(capsys, "solve", 15, "--shard", f"{i}/2", "--out", tmp_path)
-    shard0 = (tmp_path / "report-n15-shard0of2.json").read_text()
-    (tmp_path / "report-n15-shard0of2-rerun.json").write_text(shard0)
+    for kind, ext in (("report", "json"), ("solutions", "rows")):  # a rerun writes both
+        shard0 = (tmp_path / f"{kind}-n15-shard0of2.{ext}").read_text()
+        (tmp_path / f"{kind}-n15-shard0of2-rerun.{ext}").write_text(shard0)
     code, out, _ = run(capsys, "report", tmp_path)
     assert code == 0
     assert "merged 3 reports" in out
@@ -218,6 +219,50 @@ def test_report_flags_a_shard_without_fingerprint(tmp_path, capsys):
     assert "INCOMPLETE (a report without an instance fingerprint)" in out
     merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
     assert not merged.exhaustive
+
+
+def test_report_ignores_a_stray_rows_file(tmp_path, capsys):
+    # a rows file without a report of its own is not part of the merge
+    run(capsys, "enumerate", 15, "--out", tmp_path)
+    _, whole = pipeline.enumerate_good_matrices(15)
+    stray = tmp_path / "stray"
+    run(capsys, "enumerate", 9, "--out", stray)
+    (stray / "solutions-n9.rows").rename(tmp_path / "solutions-n9.rows")
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0 and "coverage complete" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert merged.exhaustive and merged.inequivalent_count == 11
+    assert merged.digest == whole.digest
+
+
+def test_report_exits_2_on_a_missing_rows_file(tmp_path, capsys):
+    run(capsys, "enumerate", 15, "--out", tmp_path)
+    (tmp_path / "solutions-n15.rows").unlink()
+    code, _, err = run(capsys, "report", tmp_path)
+    assert code == 2 and "solutions-n15.rows" in err
+    assert not (tmp_path / "report-n15-merged.json").exists()
+
+
+def test_report_flags_a_rows_file_that_is_not_its_reports(tmp_path, capsys):
+    for i in range(2):
+        run(capsys, "solve", 15, "--shard", f"{i}/2", "--out", tmp_path)
+    path = tmp_path / "solutions-n15-shard1of2.rows"
+    with open(path) as fp:
+        quads = read_quads(fp)
+    with open(path, "w") as fp:
+        write_quads(fp, quads[1:])  # one class lost after the run
+    code, out, _ = run(capsys, "report", tmp_path)
+    assert code == 0
+    assert "INCOMPLETE (solutions-n15-shard1of2.rows does not match its report's digest)" in out
+    merged = SearchReport.from_json((tmp_path / "report-n15-merged.json").read_text())
+    assert not merged.exhaustive and merged.inequivalent_count == 10
+
+
+def test_a_report_without_exhaustive_reads_as_not_exhaustive():
+    data = json.loads(pipeline.SearchReport(n=9, wall_time_s=0.0, instance_count=2,
+                                            solutions_found=1, inequivalent_count=1).to_json())
+    del data["exhaustive"]
+    assert not SearchReport.from_json(json.dumps(data)).exhaustive
 
 
 def test_search_prepares_instances_once(tmp_path, capsys, monkeypatch):

@@ -17,13 +17,12 @@ from goodmat.equiv import (
     canonical_compressed,
     canonical_form,
     canonical_forms,
-    compression_minimal,
     compression_units,
     decode_quads,
     dedup,
     negate_row,
     normalize_signs_and_order,
-    orbit_minimal_rows,
+    orbit_minimal,
     permute_row,
     quad_key,
     row_codes,
@@ -42,7 +41,7 @@ from goodmat.seqcore import (
     make_skew,
     make_symmetric,
 )
-from goodmat.spectral import paf_vector
+from goodmat.spectral import paf_certificate, paf_vector
 
 
 # ── ordering convention: +1 before −1 ────────────────────────────────────────
@@ -137,7 +136,7 @@ def test_canonical_form_orbit_invariance(known27, data):
 def test_canonical_form_idempotent(known27):
     canon = canonical_form(known27)
     assert canonical_form(canon.quad) == canon
-    assert isinstance(canon, CanonicalQuad) and canon.certified
+    assert isinstance(canon, CanonicalQuad) and paf_certificate(canon.quad)
 
 
 def test_canonical_forms_distinguish_classes(known3, known27, known57):
@@ -164,7 +163,8 @@ def test_canonical_forms_equal_the_orbit_minimum(data):
                                min_size=1, max_size=6), label="quads")
     got = canonical_forms(quads)
     assert [c.quad for c in got] == [full_orbit_minimum(q) for q in quads]
-    assert all(isinstance(c, CanonicalQuad) and c.certified for c in got)
+    assert all(isinstance(c, CanonicalQuad) for c in got)
+    assert [paf_certificate(c.quad) for c in got] == [paf_certificate(q) for q in quads]
     assert [canonical_form(q) for q in quads] == got
 
 
@@ -239,8 +239,9 @@ def test_orbit_minimal_rows_are_their_orbit_minimum(data):
     m = data.draw(st.sampled_from((1, 3, 5, 7, 9, 11, 13)))
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from((3, 1, -1, -3))] * m),
                               max_size=8))
-    want = {r for r in rows if r == min((permute_row(r, u) for u in units(m)), key=row_key)}
-    assert orbit_minimal_rows(rows, m) == want
+    want = [r == min((permute_row(r, u) for u in units(m)), key=row_key) for r in rows]
+    got = orbit_minimal(np.array(rows, dtype=np.int64).reshape(len(rows), m), units(m))
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("n", [3, 9, 15, 21])
@@ -272,7 +273,7 @@ def test_compression_minimal_rows_are_their_orbit_minimum(data):
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from((1, -1))] * n), max_size=8))
     want = [r == min((permute_row(r, u) for u in compression_units(n)), key=row_key)
             for r in rows]
-    got = compression_minimal(np.array(rows, dtype=np.int8).reshape(len(rows), n))
+    got = orbit_minimal(np.array(rows, dtype=np.int8).reshape(len(rows), n), compression_units(n))
     assert got.tolist() == want
 
 
@@ -281,7 +282,9 @@ def test_canonical_quads_have_orbit_minimal_a(n):
     # what lets prepare_instances match only orbit-minimal A′ rows
     cands = generate_candidates(n, signed_rowsums(n))
     a = {q.ac for q in decode_quads(canonical_codes(match_codes(cands, n), n // 3), n // 3)}
-    assert a and a <= orbit_minimal_rows(cands.s_sk, n // 3)
+    sk = sorted(cands.s_sk)
+    minimal = orbit_minimal(np.array(sk), units(n // 3))
+    assert a and a <= {row for row, keep in zip(sk, minimal) if keep}
 
 
 code_arrays = st.one_of(

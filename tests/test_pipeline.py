@@ -25,6 +25,7 @@ from goodmat.pipeline import (
     verify_definition,
 )
 from goodmat.seqcore import DefiningQuad
+from goodmat.spectral import paf_certificate
 
 
 # ── matrix-level verification ────────────────────────────────────────────────
@@ -108,7 +109,7 @@ def test_oracle_certificate_failure_raises_internal_error(monkeypatch):
 
 def test_oracle_results_are_certified():
     for canon in brute_force_oracle(9):
-        assert canon.certified
+        assert paf_certificate(canon.quad)
         assert verify_definition(canon.quad)
 
 

@@ -16,29 +16,25 @@ from goodmat.candidates import generate_candidates
 from goodmat.cdcl import Solver
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_form
-from goodmat.errors import (
-    InfeasibleInstanceError,
-    InvalidInputError,
-    ParseError,
-    PartialResultError,
-)
+from goodmat.errors import InfeasibleInstanceError, InvalidInputError, ParseError
 from goodmat.matching import match_quadruples
 from goodmat.pipeline import product_rule_holds
 from goodmat.satsearch import (
-    Assignment,
     CnfInstance,
     UncompressionTheory,
+    _callback_core,
+    _ProfileCache,
     build_instance,
     encode_compression,
     encode_parity,
     export_dimacs,
     fold_index,
     parse_dimacs,
-    psd_callback,
     solve_all,
     var_id,
 )
 from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3, make_skew, make_symmetric
+from goodmat.spectral import EPS, paf_certificate
 
 
 def instance_for(n, idx=0, parity=True):
@@ -81,8 +77,8 @@ def test_fold_index():
     assert fold_index(0, 3, n) == (3, 1)      # in range: identity
     assert fold_index(0, 5, n) == (4, -1)     # skew row: a_5 = -a_4
     assert fold_index(1, 5, n) == (4, 1)      # symmetric row: b_5 = b_4
-    assert fold_index("A", 8, n) == (1, -1)
-    assert fold_index("B", 8, n) == (1, 1)
+    assert fold_index(0, 8, n) == (1, -1)
+    assert fold_index(1, 8, n) == (1, 1)
     assert fold_index(2, 0, n) == (0, 1)
 
 
@@ -202,11 +198,24 @@ def test_build_instance_shape():
 
 # ── the PSD theory callback ──────────────────────────────────────────────────
 
+def callback(values, inst, record=None):
+    """The theory check on a partial assignment {var: bool}, through
+    _callback_core: a row is passed once all its variables are set."""
+    d = inst.d
+    rows = []
+    for r in range(4):
+        vals = [values.get(var_id(r, i, d)) for i in range(d + 1)]
+        rows.append(None if None in vals else tuple(1 if v else -1 for v in vals))
+    clause, _ = _callback_core(rows, inst, bound=4 * inst.n + EPS, record=record,
+                               cache=_ProfileCache(inst.n, d))
+    return clause
+
+
 def test_callback_flags_overshooting_row():
     inst = instance_for(9)
     d = inst.d
     values = {var_id(1, i, d): True for i in range(d + 1)}  # B ≡ all +1
-    clause = psd_callback(Assignment.from_values(values), inst)
+    clause = callback(values, inst)
     assert clause is not None
     assert clause.origin == "psd_prefix_1"
     b_free = [var_id(1, i, d) for i in range(1, d + 1)]
@@ -218,7 +227,7 @@ def test_callback_silent_on_partial_ok_assignment(known3):
     source = match_quadruples(cands, 3)[0]
     inst = build_instance(source)
     values = {var_id(0, i, 1, ): known3.a[i] == 1 for i in (0, 1)}
-    assert psd_callback(Assignment.from_values(values), inst) is None
+    assert callback(values, inst) is None
 
 
 def test_callback_blocks_and_records_certified_model(known3):
@@ -231,9 +240,7 @@ def test_callback_blocks_and_records_certified_model(known3):
         for i in range(d + 1)
     }
     seen = []
-    clause = psd_callback(
-        Assignment.from_values(values), inst, record=seen.append
-    )
+    clause = callback(values, inst, record=seen.append)
     assert seen == [known3]
     assert clause is not None and clause.origin == "blocking"
     # The clause must be falsified by the generating assignment...
@@ -250,7 +257,7 @@ def test_solve_all_n3():
     inst = instance_for(3)
     classes = solve_all(inst)
     assert len(classes) == 1
-    assert canonical_form(classes[0]).certified
+    assert paf_certificate(canonical_form(classes[0]).quad)
     assert inst.stats["raw_models"] == len(inst.solutions) >= 1
     assert inst.stats["theory_clauses"] >= inst.stats["raw_models"]
 
@@ -296,13 +303,6 @@ def test_solve_all_prefix_checks_off_same_classes():
     assert on == off
 
 
-def test_solve_all_budget_raises_partial():
-    inst = instance_for(15, idx=1)
-    with pytest.raises(PartialResultError) as exc:
-        solve_all(inst, max_conflicts=0)
-    assert isinstance(exc.value.solutions, list)
-
-
 def test_audit_records_are_sound():
     inst = instance_for(15, idx=4)
     audit = []
@@ -323,14 +323,6 @@ def test_dimacs_round_trip():
     assert nvars == inst.num_vars
     assert sorted(clauses) == sorted(inst.clauses)
     assert text.splitlines()[0] == f"p cnf {inst.num_vars} {len(inst.clauses)}"
-
-
-def test_dimacs_solution_blocking():
-    inst = instance_for(3)
-    solve_all(inst)
-    base = parse_dimacs(export_dimacs(inst))[1]
-    blocked = parse_dimacs(export_dimacs(inst, include_solution_blocking=True))[1]
-    assert len(blocked) == len(base) + len(inst.solutions)
 
 
 def test_dimacs_cross_solver_check():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from goodmat import matching
 from goodmat import uncompress as uncompress_module
 from goodmat.equiv import (
     apply_automorphism,
@@ -166,7 +167,7 @@ def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
     # the pairs of other instances included, which must never reach the output.
     instances = prepare_instances(15)[0]
     want, stats = uncompress_all(instances)
-    monkeypatch.setattr(uncompress_module, "packed_keys",
+    monkeypatch.setattr(matching, "packed_keys",
                         lambda paf, bound: np.zeros(len(paf), dtype=np.int64))
     mixed = []
 
