@@ -29,6 +29,8 @@ def main() -> int:
                         help="include n = 33, 39 (about 20 s on one core)")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     expected = dict(EXPECTED)
     if args.stretch:

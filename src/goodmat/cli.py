@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -211,7 +212,7 @@ def _cmd_search(args) -> int:
     with open(rows_path, "w") as fp:
         write_quads(fp, (cq.quad for cq in quads))
     report_path = out / f"report-{tag}.json"
-    report_path.write_text(report.to_json())
+    _write_report(report_path, report)
     print(f"n={args.n}: instances={report.instance_count} "
           f"solutions={report.solutions_found} inequivalent={report.inequivalent_count}")
     print(f"wrote {rows_path}")
@@ -277,7 +278,12 @@ def _cmd_report(args) -> int:
     if not report_paths:
         print(f"error: no report-*.json files in {args.dir}", file=sys.stderr)
         return 2
-    reports = [SearchReport.from_json(p.read_text()) for p in report_paths]
+    reports = []
+    for path in report_paths:
+        try:
+            reports.append(SearchReport.from_json(path.read_text()))
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     orders = {r.n for r in reports}
     if len(orders) != 1:
         print(f"error: mixed orders in {args.dir}: {sorted(orders)}", file=sys.stderr)
@@ -307,7 +313,6 @@ def _cmd_report(args) -> int:
         inequivalent_count=len(canonical),
         stage_seconds=_sum_counts([r.stage_seconds for r in reports]),
         solver_stats=_sum_counts([r.solver_stats for r in reports]),
-        shard=None,
         exhaustive=covered,
         digest=solution_digest(canonical),
         instances_fingerprint=reports[0].instances_fingerprint if covered else "",
@@ -316,13 +321,20 @@ def _cmd_report(args) -> int:
     with open(rows_path, "w") as fp:
         write_quads(fp, (cq.quad for cq in canonical))
     report_path = args.dir / f"report-n{n}-merged.json"
-    report_path.write_text(merged.to_json())
+    _write_report(report_path, merged)
     coverage = "complete" if covered else f"INCOMPLETE ({gap})"
     print(f"merged {len(reports)} reports for n={n}: "
           f"inequivalent={merged.inequivalent_count}, coverage {coverage}")
     print(f"wrote {rows_path}")
     print(f"wrote {report_path}")
     return 0
+
+
+def _write_report(path: Path, report: SearchReport) -> None:
+    """Write the report beside path, then move it there: never a partial report."""
+    partial = path.with_name(f".{path.name}.partial")
+    partial.write_text(report.to_json())
+    os.replace(partial, path)
 
 
 def _coverage_gap(reports: list[SearchReport]) -> str | None:

@@ -260,14 +260,14 @@ def orbit_minimal(rows: np.ndarray, multipliers: Sequence[int]) -> np.ndarray:
         the A′ of every canonical compressed quad is orbit-minimal; S_q is
         closed under the units, so cutting its A′ rows to these keeps every
         class's canonical quad.
-      * uncompress_all passes the full A preimages and compression_units(n).
+      * preimage_table passes the full A preimages of uncompress_all and
+        compression_units(n).
         Each such u maps every quad of an instance to a quad of the same
         instance and canonical_form class, and the row bound and the pair
         screen decide both alike (u permutes the PSD planes k ≢ 0 (mod 3)).
         So every orbit of an instance's quads keeps a member whose A is
         orbit-minimal.
     """
-    rows = np.asarray(rows)
     length = rows.shape[1]
     at = np.arange(len(rows))
     keep = np.ones(len(rows), dtype=bool)

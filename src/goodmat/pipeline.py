@@ -33,7 +33,7 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -52,7 +52,8 @@ from .equiv import (
     unique_rows,
     units,
 )
-from .errors import ConstructionError, GoodmatError, InternalError, InvalidInputError
+from .errors import (ConstructionError, GoodmatError, InternalError, InvalidInputError,
+                     ParseError)
 from .matching import all_arrangements, match_codes
 from .seqcore import (
     CompressedQuad,
@@ -66,8 +67,6 @@ from .seqcore import (
 )
 from .spectral import paf_certificate, paf_vector
 from .uncompress import uncompress_all
-
-REPORT_SCHEMA_VERSION = 2
 
 #: Orders above this need an explicit opt-in (allow_large / --allow-large).
 #: n = 45 runs in about 40 s and 240 MB on one core of a 2-core Xeon;
@@ -142,42 +141,26 @@ class SearchReport:
     exhaustive: bool = True
     digest: str = ""
     instances_fingerprint: str = ""
-    schema_version: int = REPORT_SCHEMA_VERSION
+    schema_version: int = 2  # of the fields above: raise it when they change
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "n": self.n,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "instance_count": self.instance_count,
-            "solutions_found": self.solutions_found,
-            "inequivalent_count": self.inequivalent_count,
-            "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()},
-            "solver_stats": dict(self.solver_stats),
-            "shard": list(self.shard) if self.shard else None,
-            "exhaustive": self.exhaustive,
-            "digest": self.digest,
-            "instances_fingerprint": self.instances_fingerprint,
-        }
+        payload = {"schema_version": self.schema_version, **asdict(self),
+                   "wall_time_s": round(self.wall_time_s, 3),
+                   "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()},
+                   "shard": list(self.shard) if self.shard else None}
         return json.dumps(payload, indent=1) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SearchReport":
-        data = json.loads(text)
-        return cls(
-            n=data["n"],
-            wall_time_s=data["wall_time_s"],
-            instance_count=data["instance_count"],
-            solutions_found=data["solutions_found"],
-            inequivalent_count=data["inequivalent_count"],
-            stage_seconds=dict(data.get("stage_seconds", {})),
-            solver_stats=dict(data.get("solver_stats", {})),
-            shard=tuple(data["shard"]) if data.get("shard") else None,
-            exhaustive=data.get("exhaustive", False),
-            digest=data.get("digest", ""),
-            instances_fingerprint=data.get("instances_fingerprint", ""),
-            schema_version=data.get("schema_version", REPORT_SCHEMA_VERSION),
-        )
+        """The declared fields that text holds, defaults for the rest but
+        exhaustive (False); ParseError unless a JSON object with every count."""
+        try:
+            data = json.loads(text)
+            values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+            shard = tuple(values["shard"]) if values.get("shard") else None
+            return cls(**{"exhaustive": False, **values, "shard": shard})
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"not a report: {exc}") from None
 
 
 def solution_digest(quads: Sequence[CanonicalQuad]) -> str:

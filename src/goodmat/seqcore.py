@@ -1,5 +1,5 @@
 """Core sequence types: ±1 defining rows, skew/symmetric construction,
-3-compression, rowsums, and the row formats: ±-strings for defining rows,
+3-compression, and the row formats: ±-strings for defining rows,
 comma-separated integers for compressed rows.
 
 A circulant matrix is determined by its first ("defining") row, so the whole
@@ -107,28 +107,26 @@ def validate_quad(quad: DefiningQuad) -> DefiningQuad:
 
 def make_skew(half: Sequence[int], n: int) -> Row:
     """Build the skew row (1, x_1..x_d, -x_d..-x_1) from its d free entries."""
-    d = n // 2
-    if n < 1 or n % 2 == 0:
-        raise InvalidInputError(f"order must be odd and positive, got {n}")
-    half = tuple(half)
-    if len(half) != d:
-        raise InvalidInputError(f"need {d} free entries for n={n}, got {len(half)}")
-    if any(e not in (PLUS, MINUS) for e in half):
-        raise InvalidInputError("free entries must be +1 or -1")
+    half = _free_entries(half, n)
     return (PLUS,) + half + tuple(-e for e in reversed(half))
 
 
 def make_symmetric(half: Sequence[int], n: int) -> Row:
     """Build the symmetric row (1, x_1..x_d, x_d..x_1) from its d free entries."""
-    d = n // 2
+    half = _free_entries(half, n)
+    return (PLUS,) + half + tuple(reversed(half))
+
+
+def _free_entries(half: Sequence[int], n: int) -> Row:
+    """Check the d = ⌊n/2⌋ free ±1 entries of a mirror row of odd order n."""
     if n < 1 or n % 2 == 0:
         raise InvalidInputError(f"order must be odd and positive, got {n}")
     half = tuple(half)
-    if len(half) != d:
-        raise InvalidInputError(f"need {d} free entries for n={n}, got {len(half)}")
+    if len(half) != n // 2:
+        raise InvalidInputError(f"need {n // 2} free entries for n={n}, got {len(half)}")
     if any(e not in (PLUS, MINUS) for e in half):
         raise InvalidInputError("free entries must be +1 or -1")
-    return (PLUS,) + half + tuple(reversed(half))
+    return half
 
 
 def compress3(x: Sequence[int]) -> Row:
@@ -138,11 +136,6 @@ def compress3(x: Sequence[int]) -> Row:
         raise InvalidInputError(f"length must be divisible by 3, got {n}")
     m = n // 3
     return tuple(x[k] + x[k + m] + x[k + 2 * m] for k in range(m))
-
-
-def rowsum(x: Sequence[int]) -> int:
-    """Sum of entries (the DFT of the row at frequency 0 is rowsum²)."""
-    return sum(x)
 
 
 # ── ±-string format ─────────────────────────────────────────────────────────
@@ -162,14 +155,10 @@ def parse_row(text: str) -> Row:
 
 def format_row(x: Sequence[int]) -> str:
     """Render a row as an ASCII ±-string."""
-    try:
-        return "".join("+" if e == PLUS else "-" if e == MINUS else _bad(e) for e in x)
-    except KeyError as exc:  # pragma: no cover - _bad always raises first
-        raise InvalidInputError(str(exc)) from None
-
-
-def _bad(e):
-    raise InvalidInputError(f"cannot format entry {e!r}; expected +1 or -1")
+    for e in x:
+        if e not in (PLUS, MINUS):
+            raise InvalidInputError(f"cannot format entry {e!r}; expected +1 or -1")
+    return "".join("+" if e == PLUS else "-" for e in x)
 
 
 def format_int_row(x: Sequence[int]) -> str:

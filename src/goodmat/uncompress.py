@@ -11,12 +11,12 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
   (ii)  build one preimage table per skewness for all the distinct
         compressed rows of a run (preimage_table), in blocks of
         _ROW_BLOCK rows: keep the rows inside the row PSD bound (a float
-        filter) and store each kept row with its join_table columns — PSD,
-        PAF table and packed PAF key (PAF(0) = n bounds every other PAF
-        value of a ±1 row) — in CSR form: row r's preimages are lines
-        offsets[r]..offsets[r+1] of flat arrays.  The A table keeps only
-        the rows that are equiv.orbit_minimal under
-        equiv.compression_units(n), whose docstring says why that is exact;
+        filter) and, in the A table, only the rows that are
+        equiv.orbit_minimal under equiv.compression_units(n), whose
+        docstring says why that is exact; store each kept row with its
+        join_table columns — PSD, PAF table and packed PAF key (PAF(0) = n
+        bounds every other PAF value of a ±1 row) — in CSR form: row r's
+        preimages are lines offsets[r]..offsets[r+1] of flat arrays;
   (iii) screen the ordered A×B and C×D products of each instance's four
         table slices, and join the screened pairs of a batch of consecutive
         instances at once, dropping the hits across instances.  Every quad
@@ -67,44 +67,26 @@ class PreimageTable(NamedTuple):
     keys: np.ndarray     # (N) int64 packed PAF keys
 
 
-def preimages(crow: Sequence[int], skew: bool) -> np.ndarray:
-    """Every skew (or symmetric) ±1 row with first entry +1 that
-    3-compresses to crow, one per line of a (count × 3m) int8 array: the
-    unfiltered preimage_table of crow alone."""
-    return preimage_table(np.array([crow]), skew, bound=np.inf).rows
-
-
-def preimage_table(crows: np.ndarray, skew: bool, *, bound: float) -> PreimageTable:
+def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
+                   multipliers: Sequence[int] = ()) -> PreimageTable:
     """The preimages of every row of an (R × m) array of compressed rows
-    whose PSD stays within bound at every k, with their PSD, PAF tables and
-    packed keys.
-
-    Two passes of _ROW_BLOCK rows: the first (_kept_preimages) enumerates and
-    filters the rows, the second (_complete) fills the other columns in
-    place, so of the whole table only the int8 rows are ever copied (joined
-    from their blocks).
-    """
-    return _complete(*_kept_preimages(crows, skew, bound), skew)
-
-
-def _kept_preimages(crows: np.ndarray, skew: bool, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """preimage_table's first pass: per compressed row, how many preimages
-    stay within bound, and those int8 rows, grouped by compressed row."""
+    whose PSD stays within bound at every k and that are orbit_minimal under
+    multipliers (all for none), with their join_table columns.  Only the kept
+    rows of each _ROW_BLOCK block are copied into the table."""
     layout = _layout(crows, skew)
-    kept = np.zeros(len(crows), dtype=np.int64)
-    blocks = []
+    kept, blocks = np.zeros(len(crows), dtype=np.int64), []
     for owner, rows in _preimage_blocks(layout, skew, bound, np.arange(len(crows)), layout[2]):
+        if multipliers:  # an uncut block is kept as it is: a copy raises the peak RSS
+            minimal = orbit_minimal(rows, multipliers)
+            owner, rows = owner[minimal], rows[minimal]
         kept += np.bincount(owner, minlength=len(crows))
         blocks.append(rows)
-    return kept, np.concatenate(blocks)
-
-
-def _complete(kept: np.ndarray, rows: np.ndarray, skew: bool) -> PreimageTable:
-    """preimage_table's second pass: the PSD, PAF and key columns of rows."""
+    rows = np.concatenate(blocks)
+    del blocks, layout  # freed before join_table allocates the other columns
     n = rows.shape[1]
     planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
-    return PreimageTable(np.concatenate([[0], np.cumsum(kept)]), rows,
-                         *join_table(rows, skew, planes, n))  # |PAF(k)| ≤ PAF(0) = n
+    offsets = np.concatenate([[0], np.cumsum(kept)])
+    return PreimageTable(offsets, rows, *join_table(rows, skew, planes, n))  # |PAF| ≤ PAF(0) = n
 
 
 def uncompress_all(
@@ -115,8 +97,7 @@ def uncompress_all(
 ) -> tuple[list[list[DefiningQuad]], dict[str, int]]:
     """The certified quads of each instance whose A is orbit_minimal under
     compression_units, from one preimage table per skewness over the
-    distinct compressed rows of all instances (the A table cut to those
-    rows before its second pass).
+    distinct compressed rows of all instances.
 
     Each instance's A×B and C×D pairs are screened on their own and tagged
     with it; consecutive instances whose pair products sum to about
@@ -136,13 +117,8 @@ def uncompress_all(
     quads = np.array([cq.rows() for cq in instances])  # [instance, A/B/C/D, entry]
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
-    kept, rows = _kept_preimages(sk, True, row_bound)
-    minimal = orbit_minimal(rows, compression_units(n))
-    owner = np.repeat(np.arange(len(sk)), kept)[minimal]
-    table_a = _complete(np.bincount(owner, minlength=len(sk)), rows[minimal], True)
-    del rows
-    table_bcd = preimage_table(sy, False, bound=row_bound)
-    tables = (table_a, table_bcd, table_bcd, table_bcd)
+    table_a = preimage_table(sk, True, bound=row_bound, multipliers=compression_units(n))
+    tables = (table_a, *[preimage_table(sy, False, bound=row_bound)] * 3)  # B, C, D share one
     index = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)])  # [instance, side]
     start = np.column_stack([t.offsets[index[:, s]] for s, t in enumerate(tables)])
     end = np.column_stack([t.offsets[index[:, s] + 1] for s, t in enumerate(tables)])

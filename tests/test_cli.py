@@ -322,6 +322,34 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     assert "failed verification" in err
 
 
+@pytest.mark.parametrize("text", ['{"n": 9', '{"n": 9}'], ids=["truncated", "missing_count"])
+def test_malformed_report_exits_2_and_names_it(text, tmp_path, capsys):
+    run(capsys, "enumerate", 9, "--out", tmp_path)
+    bad = tmp_path / "report-n9-shard0of2.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "report", tmp_path)
+    assert code == 2
+    assert str(bad) in err
+
+
+def test_reports_are_written_whole(tmp_path, capsys, monkeypatch):
+    # a report reaches its name by one os.replace of a finished file that
+    # `goodmat report` does not read under its temporary name
+    moved = []
+
+    def spy(src, dst):
+        assert not Path(dst).exists() and not Path(src).match("report-*.json")
+        moved.append((Path(dst).name, SearchReport.from_json(Path(src).read_text()).n))
+        real(src, dst)
+
+    real = os.replace
+    monkeypatch.setattr(cli.os, "replace", spy)
+    run(capsys, "enumerate", 9, "--out", tmp_path)
+    assert moved == [("report-n9.json", 9)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest-n9.json", "report-n9.json", "solutions-n9.rows"]
+
+
 def test_mixed_order_report_dir_exits_2(tmp_path, capsys):
     run(capsys, "enumerate", 9, "--out", tmp_path)
     run(capsys, "enumerate", 15, "--out", tmp_path)

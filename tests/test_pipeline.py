@@ -10,7 +10,7 @@ from goodmat import pipeline
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_codes, canonical_form, decode_quads, quad_key
-from goodmat.errors import ConstructionError, InternalError, InvalidInputError
+from goodmat.errors import ConstructionError, InternalError, InvalidInputError, ParseError
 from goodmat.matching import all_arrangements, match_codes, match_quadruples
 from goodmat.pipeline import (
     FilterConfig,
@@ -282,6 +282,49 @@ def test_report_json_round_trip():
     data = json.loads(report.to_json())
     assert data["schema_version"] == 2
     assert data["exhaustive"] is True
+
+
+#: A report with every field set, and the bytes to_json writes for it: one
+#: key per field, schema_version first, in the order the class declares.
+FIXED_REPORT = SearchReport(
+    n=27, wall_time_s=1.25, instance_count=13, solutions_found=40, inequivalent_count=13,
+    stage_seconds={"rowsums": 0.001, "solving": 0.5}, solver_stats={"pairs_ab": 12262},
+    shard=(1, 3), exhaustive=False, digest="11db3f20", instances_fingerprint="140c0b49")
+FIXED_JSON = """{
+ "schema_version": 2,
+ "n": 27,
+ "wall_time_s": 1.25,
+ "instance_count": 13,
+ "solutions_found": 40,
+ "inequivalent_count": 13,
+ "stage_seconds": {
+  "rowsums": 0.001,
+  "solving": 0.5
+ },
+ "solver_stats": {
+  "pairs_ab": 12262
+ },
+ "shard": [
+  1,
+  3
+ ],
+ "exhaustive": false,
+ "digest": "11db3f20",
+ "instances_fingerprint": "140c0b49"
+}
+"""
+
+
+def test_report_json_bytes_are_fixed():
+    assert FIXED_REPORT.to_json() == FIXED_JSON
+    assert SearchReport.from_json(FIXED_REPORT.to_json()) == FIXED_REPORT
+
+
+@pytest.mark.parametrize("text", ['{"n": 9', '{"n": 9}', "[]", "null"],
+                         ids=["truncated", "missing_count", "list", "null"])
+def test_malformed_report_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        SearchReport.from_json(text)
 
 
 def test_solution_digest_is_order_insensitive_input(known3):

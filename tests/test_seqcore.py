@@ -20,7 +20,6 @@ from goodmat.seqcore import (
     make_symmetric,
     parse_row,
     read_quads,
-    rowsum,
     validate_pm,
     validate_quad,
     write_quads,
@@ -68,6 +67,23 @@ def test_make_symmetric_is_symmetric(half):
 def test_make_skew_rejects_bad_lengths():
     with pytest.raises(InvalidInputError):
         make_skew((1, 1), 3)  # needs exactly n//2 = 1 entries
+
+
+@pytest.mark.parametrize("make", [make_skew, make_symmetric])
+@pytest.mark.parametrize("half, n, message", [
+    ((1, 1), 3, "need 1 free entries"),  # exactly n//2 entries
+    ((1, 0), 5, "must be \\+1 or -1"),
+    ((1,), 4, "order must be odd"),
+    ((), -1, "order must be odd"),
+])
+def test_mirror_rows_reject_bad_free_entries(make, half, n, message):
+    with pytest.raises(InvalidInputError, match=message):
+        make(half, n)
+
+
+def test_format_row_rejects_non_pm():
+    with pytest.raises(InvalidInputError, match="cannot format entry 0"):
+        format_row((1, 0, -1))
 
 
 def test_validate_pm_rejects_non_pm():
@@ -127,10 +143,10 @@ def test_compress3_entry_identity(row):
 
 
 def test_rowsum(known27):
-    assert rowsum(known27.a) == 1
-    assert rowsum(known27.b) == -1
-    assert rowsum(known27.c) == -5
-    assert rowsum(known27.d) == -9
+    assert sum(known27.a) == 1
+    assert sum(known27.b) == -1
+    assert sum(known27.c) == -5
+    assert sum(known27.d) == -9
 
 
 # ── text round trips ─────────────────────────────────────────────────────────

@@ -16,6 +16,7 @@ from goodmat.equiv import (
     canonical_compressed,
     canonical_form,
     compression_units,
+    orbit_minimal,
     permute_row,
     row_key,
 )
@@ -30,10 +31,16 @@ from goodmat.seqcore import (
     make_skew,
     make_symmetric,
 )
-from goodmat.spectral import paf_certificate
-from goodmat.uncompress import preimage_table, preimages, uncompress_all
+from goodmat.spectral import EPS, paf_certificate
+from goodmat.uncompress import preimage_table, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
+
+
+def preimages(crow, skew):
+    """Every skew (or symmetric) ±1 row with first entry +1 that 3-compresses
+    to crow: the unfiltered, uncut preimage table of crow alone."""
+    return preimage_table(np.array([crow]), skew, bound=np.inf).rows
 
 
 @pytest.mark.parametrize("n", [3, 9, 15])
@@ -77,6 +84,27 @@ def test_preimage_table_slices_one_mixed_batch(n):
             assert set(map(tuple, got)) == want[skew].get(crow, set()), (skew, crow)
         sizes = np.diff(table.offsets)
         assert sizes[2] == sizes[3] == 0 and sizes[:2].any() and sizes[4:6].any()
+
+
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_preimage_table_cut_is_the_orbit_minimal_mask(n):
+    # no multipliers keep every preimage (at bound +inf, all 2^⌊n/2⌋ skew
+    # rows); the cut inside the table equals the uncut table cut afterwards:
+    # the same rows in the same order, CSR offsets and join columns
+    crows = np.array(sorted({compress3(make_skew(half, n)) for half in iter_halves(n // 2)}))
+    bound = 4 * n + EPS
+    assert len(preimage_table(crows, True, bound=np.inf, multipliers=()).rows) == 2 ** (n // 2)
+    full = preimage_table(crows, True, bound=bound)
+    cut = preimage_table(crows, True, bound=bound, multipliers=compression_units(n))
+    keep = orbit_minimal(full.rows, compression_units(n))
+    assert 0 < keep.sum() < len(keep)
+    owner = np.repeat(np.arange(len(crows)), np.diff(full.offsets))[keep]
+    kept = np.bincount(owner, minlength=len(crows))
+    assert np.array_equal(cut.offsets, np.concatenate([[0], np.cumsum(kept)]))
+    assert np.array_equal(cut.rows, full.rows[keep])
+    assert np.array_equal(cut.psd, full.psd[:, keep])
+    assert np.array_equal(cut.paf, full.paf[keep])
+    assert np.array_equal(cut.keys, full.keys[keep])
 
 
 def closure(quads):
