@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from goodmat.pipeline import CHECKS, enumerate_good_matrices
-from goodmat.seqcore import write_quads
+from goodmat.seqcore import write_file, write_quads
 
 EXPECTED = {3: 1, 9: 1, 15: 11, 21: 10, 27: 13}
 STRETCH = {33: 15, 39: 5}
@@ -35,7 +35,6 @@ def main() -> int:
     expected = dict(EXPECTED)
     if args.stretch:
         expected.update(STRETCH)
-    args.out.mkdir(parents=True, exist_ok=True)
 
     all_ok = True
     print(f"{'n':>4} {'instances':>10} {'classes':>8} {'expected':>9} "
@@ -53,9 +52,9 @@ def main() -> int:
         print(f"{n:>4} {report.instance_count:>10} {len(quads):>8} {want:>9} "
               f"{verified:>9} {elapsed:>9.1f}{flag}")
 
-        with open(args.out / f"solutions-n{n}.rows", "w") as fp:
-            write_quads(fp, (c.quad for c in quads))
-        (args.out / f"report-n{n}.json").write_text(report.to_json())
+        write_file(args.out / f"solutions-n{n}.rows",
+                   lambda fp: write_quads(fp, (c.quad for c in quads)))
+        write_file(args.out / f"report-n{n}.json", lambda fp: fp.write(report.to_json()))
 
     print("all counts reproduced" if all_ok else "MISMATCHES FOUND")
     return 0 if all_ok else 1

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -41,7 +41,7 @@ from .pipeline import (
     solution_digest,
 )
 from .satsearch import build_instance, export_dimacs
-from .seqcore import format_int_row, read_quads, write_quads
+from .seqcore import format_int_row, read_quads, write_file, write_quads
 
 
 def main() -> None:
@@ -159,12 +159,9 @@ def _cmd_candidates(args) -> int:
     cands = generate_candidates(args.n, signed_rowsums(args.n))
     print(f"n={args.n}: |s_sk|={len(cands.s_sk)} |s_sy|={len(cands.s_sy)}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         for name, rows in (("s_sk.txt", cands.s_sk), ("s_sy.txt", cands.s_sy)):
-            path = args.out / name
-            with open(path, "w") as fp:
-                fp.writelines(format_int_row(row) + "\n" for row in sorted(rows))
-            print(f"wrote {path}")
+            _write(args.out / name, lambda fp: fp.writelines(
+                format_int_row(row) + "\n" for row in sorted(rows)))
     return 0
 
 
@@ -173,11 +170,7 @@ def _cmd_match(args) -> int:
     s_q = match_quadruples(cands, args.n)
     print(f"n={args.n}: |S_q|={len(s_q)}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "s_q.txt"
-        with open(path, "w") as fp:
-            write_quads(fp, s_q, fmt=format_int_row)
-        print(f"wrote {path}")
+        _write(args.out / "s_q.txt", lambda fp: write_quads(fp, s_q, fmt=format_int_row))
     return 0
 
 
@@ -188,7 +181,6 @@ def _cmd_search(args) -> int:
     if shard is not None:
         tag += f"-shard{shard[0]}of{shard[1]}"
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     prepared = prepare_instances(args.n, allow_large=args.allow_large)
@@ -198,35 +190,25 @@ def _cmd_search(args) -> int:
         ids = ids[shard[0] :: shard[1]]
     manifest = [{"id": idx, "quad": [list(row) for row in instances[idx].rows()]}
                 for idx in ids]
-    manifest_path = out / f"manifest-{tag}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n")
+    _write(out / f"manifest-{tag}.json",
+           lambda fp: fp.write(json.dumps(manifest, indent=1) + "\n"))
     if args.dimacs:  # the .cnf headers carry the variable and clause counts
         for idx in ids:
             cnf = export_dimacs(build_instance(instances[idx]))
-            (out / f"instance-{tag}-{idx}.cnf").write_text(cnf)
+            write_file(out / f"instance-{tag}-{idx}.cnf", lambda fp: fp.write(cnf))
 
     quads, report = enumerate_prepared(
         args.n, prepared, start=start, shard=shard, jobs=args.jobs
     )
-    rows_path = out / f"solutions-{tag}.rows"
-    with open(rows_path, "w") as fp:
-        write_quads(fp, (cq.quad for cq in quads))
-    report_path = out / f"report-{tag}.json"
-    _write_report(report_path, report)
     print(f"n={args.n}: instances={report.instance_count} "
           f"solutions={report.solutions_found} inequivalent={report.inequivalent_count}")
-    print(f"wrote {rows_path}")
-    print(f"wrote {report_path}")
-    print(f"wrote {manifest_path}")
+    _write(out / f"solutions-{tag}.rows", lambda fp: write_quads(fp, (cq.quad for cq in quads)))
+    _write(out / f"report-{tag}.json", lambda fp: fp.write(report.to_json()))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    with open(args.rowfile) as fp:
-        quads = read_quads(fp, validate=False)
-    if not quads:
-        print(f"error: no quads in {args.rowfile}", file=sys.stderr)
-        return 2
+    quads = _read_rows(args.rowfile)
     failures = 0
     for idx, quad in enumerate(quads):
         results = [(name, check(quad)) for name, check in CHECKS]
@@ -242,20 +224,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hadamard(args) -> int:
-    with open(args.rowfile) as fp:
-        quads = read_quads(fp, validate=False)
-    if not quads:
-        print(f"error: no quads in {args.rowfile}", file=sys.stderr)
-        return 2
+    quads = _read_rows(args.rowfile)
     matrices = []
     for idx, quad in enumerate(quads):
         h = build_skew_hadamard(quad)  # raises ConstructionError on failure
         matrices.append(h)
         print(f"quad {idx}: skew Hadamard matrix of order {h.shape[0]} verified")
-    if args.out is not None:
-        with open(args.out, "w") as fp:
-            write_quads(fp, matrices)  # one block of 4n ± rows per matrix
-        print(f"wrote {args.out}")
+    if args.out is not None:  # one block of 4n ± rows per matrix
+        _write(args.out, lambda fp: write_quads(fp, matrices))
     return 0
 
 
@@ -263,11 +239,8 @@ def _cmd_oracle(args) -> int:
     quads = brute_force_oracle(args.n)
     print(f"n={args.n}: {len(quads)} inequivalent good matrices (brute force)")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"oracle-n{args.n}.rows"
-        with open(path, "w") as fp:
-            write_quads(fp, (cq.quad for cq in quads))
-        print(f"wrote {path}")
+        _write(args.out / f"oracle-n{args.n}.rows",
+               lambda fp: write_quads(fp, (cq.quad for cq in quads)))
     return 0
 
 
@@ -276,8 +249,7 @@ def _cmd_report(args) -> int:
         p for p in args.dir.glob("report-*.json") if not p.name.endswith("-merged.json")
     )
     if not report_paths:
-        print(f"error: no report-*.json files in {args.dir}", file=sys.stderr)
-        return 2
+        raise InvalidInputError(f"no report-*.json files in {args.dir}")
     reports = []
     for path in report_paths:
         try:
@@ -286,12 +258,12 @@ def _cmd_report(args) -> int:
             raise ParseError(f"{path}: {exc}") from None
     orders = {r.n for r in reports}
     if len(orders) != 1:
-        print(f"error: mixed orders in {args.dir}: {sorted(orders)}", file=sys.stderr)
-        return 2
+        raise InvalidInputError(f"mixed orders in {args.dir}: {sorted(orders)}")
     n = orders.pop()
 
     # each report's own rows file, whose classes must give the report's digest
     classes, mismatched = [], []
+    stage_seconds, solver_stats = Counter(), Counter()
     for path, report in zip(report_paths, reports):
         rows_path = path.with_name(f"solutions-{path.stem.removeprefix('report-')}.rows")
         with open(rows_path) as fp:  # a missing file: OSError, exit 2
@@ -299,6 +271,8 @@ def _cmd_report(args) -> int:
         if solution_digest(own) != report.digest:
             mismatched.append(rows_path.name)
         classes.extend(own)
+        stage_seconds.update(report.stage_seconds)
+        solver_stats.update(report.solver_stats)
     canonical = dedup(classes, lambda c: c)
 
     gap = (f"{', '.join(mismatched)} does not match its report's digest" if mismatched
@@ -311,30 +285,32 @@ def _cmd_report(args) -> int:
         instance_count=sum(r.instance_count for r in reports),
         solutions_found=sum(r.solutions_found for r in reports),
         inequivalent_count=len(canonical),
-        stage_seconds=_sum_counts([r.stage_seconds for r in reports]),
-        solver_stats=_sum_counts([r.solver_stats for r in reports]),
+        stage_seconds=dict(stage_seconds),  # asdict would rebuild a Counter from its items
+        solver_stats=dict(solver_stats),
         exhaustive=covered,
         digest=solution_digest(canonical),
         instances_fingerprint=reports[0].instances_fingerprint if covered else "",
     )
-    rows_path = args.dir / f"solutions-n{n}-merged.rows"
-    with open(rows_path, "w") as fp:
-        write_quads(fp, (cq.quad for cq in canonical))
-    report_path = args.dir / f"report-n{n}-merged.json"
-    _write_report(report_path, merged)
     coverage = "complete" if covered else f"INCOMPLETE ({gap})"
     print(f"merged {len(reports)} reports for n={n}: "
           f"inequivalent={merged.inequivalent_count}, coverage {coverage}")
-    print(f"wrote {rows_path}")
-    print(f"wrote {report_path}")
+    _write(args.dir / f"solutions-n{n}-merged.rows",
+           lambda fp: write_quads(fp, (cq.quad for cq in canonical)))
+    _write(args.dir / f"report-n{n}-merged.json", lambda fp: fp.write(merged.to_json()))
     return 0
 
 
-def _write_report(path: Path, report: SearchReport) -> None:
-    """Write the report beside path, then move it there: never a partial report."""
-    partial = path.with_name(f".{path.name}.partial")
-    partial.write_text(report.to_json())
-    os.replace(partial, path)
+def _write(path: Path, write) -> None:
+    write_file(path, write)
+    print(f"wrote {path}")
+
+
+def _read_rows(path: Path) -> list:
+    """The quads of a row file, unvalidated; ParseError if it holds none."""
+    with open(path) as fp:
+        if quads := read_quads(fp, validate=False):
+            return quads
+    raise ParseError(f"no quads in {path}")
 
 
 def _coverage_gap(reports: list[SearchReport]) -> str | None:
@@ -356,15 +332,6 @@ def _coverage_gap(reports: list[SearchReport]) -> str | None:
     if set(indices) != set(range(total)):
         return f"shard indices {sorted(indices)} do not cover 0..{total - 1}"
     return None
-
-
-def _sum_counts(counts: list[dict]) -> dict:
-    """Key-wise sums of the reports' stage_seconds or solver_stats."""
-    out: dict = {}
-    for one in counts:
-        for key, value in one.items():
-            out[key] = out.get(key, 0) + value
-    return out
 
 
 if __name__ == "__main__":

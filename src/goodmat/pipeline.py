@@ -6,9 +6,8 @@ The enumeration pipeline for an odd order n divisible by 3:
   2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
   3. match_codes:            the quad join at compressed length, one rowsum
                              partition at a time → one arrangement per
-                             {B′, C′, D′} of each S_q quad, as codes (with
-                             dedup on, only the quads whose A′ is
-                             orbit-minimal);
+                             {B′, C′, D′} of each S_q quad whose A′ is
+                             orbit-minimal, as codes;
   4. canonical_codes dedup → one instance per compressed class;
   5. uncompress_all: the quad join at full length, a batch of instances at
                              a time → defining quads, one per orbit of the
@@ -54,7 +53,7 @@ from .equiv import (
 )
 from .errors import (ConstructionError, GoodmatError, InternalError, InvalidInputError,
                      ParseError)
-from .matching import all_arrangements, match_codes
+from .matching import match_codes
 from .seqcore import (
     CompressedQuad,
     DefiningQuad,
@@ -83,20 +82,14 @@ class FilterConfig:
     length in the sweep and matching and, for the two PSD flags, at full
     length in uncompression (row and pair screens before the join).  They
     are redundant with the exact integer checks (PAF certificate, exact
-    matching identity), so disabling them must not change the solution set,
-    only the running time — a tested property of the pipeline (see
-    ``no_filters``).  Each flag is read once, where its layer starts
-    (generate_candidates, match_codes, uncompress_all): a disabled PSD filter
-    becomes the bound +inf, which every row and pair meets, and an enabled
-    one the bound 4n + spectral.EPS.
-
-    dedup_instances is a proved reduction: the compressed-level dedup
-    collapses provably equivalent instances.
+    matching identity), so disabling them (``no_filters``) must not change
+    the solution set, only the running time.  Each flag is read once, where
+    its layer starts (generate_candidates, match_codes, uncompress_all): a
+    disabled PSD filter becomes the bound +inf, which every row and pair
+    meets, and an enabled one the bound 4n + spectral.EPS.
 
     prefix_checks and parity_clauses only affect the SAT reference path
-    (satsearch.build_instance / solve_all): the 1/2/3-row PSD checks in its
-    theory callback and its product-rule clauses.  The search itself never
-    runs SAT, so they do not change what enumerate_good_matrices does.
+    (satsearch.build_instance / solve_all), which the search never runs.
     """
 
     psd_candidates: bool = True   # per-row PSD bound: sweep and full preimages
@@ -104,7 +97,6 @@ class FilterConfig:
     psd_pairs: bool = True        # pairwise PSD bound before both joins
     prefix_checks: bool = True    # SAT reference only: PSD checks in the callback
     parity_clauses: bool = True   # SAT reference only: product-rule clauses
-    dedup_instances: bool = True  # compressed-level equivalence dedup
 
     @classmethod
     def no_filters(cls) -> "FilterConfig":
@@ -112,10 +104,15 @@ class FilterConfig:
         return cls(psd_candidates=False, rowsum_candidates=False,
                    psd_pairs=False, prefix_checks=False)
 
-    @classmethod
-    def all_disabled(cls) -> "FilterConfig":
-        """Filters *and* reductions off.  Tractable only at tiny orders."""
-        return cls(False, False, False, False, False, False)
+
+def _json_typed(name: str, value) -> bool:
+    """Whether a report field's parsed JSON value is of the field's type."""
+    if name in ("stage_seconds", "solver_stats"):
+        return type(value) is dict and all(type(v) in (int, float) for v in value.values())
+    if name == "shard":
+        return value is None or type(value) is list and list(map(type, value)) == [int, int]
+    return type(value) in {"wall_time_s": (int, float), "exhaustive": (bool,), "digest": (str,),
+                           "instances_fingerprint": (str,)}.get(name, (int,))
 
 
 @dataclass
@@ -146,17 +143,19 @@ class SearchReport:
     def to_json(self) -> str:
         payload = {"schema_version": self.schema_version, **asdict(self),
                    "wall_time_s": round(self.wall_time_s, 3),
-                   "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()},
-                   "shard": list(self.shard) if self.shard else None}
+                   "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()}}
         return json.dumps(payload, indent=1) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SearchReport":
         """The declared fields that text holds, defaults for the rest but
-        exhaustive (False); ParseError unless a JSON object with every count."""
+        exhaustive (False); ParseError unless a JSON object with every count
+        and each field of its JSON type (a count is an int, never a bool)."""
         try:
             data = json.loads(text)
             values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+            if wrong := [k for k, v in values.items() if not _json_typed(k, v)]:
+                raise ValueError(f"{', '.join(wrong)} of the wrong JSON type")
             shard = tuple(values["shard"]) if values.get("shard") else None
             return cls(**{"exhaustive": False, **values, "shard": shard})
         except (ValueError, TypeError) as exc:
@@ -198,14 +197,12 @@ def prepare_instances(
 ) -> tuple[list[CompressedQuad], CandidateSets, dict[str, float]]:
     """Stages 1–4: rowsums, candidates, matching, compressed dedup.
 
-    With dedup_instances, matching gets only the A′ rows that are the minimum
-    of their orbit under j ↦ u·j mod m.  S_q is closed under the compressed
-    group, so by equiv.orbit_minimal every class's canonical quad is still
-    matched and the dedup returns the same instances.  match_codes
-    returns one (B′, C′, D′) arrangement per quad, which canonical_codes maps
-    to the same class as every other.  The returned candidate sets are the
-    full ones.  Without dedup the instances are the whole sorted S_q, every
-    arrangement restored by all_arrangements.
+    Matching gets only the A′ rows that are the minimum of their orbit under
+    j ↦ u·j mod m; S_q is closed under the compressed group, so by
+    equiv.orbit_minimal every class's canonical quad is still matched.
+    match_codes returns one (B′, C′, D′) arrangement of each quad, which
+    canonical_codes maps to its class.  The returned candidate sets are the
+    full ones.
     """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
@@ -223,20 +220,14 @@ def prepare_instances(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    matched = cands
-    if filters.dedup_instances:
-        sk = list(cands.s_sk)
-        minimal = orbit_minimal(np.array(sk).reshape(len(sk), cands.m), units(cands.m))
-        matched = replace(cands, s_sk=frozenset(compress(sk, minimal)))
+    sk = list(cands.s_sk)
+    minimal = orbit_minimal(np.array(sk).reshape(len(sk), cands.m), units(cands.m))
+    matched = replace(cands, s_sk=frozenset(compress(sk, minimal)))
     s_q = match_codes(matched, n, pair_filter=filters.psd_pairs)
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if filters.dedup_instances:
-        s_q = unique_rows(canonical_codes(s_q, cands.m))
-    else:
-        s_q = all_arrangements(s_q)
-    instances = decode_quads(s_q, cands.m)
+    instances = decode_quads(unique_rows(canonical_codes(s_q, cands.m)), cands.m)
     timings["instance_dedup"] = time.perf_counter() - t0
     return instances, cands, timings
 

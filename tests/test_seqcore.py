@@ -1,6 +1,9 @@
-"""Row/quad containers, symmetry structure, parsing, and compression."""
+"""Row/quad containers, symmetry structure, parsing, compression, and the
+one file writer."""
 
+import ast
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,8 +25,11 @@ from goodmat.seqcore import (
     read_quads,
     validate_pm,
     validate_quad,
+    write_file,
     write_quads,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 halves = st.integers(1, 10).flatmap(
     lambda d: st.tuples(*([st.sampled_from((1, -1))] * d))
@@ -230,3 +236,70 @@ def test_iter_halves_counts(d):
     seen = set(iter_halves(d))
     assert len(seen) == 2 ** d
     assert all(len(h) == d and set(h) <= {1, -1} for h in seen)
+
+
+# ── the one file writer ─────────────────────────────────────────────────────
+
+def test_write_file_replaces_only_with_a_finished_file(tmp_path):
+    path = tmp_path / "new" / "out.rows"  # the directory is made
+    write_file(path, lambda fp: fp.write("old\n"))
+
+    def fail(fp):
+        fp.write("half")
+        raise RuntimeError("killed")
+
+    with pytest.raises(RuntimeError):
+        write_file(path, fail)
+    assert path.read_text() == "old\n"
+
+
+def file_writes(source: str) -> list[int]:
+    """Lines of the calls in source, outside a function named write_file,
+    that write a file: open(…) or ….open(…) in any mode but a read mode,
+    .write_text, .write_bytes, and .writelines on anything but a name (such
+    as the fp a write_file callback gets)."""
+    lines = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "write_file":
+            return
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            if name == "open":
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+                index = 1 if isinstance(node.func, ast.Name) else 0
+                if mode is None and len(node.args) > index:
+                    mode = node.args[index]
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and set(str(mode.value)) <= set("rbt")):
+                    lines.add(node.lineno)
+            elif name in ("write_text", "write_bytes") or (
+                    name == "writelines" and not isinstance(node.func.value, ast.Name)):
+                lines.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+def test_file_writes_sees_every_way_to_write_a_path():
+    source = """
+with open(path) as fp, Path(p).open() as other, open(p, mode="rb") as raw: pass
+with open(path, "w") as fp: pass
+manifest_path.write_text(text)
+open(p, mode="a").writelines(lines)
+Path(p).open("x")
+fp.writelines(lines)
+def write_file(path, write):
+    with open(path, "w") as fp: write(fp)
+"""
+    assert file_writes(source) == [3, 4, 5, 6]
+
+
+def test_only_write_file_writes_files():
+    paths = [*sorted(ROOT.joinpath("src", "goodmat").glob("*.py")),
+             ROOT / "scripts" / "reproduce_counts.py"]
+    found = {path.name: file_writes(path.read_text()) for path in paths}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
