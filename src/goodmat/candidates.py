@@ -39,7 +39,7 @@ from .diophantine import RowsumTriple, rowsum_components
 from .equiv import _place_values
 from .errors import InvalidInputError
 from .seqcore import Row
-from .spectral import EPS, mirror_psd
+from .spectral import mirror_psd, psd_bound
 
 #: Compressed rows per screen block, and preimage rows per block of lines.
 _ROW_BLOCK = 4096
@@ -100,7 +100,7 @@ def generate_candidates(
     _place_values(m)  # raises for m > 31: matching's row codes would not fit an int64
     if not rowsums:
         return CandidateSets(frozenset(), frozenset(), n, m)
-    bound = 4 * n + EPS if psd_filter else np.inf
+    bound = psd_bound(n, psd_filter)
     allowed = sorted(rowsum_components(rowsums)) if rowsum_filter else None
     return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m)
 

@@ -38,6 +38,7 @@ from .pipeline import (
     build_skew_hadamard,
     enumerate_prepared,
     prepare_instances,
+    shard_ids,
     solution_digest,
 )
 from .satsearch import build_instance, export_dimacs
@@ -185,9 +186,7 @@ def _cmd_search(args) -> int:
     start = time.perf_counter()
     prepared = prepare_instances(args.n, allow_large=args.allow_large)
     instances = prepared[0]
-    ids = range(len(instances))  # ids index the full instance list, shard or not
-    if shard is not None:
-        ids = ids[shard[0] :: shard[1]]
+    ids = shard_ids(len(instances), shard)  # ids index the full instance list
     manifest = [{"id": idx, "quad": [list(row) for row in instances[idx].rows()]}
                 for idx in ids]
     _write(out / f"manifest-{tag}.json",

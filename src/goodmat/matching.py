@@ -7,28 +7,28 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-the quad join — one join_table per side (plane-major PSD, PAF table, packed
-keys), the pair screen (_screen_pairs), then packed-key join and exact PAF
-confirmation (_join_pairs) — on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆
-s_sy × s_sy, partitioned by rowsum: only the partitions with
-r_B ≤ r_C ≤ r_D that can meet the k = 0 identity are paired at all, and
-that identity still confirms every hit.
+the quad join (join_blocks) over one join_table per side (plane-major PSD,
+PAF table, packed keys) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
+partitioned by rowsum: only the partitions with r_B ≤ r_C ≤ r_D that can
+meet the k = 0 identity are paired at all, and that identity still confirms
+every hit.
 Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
 permuting them; match_codes emits one arrangement of each quad, and
 all_arrangements expands these to S_q.  Quads are kept as rows of
 integer codes (equiv's row code), whose lexicographic order is quad_key
-order, so one unique_rows yields the sorted set.  Uncompression builds its
-preimage tables with the same join_table and runs the same screen and join
-on the full-length preimages of a batch of instances, slices of one
-preimage table per run, and tags each pair with its instance (_join_pairs'
-owners).
+order, so one unique_rows yields the sorted set.
 
-The pair screen (_screen_pairs) is plane-major: PSD tables hold one line
+join_blocks takes its pairs as blocks, row ranges of two tables with an
+owner, and joins only pairs of one owner: matching passes one block per
+rowsum partition, uncompression one per instance and side (its slices of
+preimage tables built by the same join_table), a batch of instances at once.
+
+The pair screen (_screen_blocks) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
-rows the planes' masks l + r ≤ bound are and-reduced over the leading
-(frequency) axis.  Every element decision is exactly l + r ≤ bound, so the
-screen keeps the same pairs whatever the layout; a side may carry fewer
-planes (matching drops k = 0, which its rowsum partition fixes;
+rows of a block the planes' masks l + r ≤ bound are and-reduced over the
+leading (frequency) axis.  Every element decision is exactly l + r ≤ bound,
+so the screen keeps the same pairs whatever the layout; a side may carry
+fewer planes (matching drops k = 0, which its rowsum partition fixes;
 uncompression drops those its compressed screen has already bounded), and
 the screen then reads only those.  A disabled pair filter is the bound +inf:
 every PSD value is finite, so the screen then keeps every pair, in the same
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Optional
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,14 +57,18 @@ from .candidates import _ROW_BLOCK, CandidateSets
 from .equiv import decode_quads, row_codes, row_key, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
-from .spectral import EPS, mirror_psd
+from .spectral import mirror_psd, psd_bound
 
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
 
-#: One table of _join_pairs: (PAF table, one line per row with columns
-#: k = 0..⌊len/2⌋; packed PAF keys, one per row).
-JoinSide = tuple[np.ndarray, np.ndarray]
+
+class JoinTable(NamedTuple):
+    """What the quad join reads of N rows of one length L."""
+
+    psd: np.ndarray   # (F × N) float64, plane-major PSD on the screened planes
+    paf: np.ndarray   # (N × (⌊L/2⌋ + 1)) int16 PAF table, columns k = 0..⌊L/2⌋
+    keys: np.ndarray  # (N) int64 packed PAF keys
 
 
 def match_quadruples(
@@ -101,69 +105,58 @@ def match_codes(
     rearrangement of each (all_arrangements restores S_q).  A′ is never
     moved, so a cut on the A′ rows stays exact.
 
-    The join is partitioned by rowsum.  B′ rows are grouped by rowsum r_B,
-    and each group's A′×B′ pairs are screened and keyed once, then joined
-    against the C′×D′ pairs of every rowsum partition (both values present
-    in s_sy) with r_B ≤ r_C ≤ r_D and 1 + r_B² + r_C² + r_D² = 4n — the
-    upper triangle when r_C = r_D, the whole product otherwise.  A hit is
-    kept if (r_B, B′) ≤ (r_C, C′), which only removes hits with r_B = r_C.
-    Any quad outside these partitions fails the k = 0 identity, so no
-    representative is lost, with or without the rowsum filter of the sweep,
-    and peak memory is set by one group instead of all of S_q.  The k = 0
-    identity is still checked on every hit, as the exact confirmation.
-    Within a partition it also fixes the k = 0 PSD plane of every pair
-    (1 + r_B² for A′×B′, r_C² + r_D² for C′×D′, both ≤ 4n), so the pair
-    screens skip that plane.  pair_filter=False screens against the bound
-    +inf, which keeps every pair.
+    The join is partitioned by rowsum.  s_sy is sorted by (rowsum, row code),
+    so the B′ rows of one rowsum r_B are a range of rows, and each such group
+    makes one join_blocks call: its A′×B′ block against the C′×D′ blocks of
+    every rowsum partition pair (both values present in s_sy) with
+    r_B ≤ r_C ≤ r_D and 1 + r_B² + r_C² + r_D² = 4n — upper when r_C = r_D,
+    the whole product otherwise.  A hit is kept if (r_B, B′) ≤ (r_C, C′),
+    which only removes hits with r_B = r_C.  Any quad outside these
+    partitions fails the k = 0 identity, so no representative is lost, with
+    or without the rowsum filter of the sweep, and peak memory is set by one
+    group instead of all of S_q.  The k = 0 identity is still checked on
+    every hit, as the exact confirmation.  Within a partition it also fixes
+    the k = 0 PSD plane of every pair (1 + r_B² for A′×B′, r_C² + r_D² for
+    C′×D′, both ≤ 4n), so the pair screens skip that plane.
+    pair_filter=False screens against the bound +inf, which keeps every pair.
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
-    sy_arr = np.array(sorted(cands.s_sy, key=row_key), dtype=np.int64)  # code order
-    code_sk, code_sy = row_codes(sk_arr), row_codes(sy_arr)
+    sy_arr = np.array(sorted(cands.s_sy, key=lambda row: (sum(row), row_key(row))),
+                      dtype=np.int64)  # (rowsum, row code) order
+    code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
     # the largest PAF(0) = Σ e² of either table: ≥ |PAF(k)| by Cauchy–Schwarz
     paf_bound = max(int((rows * rows).sum(axis=1).max()) for rows in (sk_arr, sy_arr))
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
     planes = np.arange(1, cands.m // 2 + 1)
-    psd_sk, *sk = join_table(sk_arr, True, planes, paf_bound)
-    psd_sy, *sy = join_table(sy_arr, False, planes, paf_bound)
-    bound = 4 * n + EPS if pair_filter else np.inf
+    sy = join_table(sy_arr, False, planes, paf_bound)
+    tables = (join_table(sk_arr, True, planes, paf_bound), sy, sy, sy)
+    bound = psd_bound(n, pair_filter)
 
-    rs_sy = sy_arr.sum(axis=1)
-    part = {r: np.flatnonzero(rs_sy == r) for r in np.unique(rs_sy).tolist()}
+    sums, first = np.unique(rs_sy, return_index=True)
+    part = dict(zip(sums.tolist(), zip(first.tolist(), [*first[1:].tolist(), len(rs_sy)])))
     found = [np.empty((0, 4), dtype=np.int64)]
-    for rb, group in part.items():
-        fits = [(rc, rd) for rc in part for rd in part
-                if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
-        if not fits:
+    for rb, rows_b in part.items():
+        blocks_cd = [(0, part[rc], part[rd], rc == rd) for rc in part for rd in part
+                     if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
+        if not blocks_cd:
             continue
-        ab_i, ab_j = _screen_pairs(psd_sk, psd_sy[:, group], bound)
-        cd = []
-        for rc, rd in fits:
-            cd_i, cd_j = _screen_pairs(psd_sy[:, part[rc]], psd_sy[:, part[rd]], bound,
-                                       upper=rc == rd)
-            cd.append((part[rc][cd_i], part[rd][cd_j]))
-        cd_i, cd_j = map(np.concatenate, zip(*cd))
-        ab_j = group[ab_j]
-        hit_ab, hit_cd = _join_pairs(sk, sy, sy, sy, (ab_i, ab_j), (cd_i, cd_j))
-        ia, jb, ic, jd = ab_i[hit_ab], ab_j[hit_ab], cd_i[hit_cd], cd_j[hit_cd]
-        a, b, c, d = code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]
+        blocks_ab = [(0, (0, len(sk_arr)), rows_b, False)]
+        _, ia, jb, ic, jd = join_blocks(tables, blocks_ab, blocks_cd, bound, Counter()).T
         ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
-        ok &= (rs_sy[jb] < rs_sy[ic]) | (b <= c)
-        found.append(np.stack([a[ok], b[ok], c[ok], d[ok]], axis=1))
+        ok &= jb <= ic  # (r_B, B′) ≤ (r_C, C′): the order of s_sy's rows
+        found.append(np.stack([code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]], axis=1)[ok])
     return unique_rows(np.concatenate(found))
 
 
-def join_table(
-    rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the quad join reads of an (N × L) array of skew (or symmetric)
-    mirror rows, filled in blocks of _ROW_BLOCK rows: the plane-major PSD on
-    planes (one line per k of planes, for _screen_pairs), the int16 PAF table
-    (columns k = 0..⌊L/2⌋) and the packed PAF keys with bound (packed_keys;
-    one _join_pairs side is the table and the keys).
+def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int) -> JoinTable:
+    """The JoinTable of an (N × L) array of skew (or symmetric) mirror rows,
+    filled in blocks of _ROW_BLOCK rows: the plane-major PSD on planes (one
+    line per k of planes), the int16 PAF table and the packed PAF keys with
+    bound (packed_keys).
 
     Matching passes planes k ≥ 1 and the largest PAF(0) of its two tables,
     uncompression planes k ≢ 0 (mod 3) and PAF(0) = n.  int16 holds every
@@ -178,53 +171,83 @@ def join_table(
         psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
         paf[block] = paf_matrix(rows[block].astype(np.int16))
         keys[block] = packed_keys(paf[block], bound)
-    return psd, paf, keys
+    return JoinTable(psd, paf, keys)
 
 
-def _join_pairs(
-    a: JoinSide,
-    b: JoinSide,
-    c: JoinSide,
-    d: JoinSide,
-    pairs_ab: tuple[np.ndarray, np.ndarray],
-    pairs_cd: tuple[np.ndarray, np.ndarray],
-    *,
-    owners: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    stats: Optional[Counter] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The quad join on screened A×B and C×D index pairs into the tables a,
-    b, c, d: the positions (p, q) in the two pair lists of every A×B pair p
-    and C×D pair q whose four PAF rows sum to zero at every column k ≥ 1.
+def join_blocks(
+    tables: Sequence[JoinTable],
+    blocks_ab: Sequence[tuple],
+    blocks_cd: Sequence[tuple],
+    bound: float,
+    stats: Counter,
+) -> np.ndarray:
+    """The quad join over the tables (A, B, C, D), each with a JoinTable's
+    psd, paf and keys: a line (owner, a, b, c, d) of table rows for every
+    A×B pair of blocks_ab and C×D pair of blocks_cd of one owner whose four
+    PAF rows sum to zero at every column k ≥ 1.  A block is (owner, (lo, hi)
+    rows of the left table, (lo, hi) rows of the right one, upper): the
+    pairs of the two ranges, only i ≤ j counted from lo with upper.
 
-      (i)  key each A×B pair by P_a + P_b and each C×D pair by
-           −(P_c + P_d), where P is the packed key of one row (packed_keys;
-           all four tables packed with the same bound), and join equal keys
-           (join_equal_keys): equal keys mean the PAF sums cancel at
-           columns 1..K;
-      (ii) confirm each hit, in blocks of _EMIT_CHUNK, with the full exact
-           PAF sum, which covers the columns past K.  A hit that differs
-           only there is expected and dropped.
+      (i)   screen each block's pairs against bound (_screen_blocks);
+      (ii)  key each A×B pair by P_a + P_b and each C×D pair by
+            −(P_c + P_d), where P is the packed key of one row (packed_keys;
+            all four tables packed with the same bound), and join equal keys
+            (join_equal_keys): equal keys mean the PAF sums cancel at
+            columns 1..K;
+      (iii) per _EMIT_CHUNK hits, find each pair's owner from the blocks'
+            pair offsets, drop the hits across owners and confirm the rest
+            with the full exact PAF sum, which covers the columns past K.
+            A hit that differs only there is expected and dropped.
 
-    owners, when given, holds an instance id per A×B and per C×D pair, and
-    hits between pairs of different instances are dropped before (ii).
-    stats, when given, gains pairs_ab and pairs_cd (the pairs given) and
-    key_hits (packed-key matches kept for the exact check).
+    stats gains pairs_ab and pairs_cd (the screened pairs) and key_hits
+    (the packed-key matches of one owner, kept for the exact check).
     """
-    (paf_a, key_a), (paf_b, key_b), (paf_c, key_c), (paf_d, key_d) = a, b, c, d
-    (ab_i, ab_j), (cd_i, cd_j) = pairs_ab, pairs_cd
-    hit_ab, hit_cd = join_equal_keys(key_a[ab_i] + key_b[ab_j], -(key_c[cd_i] + key_d[cd_j]))
-    if owners is not None:
-        same = owners[0][hit_ab] == owners[1][hit_cd]
-        hit_ab, hit_cd = hit_ab[same], hit_cd[same]
-    if stats is not None:
-        stats.update(pairs_ab=len(ab_i), pairs_cd=len(cd_i), key_hits=len(hit_ab))
-    found = [np.empty((2, 0), dtype=np.int64)]
+    ia, jb, ends_ab = _screen_blocks(tables[0].psd, tables[1].psd, blocks_ab, bound)
+    ic, jd, ends_cd = _screen_blocks(tables[2].psd, tables[3].psd, blocks_cd, bound)
+    keys_a, keys_b, keys_c, keys_d = (t.keys for t in tables)
+    hit_ab, hit_cd = join_equal_keys(keys_a[ia] + keys_b[jb], -(keys_c[ic] + keys_d[jd]))
+    owners_ab, owners_cd = (np.array([b[0] for b in blocks], dtype=np.int64)
+                            for blocks in (blocks_ab, blocks_cd))
+    found, key_hits = [np.empty((0, 5), dtype=np.int64)], 0
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
         ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
-        total = paf_a[ab_i[ab]] + paf_b[ab_j[ab]] + paf_c[cd_i[cd]] + paf_d[cd_j[cd]]
-        found.append(np.stack([ab, cd])[:, (total[:, 1:] == 0).all(axis=1)])
-    hit_ab, hit_cd = np.concatenate(found, axis=1)
-    return hit_ab, hit_cd
+        owner = owners_ab[np.searchsorted(ends_ab, ab, side="right")]
+        same = owner == owners_cd[np.searchsorted(ends_cd, cd, side="right")]
+        quads = np.stack([owner, ia[ab], jb[ab], ic[cd], jd[cd]], axis=1)[same]
+        key_hits += len(quads)
+        total = sum(t.paf[quads[:, s + 1]] for s, t in enumerate(tables))
+        found.append(quads[(total[:, 1:] == 0).all(axis=1)])
+    stats.update(pairs_ab=len(ia), pairs_cd=len(ic), key_hits=key_hits)
+    return np.concatenate(found)
+
+
+def _screen_blocks(
+    psd_l: np.ndarray, psd_r: np.ndarray, blocks: Sequence[tuple], bound: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j) of table rows of each block whose summed PSD profile
+    over the plane-major tables psd_l and psd_r stays within bound on every
+    plane, block after block and row-major within a block; and the offset in
+    that list where each block's pairs end.
+
+    Each chunk of left rows meets the block's right rows on every plane in
+    one broadcast, and the planes' bool masks are and-reduced over the
+    leading axis.  With no planes, or the bound +inf, every pair is kept.
+    """
+    parts_i, parts_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    ends, total = [], 0
+    for _, (lo_l, hi_l), (lo_r, hi_r), upper in blocks:
+        right = psd_r[:, None, lo_r:hi_r]
+        for lo in range(lo_l, hi_l, _PAIR_CHUNK):
+            left = psd_l[:, lo : min(lo + _PAIR_CHUNK, hi_l), None]
+            ii, jj = np.nonzero(np.logical_and.reduce(left + right <= bound, axis=0))
+            if upper:  # i ≤ j counted from the block's first rows
+                keep = jj >= ii + (lo - lo_l)
+                ii, jj = ii[keep], jj[keep]
+            parts_i.append(ii + lo)
+            parts_j.append(jj + lo_r)
+            total += len(ii)
+        ends.append(total)
+    return np.concatenate(parts_i), np.concatenate(parts_j), np.array(ends, dtype=np.int64)
 
 
 def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:
@@ -264,27 +287,3 @@ def paf_matrix(rows: np.ndarray) -> np.ndarray:
     m = rows.shape[1]
     shifts = (np.arange(m // 2 + 1)[:, None] + np.arange(m)) % m  # row k: j ↦ j + k
     return np.einsum("rj,rkj->rk", rows, rows[:, shifts])
-
-
-def _screen_pairs(
-    psd_l: np.ndarray, psd_r: np.ndarray, bound: float, *, upper: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i ≤ j with upper) of two plane-major PSD tables whose
-    summed PSD profile stays within bound on every plane, in row-major order.
-
-    Each chunk of left rows meets every right row on every plane in one
-    broadcast, and the planes' bool masks are and-reduced over the leading
-    axis.  With no planes, or the bound +inf, every pair is kept.
-    """
-    parts_i, parts_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, psd_l.shape[1], _PAIR_CHUNK):
-        block = psd_l[:, lo : lo + _PAIR_CHUNK, None]
-        ii, jj = np.nonzero(np.logical_and.reduce(block + psd_r[:, None, :] <= bound, axis=0))
-        ii = ii + lo
-        if upper:
-            keep = jj >= ii
-            ii, jj = ii[keep], jj[keep]
-        parts_i.append(ii)
-        parts_j.append(jj)
-    return np.concatenate(parts_i), np.concatenate(parts_j)
-

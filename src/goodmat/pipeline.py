@@ -256,6 +256,15 @@ def enumerate_good_matrices(
     return enumerate_prepared(n, prepared, start=start, filters=filters, shard=shard, jobs=jobs)
 
 
+def shard_ids(count: int, shard: Optional[tuple[int, int]]) -> range:
+    """The ids, indices into the full list of count instances, that shard
+    (i, N) uncompresses: i, i + N, …; all of them without a shard."""
+    i, total = shard or (0, 1)
+    if not 0 <= i < total:
+        raise InvalidInputError(f"shard index {i} not in range 0..{total - 1}")
+    return range(i, count, total)
+
+
 def enumerate_prepared(
     n: int,
     prepared: tuple[list[CompressedQuad], CandidateSets, dict[str, float]],
@@ -273,11 +282,7 @@ def enumerate_prepared(
     instance_quads, _, timings = prepared
     timings = dict(timings)
     fingerprint = instances_fingerprint(instance_quads)
-    if shard is not None:
-        i, total = shard
-        if not (0 <= i < total):
-            raise InvalidInputError(f"shard index {i} not in range 0..{total - 1}")
-        instance_quads = instance_quads[i::total]
+    instance_quads = [instance_quads[i] for i in shard_ids(len(instance_quads), shard)]
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
 

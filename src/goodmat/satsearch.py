@@ -46,7 +46,7 @@ from .cdcl import Solver
 from .equiv import canonical_form
 from .errors import InfeasibleInstanceError, InternalError, InvalidInputError, ParseError
 from .seqcore import CompressedQuad, DefiningQuad, compress3
-from .spectral import EPS, paf_certificate, psd_values
+from .spectral import paf_certificate, psd_bound, psd_values
 
 ROW_LABELS = ("A", "B", "C", "D")
 
@@ -353,7 +353,7 @@ def solve_all(
     of each class.
     """
     raw: list[DefiningQuad] = []
-    bound = 4 * instance.n + EPS if prefix_checks else np.inf
+    bound = psd_bound(instance.n, prefix_checks)
     theory = UncompressionTheory(instance, bound=bound, sink=raw.append, audit=audit)
     solver = Solver(instance.num_vars, instance.clauses, seed=seed, theory=theory)
     if solver.solve():

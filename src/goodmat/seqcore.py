@@ -182,12 +182,16 @@ def write_quads(fp: TextIO, quads: Iterable[Sequence[Row]], fmt: Callable = form
 
 def write_file(path: Path, write: Callable[[TextIO], object]) -> None:
     """The one writer of output files: write(fp) fills `.<name>.partial` beside
-    path, which then replaces path, so no partial file ever bears path's name."""
+    path, which then replaces path, so no partial file ever bears path's name.
+    If write raises, the partial file is removed and path left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.partial")
-    with open(partial, "w") as fp:
-        write(fp)
-    os.replace(partial, path)
+    try:
+        with open(partial, "w") as fp:
+            write(fp)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only if write raised
 
 
 def read_quads(fp: TextIO, validate: bool = True) -> list[DefiningQuad]:

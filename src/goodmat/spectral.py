@@ -37,6 +37,12 @@ from .seqcore import DefiningQuad
 EPS = 1e-2
 
 
+def psd_bound(n: int, enabled: bool) -> float:
+    """The bound a PSD filter of order n tests against: 4n + EPS, or +inf,
+    which every PSD value meets, when the filter is off."""
+    return 4 * n + EPS if enabled else np.inf
+
+
 @lru_cache(maxsize=None)
 def dft_basis(n: int) -> np.ndarray:
     """Complex matrix F with F[j, k] = omega^(j k) for k = 0..floor(n/2).

@@ -4,7 +4,7 @@ one quad per orbit of the index maps that fix every compressed row.
 This is the compression/uncompression scheme of Đoković and Kotsireas
 (Compression of periodic complementary sequences and applications, Des.
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
-(join_table, _screen_pairs and _join_pairs) — one join at two lengths:
+(join_table and join_blocks) — one join at two lengths:
 
   (i)   enumerate the preimages of compressed rows directly, with the
         candidate sweep's mixed-radix enumerator (candidates._preimage_rows);
@@ -17,9 +17,9 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         join_table columns — PSD, PAF table and packed PAF key (PAF(0) = n
         bounds every other PAF value of a ±1 row) — in CSR form: row r's
         preimages are lines offsets[r]..offsets[r+1] of flat arrays;
-  (iii) screen the ordered A×B and C×D products of each instance's four
-        table slices, and join the screened pairs of a batch of consecutive
-        instances at once, dropping the hits across instances.  Every quad
+  (iii) join a batch of consecutive instances at once (join_blocks), with
+        one block per instance on each side: the ordered A×B and C×D
+        products of its four table slices, owned by the instance.  Every quad
         found must pass the PAF certificate, checked for a whole run in one
         exact integer pass (spectral.paf_sums); a failure is a bug:
         InternalError.
@@ -44,9 +44,9 @@ import numpy as np
 from .candidates import _layout, _preimage_blocks
 from .errors import InternalError
 from .equiv import compression_units, orbit_minimal
-from .matching import _join_pairs, _screen_pairs, join_table
+from .matching import join_blocks, join_table
 from .seqcore import CompressedQuad, DefiningQuad
-from .spectral import EPS, paf_sums
+from .spectral import paf_sums, psd_bound
 
 
 #: The summed A×B and C×D preimage products of the instances joined at once;
@@ -58,7 +58,7 @@ _BATCH_PAIRS = 1 << 16
 class PreimageTable(NamedTuple):
     """The preimages of R compressed rows of one skewness, in CSR form: the
     preimages of compressed row r are lines offsets[r]..offsets[r+1] of the
-    flat arrays."""
+    flat arrays, whose psd, paf and keys are those of a matching.JoinTable."""
 
     offsets: np.ndarray  # (R + 1) int64
     rows: np.ndarray     # (N × n) int8
@@ -99,54 +99,39 @@ def uncompress_all(
     compression_units, from one preimage table per skewness over the
     distinct compressed rows of all instances.
 
-    Each instance's A×B and C×D pairs are screened on their own and tagged
-    with it; consecutive instances whose pair products sum to about
-    _BATCH_PAIRS share one _join_pairs, which drops hits across instances.
-    An instance with no preimages on some side has no quad and no pairs.
+    Consecutive instances whose pair products sum to about _BATCH_PAIRS
+    share one join_blocks call, one block per instance and side, so no hit
+    joins pairs of two instances.  An instance with no preimages on some
+    side has no quad, no pairs and no block.
 
     Returns the quads of each instance, sorted (the join leaves their order
-    unspecified), and the summed _join_pairs counters pairs_ab, pairs_cd
+    unspecified), and the summed join_blocks counters pairs_ab, pairs_cd
     and key_hits.  A disabled row or pair filter is the bound +inf.
     """
     stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
     if not instances:
         return [], dict(stats)
     n = 3 * instances[0].m
-    row_bound = 4 * n + EPS if row_filter else np.inf
-    pair_bound = 4 * n + EPS if pair_filter else np.inf
+    row_bound, pair_bound = psd_bound(n, row_filter), psd_bound(n, pair_filter)
     quads = np.array([cq.rows() for cq in instances])  # [instance, A/B/C/D, entry]
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
     table_a = preimage_table(sk, True, bound=row_bound, multipliers=compression_units(n))
     tables = (table_a, *[preimage_table(sy, False, bound=row_bound)] * 3)  # B, C, D share one
     index = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)])  # [instance, side]
-    start = np.column_stack([t.offsets[index[:, s]] for s, t in enumerate(tables)])
-    end = np.column_stack([t.offsets[index[:, s] + 1] for s, t in enumerate(tables)])
-    size = end - start
+    span = np.stack([t.offsets[index[:, s, None] + [0, 1]] for s, t in enumerate(tables)],
+                    axis=1)  # [instance, side, lo/hi]: the instance's rows of each table
+    size = span[..., 1] - span[..., 0]
     work = np.where((size > 0).all(axis=1), size[:, 0] * size[:, 1] + size[:, 2] * size[:, 3], 0)
     live = np.flatnonzero(work)
     batch = (np.cumsum(work[live]) - work[live]) // _BATCH_PAIRS  # consecutive, ≈ equal work
     edges = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(live)]
-
-    def screen(part: list[int], x: int, y: int) -> list[np.ndarray]:
-        """The screened pairs of sides x and y of the instances in part, as
-        table rows, and the instance of each pair."""
-        found = []
-        for i in part:
-            (lx, ly), (hx, hy) = start[i, [x, y]], end[i, [x, y]]
-            ii, jj = _screen_pairs(tables[x].psd[:, lx:hx], tables[y].psd[:, ly:hy], pair_bound)
-            found.append((ii + lx, jj + ly, np.full(len(ii), i)))
-        return [np.concatenate(column) for column in zip(*found)]
-
-    sides = [(t.paf, t.keys) for t in tables]
+    span, live = span.tolist(), live.tolist()
     hits = [np.empty((0, 5), dtype=np.int64)]  # instance and the four table rows
     for lo, hi in zip(edges, edges[1:]):
-        part = live[lo:hi].tolist()
-        (ia, jb, ab_owner), (ic, jd, cd_owner) = screen(part, 0, 1), screen(part, 2, 3)
-        hit_ab, hit_cd = _join_pairs(*sides, (ia, jb), (ic, jd), owners=(ab_owner, cd_owner),
-                                     stats=stats)
-        hits.append(np.column_stack([ab_owner[hit_ab], ia[hit_ab], jb[hit_ab],
-                                     ic[hit_cd], jd[hit_cd]]))
+        blocks_ab, blocks_cd = ([(i, span[i][x], span[i][x + 1], False) for i in live[lo:hi]]
+                                for x in (0, 2))
+        hits.append(join_blocks(tables, blocks_ab, blocks_cd, pair_bound, stats))
     hits = np.concatenate(hits)
     hits = hits[np.argsort(hits[:, 0], kind="stable")]
     joined = np.stack([t.rows[hits[:, s + 1]] for s, t in enumerate(tables)], axis=1)

@@ -19,8 +19,9 @@ from goodmat.diophantine import signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.equiv import decode_quads, quad_key
 from goodmat.matching import (
-    _join_pairs,
-    _screen_pairs,
+    JoinTable,
+    _screen_blocks,
+    join_blocks,
     join_equal_keys,
     match_codes,
     match_quadruples,
@@ -108,56 +109,80 @@ def test_join_equals_the_nested_loop(left, right):
 
 
 def join_side(rows, length, paf_bound):
-    """One table's plane-major PSD and its _join_pairs side (PAF table,
-    packed keys), for rows of one length."""
+    """The JoinTable of rows of one length, with its PSD on every plane."""
     table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
     paf = paf_matrix(table)
-    return np.abs(np.fft.fft(table, axis=1)).T ** 2, (paf, packed_keys(paf, paf_bound))
+    return JoinTable(np.abs(np.fft.fft(table, axis=1)).T ** 2, paf, packed_keys(paf, paf_bound))
+
+
+def draw_blocks(data, rows_l, rows_r, label):
+    """A few blocks of join_blocks over tables of rows_l and rows_r rows:
+    owners from a small set, so they repeat (the simplest draw is 0, 1, 2,
+    0), and empty ranges among them."""
+
+    def span(rows, side):
+        lo = data.draw(st.integers(0, max(rows - 1, 0)), label=f"{label} {side} lo")
+        return lo, data.draw(st.integers(lo, rows), label=f"{label} {side} hi")
+
+    return [((k + data.draw(st.integers(0, 2), label=f"{label} owner")) % 3,
+             span(rows_l, "left"), span(rows_r, "right"),
+             data.draw(st.booleans(), label=f"{label} upper"))
+            for k in range(data.draw(st.integers(1, 4), label=f"{label} blocks"))]
+
+
+def block_pairs(blocks, keep):
+    """Each block's pairs (owner, i, j) by the nested loop, block after block
+    and row-major within one: i ≤ j counted from the block's first rows with
+    upper, and keep(i, j)."""
+    return [(owner, i, j) for owner, (lo_l, hi_l), (lo_r, hi_r), upper in blocks
+            for i in range(lo_l, hi_l) for j in range(lo_r, hi_r)
+            if not (upper and i - lo_l > j - lo_r) and keep(i, j)]
 
 
 @given(st.data())
 def test_quad_join_equals_the_nested_loop(data):
-    # the screen and the join as uncompression runs them: every pair may
-    # carry an instance id (owners), and hits across instances are dropped
+    # several blocks per side, as uncompression passes one per instance and
+    # matching one per rowsum partition: hits only join pairs of one owner
     length = data.draw(st.integers(1, 7), label="length")
     row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
-    tables = [data.draw(st.lists(row, max_size=4), label=name) for name in "abcd"]
+    rows = [data.draw(st.lists(row, min_size=1, max_size=4), label=name) for name in "abcd"]
     if data.draw(st.booleans(), label="d is c"):
-        tables[3] = tables[2]  # as in uncompression when C′ = D′
-    bound = data.draw(st.one_of(st.floats(0, 200), st.just(np.inf)), label="bound")
-    paf_bound = max((sum(e * e for e in r) for t in tables for r in t), default=1)
+        rows[3] = rows[2]  # as in matching, and in uncompression when C′ = D′
+    screen = data.draw(st.booleans(), label="screen")  # or the bound +inf
+    bound = data.draw(st.floats(0, 400), label="bound") if screen else np.inf
+    paf_bound = max((sum(e * e for e in r) for t in rows for r in t), default=1)
     if data.draw(st.booleans(), label="one-column keys"):
         paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
-    psd, sides = zip(*(join_side(t, length, paf_bound) for t in tables))
-    ab, cd = _screen_pairs(psd[0], psd[1], bound), _screen_pairs(psd[2], psd[3], bound)
-    owners = None
-    if data.draw(st.booleans(), label="owners"):
-        ids = st.integers(0, 2)
-        owners = tuple(np.array(data.draw(st.lists(ids, min_size=len(p[0]), max_size=len(p[0]))),
-                                dtype=np.int64) for p in (ab, cd))
+    tables = [join_side(t, length, paf_bound) for t in rows]
+    blocks_ab = draw_blocks(data, len(rows[0]), len(rows[1]), "ab")
+    blocks_cd = draw_blocks(data, len(rows[2]), len(rows[3]), "cd")
     stats = Counter()
-    hit_ab, hit_cd = _join_pairs(*sides, ab, cd, owners=owners, stats=stats)
-    got = list(zip(hit_ab.tolist(), hit_cd.tolist()))
+    got = join_blocks(tables, blocks_ab, blocks_cd, bound, stats)
+    assert got.shape[1] == 5
 
-    def pairs(x, y):
-        return [(i, j) for i in range(len(tables[x])) for j in range(len(tables[y]))
-                if not (psd[x][:, i] + psd[y][:, j] > bound).any()]
+    def screened(blocks, x, y):
+        return block_pairs(blocks, lambda i, j: not (tables[x].psd[:, i] + tables[y].psd[:, j]
+                                                     > bound).any())
 
-    assert list(zip(*(p.tolist() for p in ab))) == pairs(0, 1)
-    assert list(zip(*(p.tolist() for p in cd))) == pairs(2, 3)
-    want = {(p, q) for p, q in itertools.product(range(len(ab[0])), range(len(cd[0])))
-            if (owners is None or owners[0][p] == owners[1][q])
-            and all(sum(oracle_paf(t[x], s) for t, x in
-                        zip(tables, (ab[0][p], ab[1][p], cd[0][q], cd[1][q]))) == 0
-                    for s in range(1, length // 2 + 1))}
-    assert len(got) == len(want) and set(got) == want
-    assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab[0]), len(cd[0]))
-    assert stats["key_hits"] >= len(want)
+    ab, cd = screened(blocks_ab, 0, 1), screened(blocks_cd, 2, 3)
+    want = Counter((o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd)
+                   if o == p and all(sum(oracle_paf(t[x], s) for t, x in zip(rows, (a, b, c, d)))
+                                     == 0 for s in range(1, length // 2 + 1)))
+    assert Counter(map(tuple, got.tolist())) == want  # overlapping blocks: hits repeat
+    assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
+    assert stats["key_hits"] >= sum(want.values())
+    # all-zero PAF tables make every pair of one owner a hit, however rare
+    # cancelling rows are: the owner and block bookkeeping alone decide
+    zero = [t._replace(paf=0 * t.paf, keys=0 * t.keys) for t in tables]
+    every = join_blocks(zero, blocks_ab, blocks_cd, bound, Counter())
+    assert Counter(map(tuple, every.tolist())) == Counter(
+        (o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd) if o == p)
 
 
 @given(st.data())
 def test_screen_pairs_equals_the_nested_loop(data):
-    # small integer PSD values and bounds, so sums land on the bound often
+    # the pair screen of join_blocks; small integer PSD values and bounds, so
+    # sums land on the bound often
     planes = data.draw(st.integers(0, 3), label="planes")
 
     def table(label):
@@ -166,17 +191,20 @@ def test_screen_pairs_equals_the_nested_loop(data):
         return np.array(data.draw(values, label=label), dtype=float).reshape(planes, rows)
 
     left = table("left")
-    upper = data.draw(st.booleans(), label="upper")
-    right = left if upper and data.draw(st.booleans(), label="one table") else table("right")
+    right = left if data.draw(st.booleans(), label="one table") else table("right")
+    blocks = draw_blocks(data, left.shape[1], right.shape[1], "blocks")
     bound = data.draw(st.one_of(st.integers(0, 40).map(float), st.just(np.inf)), label="bound")
     chunk = data.draw(st.sampled_from([1, 2, matching._PAIR_CHUNK]), label="chunk")
     with mock.patch.object(matching, "_PAIR_CHUNK", chunk):
-        got = list(zip(*(idx.tolist() for idx in _screen_pairs(left, right, bound, upper=upper))))
-    product = [(i, j) for i in range(left.shape[1]) for j in range(right.shape[1])
-               if not (upper and i > j)]  # row-major
-    assert got == [(i, j) for i, j in product if (left[:, i] + right[:, j] <= bound).all()]
+        ii, jj, ends = _screen_blocks(left, right, blocks, bound)
+    got = list(zip(ii.tolist(), jj.tolist()))
+    want = block_pairs(blocks, lambda i, j: (left[:, i] + right[:, j] <= bound).all())
+    assert got == [(i, j) for _, i, j in want]
+    sizes = [len(block_pairs([block], lambda i, j: (left[:, i] + right[:, j] <= bound).all()))
+             for block in blocks]
+    assert ends.tolist() == np.cumsum(sizes, dtype=np.int64).tolist()
     if bound == np.inf:
-        assert got == product
+        assert want == block_pairs(blocks, lambda i, j: True)
 
 
 def balanced_digits(value, radix, width):

@@ -251,6 +251,7 @@ def test_write_file_replaces_only_with_a_finished_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_file(path, fail)
     assert path.read_text() == "old\n"
+    assert [p.name for p in path.parent.iterdir()] == ["out.rows"]  # no partial file left
 
 
 def file_writes(source: str) -> list[int]:

@@ -163,12 +163,13 @@ def test_join_equals_the_preimage_product_per_instance(n, filters):
 #: key_hits) with the full-length pair screen on the PSD planes k ≢ 0 (mod 3)
 #: only and the cut A table: the cut leaves pairs_cd as it was and shrinks
 #: pairs_ab and key_hits (36486 and 39 at n = 27, 470272 and 248 at n = 33
-#: without it).
+#: without it).  n = 39 was recorded with all of these in place.
 RAW_MODELS = {
     27: (186, {1: 3, 10: 6, 32: 3, 60: 3, 66: 3, 68: 3, 72: 3, 75: 3, 83: 3, 85: 3,
                135: 3, 168: 3}, (12262, 12081, 13)),
     33: (840, {134: 2, 169: 2, 301: 2, 405: 2, 473: 2, 499: 2, 504: 2, 549: 2, 575: 2,
                664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (235136, 152413, 138)),
+    39: (1934, {129: 2, 404: 2, 694: 2, 1051: 2, 1859: 2}, (1598851, 981523, 1248)),
 }
 
 
@@ -199,12 +200,13 @@ def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
                         lambda paf, bound: np.zeros(len(paf), dtype=np.int64))
     mixed = []
 
-    def spy(*args, owners, **kwargs):
-        mixed.append(len(np.unique(owners[0])) > 1 and len(np.unique(owners[1])) > 1)
-        return join_pairs(*args, owners=owners, **kwargs)
+    def spy(tables, blocks_ab, blocks_cd, *args):
+        mixed.append(all(len({owner for owner, *_ in blocks}) > 1
+                         for blocks in (blocks_ab, blocks_cd)))
+        return join_blocks(tables, blocks_ab, blocks_cd, *args)
 
-    join_pairs = uncompress_module._join_pairs
-    monkeypatch.setattr(uncompress_module, "_join_pairs", spy)
+    join_blocks = uncompress_module.join_blocks
+    monkeypatch.setattr(uncompress_module, "join_blocks", spy)
     got, wide = uncompress_all(instances)
     assert any(mixed)  # some batch joined pairs of several instances
     assert got == want
