@@ -35,6 +35,10 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))  # the runs import goodmat from here too
+
+from goodmat.seqcore import write_file
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 CHILD = """
@@ -86,7 +90,7 @@ def main() -> int:
         "orders": {str(n): summarize(n, one) for n, one in runs.items()},
     }
     path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    write_file(path, lambda fp: fp.write(json.dumps(record, indent=1) + "\n"))
     print(f"wrote {path}")
     return 0
 

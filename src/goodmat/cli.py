@@ -36,6 +36,7 @@ from .pipeline import (
     SearchReport,
     brute_force_oracle,
     build_skew_hadamard,
+    check_run,
     enumerate_prepared,
     prepare_instances,
     shard_ids,
@@ -131,20 +132,18 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
 def _parse_jobs(text: str) -> int:
     try:
         jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1, got {jobs}")
+        check_run(None, jobs)
+    except ValueError:  # InvalidInputError is one
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
     return jobs
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         i, total = (int(tok) for tok in text.split("/"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected i/N, got {text!r}") from None
-    if total < 1 or not 0 <= i < total:
-        raise argparse.ArgumentTypeError(f"shard {text!r} out of range")
+        check_run((i, total), 1)
+    except ValueError:  # InvalidInputError is one
+        raise argparse.ArgumentTypeError(f"expected i/N with 0 <= i < N, got {text!r}") from None
     return i, total
 
 

@@ -255,11 +255,11 @@ def orbit_minimal(rows: np.ndarray, multipliers: Sequence[int]) -> np.ndarray:
 
     Both cuts of the search use it, and both are exact:
 
-      * prepare_instances passes the compressed A′ rows and units(m).
-        canonical_codes compares A′ first and reorders leave A′ alone, so
-        the A′ of every canonical compressed quad is orbit-minimal; S_q is
-        closed under the units, so cutting its A′ rows to these keeps every
-        class's canonical quad.
+      * match_codes passes its compressed A′ rows and units(m), which
+        prepare_instances gives it.  canonical_codes compares A′ first and
+        reorders leave A′ alone, so the A′ of every canonical compressed
+        quad is orbit-minimal; S_q is closed under the units, so cutting
+        its A′ rows to these keeps every class's canonical quad.
       * preimage_table passes the full A preimages of uncompress_all and
         compression_units(n).
         Each such u maps every quad of an instance to a quad of the same

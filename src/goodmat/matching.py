@@ -9,19 +9,16 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
 the quad join (join_blocks) over one join_table per side (plane-major PSD,
 PAF table, packed keys) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
-partitioned by rowsum: only the partitions with r_B ≤ r_C ≤ r_D that can
-meet the k = 0 identity are paired at all, and that identity still confirms
-every hit.
+pairing only the rowsum partitions that can meet the k = 0 identity.
 Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
 permuting them; match_codes emits one arrangement of each quad, and
-all_arrangements expands these to S_q.  Quads are kept as rows of
-integer codes (equiv's row code), whose lexicographic order is quad_key
-order, so one unique_rows yields the sorted set.
+all_arrangements expands these to S_q.  Quads are kept as rows of integer
+codes (equiv's row code), whose lexicographic order is quad_key order, so
+one unique_rows yields the sorted set.
 
-join_blocks takes its pairs as blocks, row ranges of two tables with an
-owner, and joins only pairs of one owner: matching passes one block per
-rowsum partition, uncompression one per instance and side (its slices of
-preimage tables built by the same join_table), a batch of instances at once.
+join_blocks joins blocks of pairs, row ranges of two tables with an owner,
+a batch of owners at a time: matching's owners are the rowsum groups of B′,
+uncompression's its instances (slices of preimage tables built by join_table).
 
 The pair screen (_screen_blocks) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
@@ -54,13 +51,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .candidates import _ROW_BLOCK, CandidateSets
-from .equiv import decode_quads, row_codes, row_key, unique_rows
+from .equiv import decode_quads, orbit_minimal, row_codes, row_key, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
 from .spectral import mirror_psd, psd_bound
 
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
+
+#: The summed A×B and C×D products of the owners one join_blocks batch joins.
+_BATCH_PAIRS = 1 << 16
 
 
 class JoinTable(NamedTuple):
@@ -99,32 +99,34 @@ def match_codes(
     n: int,
     *,
     pair_filter: bool = True,
+    multipliers: Sequence[int] = (),
 ) -> np.ndarray:
-    """The quads of match_quadruples with B′ ≤ C′ ≤ D′ in (rowsum, row code)
+    """The quads of match_quadruples whose A′ is orbit_minimal under
+    multipliers (all for none), with B′ ≤ C′ ≤ D′ in (rowsum, row code)
     order, as the sorted, unique (N × 4) array of row codes: exactly one
     rearrangement of each (all_arrangements restores S_q).  A′ is never
-    moved, so a cut on the A′ rows stays exact.
+    moved, so the cut on the A′ rows stays exact.
 
-    The join is partitioned by rowsum.  s_sy is sorted by (rowsum, row code),
-    so the B′ rows of one rowsum r_B are a range of rows, and each such group
-    makes one join_blocks call: its A′×B′ block against the C′×D′ blocks of
-    every rowsum partition pair (both values present in s_sy) with
-    r_B ≤ r_C ≤ r_D and 1 + r_B² + r_C² + r_D² = 4n — upper when r_C = r_D,
-    the whole product otherwise.  A hit is kept if (r_B, B′) ≤ (r_C, C′),
-    which only removes hits with r_B = r_C.  Any quad outside these
-    partitions fails the k = 0 identity, so no representative is lost, with
-    or without the rowsum filter of the sweep, and peak memory is set by one
-    group instead of all of S_q.  The k = 0 identity is still checked on
-    every hit, as the exact confirmation.  Within a partition it also fixes
-    the k = 0 PSD plane of every pair (1 + r_B² for A′×B′, r_C² + r_D² for
-    C′×D′, both ≤ 4n), so the pair screens skip that plane.
-    pair_filter=False screens against the bound +inf, which keeps every pair.
+    One join_blocks call, partitioned by rowsum.  s_sy is sorted by (rowsum,
+    row code), so the B′ rows of one rowsum r_B are a range of rows, and each
+    such group is an owner: its A′×B′ block against the C′×D′ blocks of every
+    rowsum partition pair (both values present in s_sy) with r_B ≤ r_C ≤ r_D
+    and 1 + r_B² + r_C² + r_D² = 4n — upper when r_C = r_D, the whole product
+    otherwise.  A hit is kept if (r_B, B′) ≤ (r_C, C′), which only removes
+    hits with r_B = r_C.  Any quad outside these partitions fails the k = 0
+    identity, so no representative is lost, with or without the rowsum
+    filter of the sweep.  The k = 0 identity is still checked on every hit,
+    as the exact confirmation.  Within a partition it also fixes the k = 0
+    PSD plane of every pair (1 + r_B² for A′×B′, r_C² + r_D² for C′×D′, both
+    ≤ 4n), so the pair screens skip that plane.  pair_filter=False screens
+    against the bound +inf, which keeps every pair.
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
     sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
+    sk_arr = sk_arr[orbit_minimal(sk_arr, multipliers)]  # no multipliers keep every row
     sy_arr = np.array(sorted(cands.s_sy, key=lambda row: (sum(row), row_key(row))),
                       dtype=np.int64)  # (rowsum, row code) order
     code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
@@ -134,22 +136,17 @@ def match_codes(
     planes = np.arange(1, cands.m // 2 + 1)
     sy = join_table(sy_arr, False, planes, paf_bound)
     tables = (join_table(sk_arr, True, planes, paf_bound), sy, sy, sy)
-    bound = psd_bound(n, pair_filter)
 
     sums, first = np.unique(rs_sy, return_index=True)
     part = dict(zip(sums.tolist(), zip(first.tolist(), [*first[1:].tolist(), len(rs_sy)])))
-    found = [np.empty((0, 4), dtype=np.int64)]
-    for rb, rows_b in part.items():
-        blocks_cd = [(0, part[rc], part[rd], rc == rd) for rc in part for rd in part
-                     if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
-        if not blocks_cd:
-            continue
-        blocks_ab = [(0, (0, len(sk_arr)), rows_b, False)]
-        _, ia, jb, ic, jd = join_blocks(tables, blocks_ab, blocks_cd, bound, Counter()).T
-        ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
-        ok &= jb <= ic  # (r_B, B′) ≤ (r_C, C′): the order of s_sy's rows
-        found.append(np.stack([code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]], axis=1)[ok])
-    return unique_rows(np.concatenate(found))
+    blocks_ab = [(rb, (0, len(sk_arr)), rows_b, False) for rb, rows_b in part.items()]
+    blocks_cd = [(rb, part[rc], part[rd], rc == rd) for rb in part for rc in part for rd in part
+                 if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
+    _, ia, jb, ic, jd = join_blocks(tables, blocks_ab, blocks_cd, psd_bound(n, pair_filter),
+                                    Counter()).T
+    ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
+    ok &= jb <= ic  # (r_B, B′) ≤ (r_C, C′): the order of s_sy's rows
+    return unique_rows(np.stack([code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]], axis=1)[ok])
 
 
 def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int) -> JoinTable:
@@ -184,9 +181,13 @@ def join_blocks(
     """The quad join over the tables (A, B, C, D), each with a JoinTable's
     psd, paf and keys: a line (owner, a, b, c, d) of table rows for every
     A×B pair of blocks_ab and C×D pair of blocks_cd of one owner whose four
-    PAF rows sum to zero at every column k ≥ 1.  A block is (owner, (lo, hi)
-    rows of the left table, (lo, hi) rows of the right one, upper): the
-    pairs of the two ranges, only i ≤ j counted from lo with upper.
+    PAF rows sum to zero at every column k ≥ 1, sorted by owner.  A block is
+    (owner, (lo, hi) rows of the left table, (lo, hi) rows of the right one,
+    upper): the pairs of the two ranges, only i ≤ j counted from lo with
+    upper.  An owner with no A×B or no C×D product is skipped; the others
+    are joined in ascending order, in batches of consecutive owners whose
+    full A×B plus C×D products reach _BATCH_PAIRS (a batch closes with the
+    owner that reaches it).  Per batch (_join_batch):
 
       (i)   screen each block's pairs against bound (_screen_blocks);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
@@ -202,12 +203,32 @@ def join_blocks(
     stats gains pairs_ab and pairs_cd (the screened pairs) and key_hits
     (the packed-key matches of one owner, kept for the exact check).
     """
+    by_owner: dict = {}  # owner → its A×B blocks, its C×D blocks, their products
+    for side, blocks in enumerate((blocks_ab, blocks_cd)):
+        for block in blocks:
+            entry = by_owner.setdefault(block[0], ([], [], [0, 0]))
+            entry[side].append(block)
+            entry[2][side] += (block[1][1] - block[1][0]) * (block[2][1] - block[2][0])
+    live = sorted(owner for owner, (_, _, work) in by_owner.items() if all(work))
+    work = np.array([sum(by_owner[owner][2]) for owner in live], dtype=np.int64)
+    batch = (np.cumsum(work) - work) // _BATCH_PAIRS  # consecutive, ≈ equal work
+    edges = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(live)]
+    found = [np.empty((0, 5), dtype=np.int64)]
+    for lo, hi in zip(edges, edges[1:]):
+        ab_cd = [[b for owner in live[lo:hi] for b in by_owner[owner][side]] for side in (0, 1)]
+        found.append(_join_batch(tables, *ab_cd, bound, stats))
+    found = np.concatenate(found)
+    return found[np.argsort(found[:, 0], kind="stable")]
+
+
+def _join_batch(tables: Sequence[JoinTable], blocks_ab: Sequence[tuple],
+                blocks_cd: Sequence[tuple], bound: float, stats: Counter) -> np.ndarray:
+    """join_blocks' steps (i)–(iii) on one batch; its pairs are freed on return."""
     ia, jb, ends_ab = _screen_blocks(tables[0].psd, tables[1].psd, blocks_ab, bound)
     ic, jd, ends_cd = _screen_blocks(tables[2].psd, tables[3].psd, blocks_cd, bound)
     keys_a, keys_b, keys_c, keys_d = (t.keys for t in tables)
     hit_ab, hit_cd = join_equal_keys(keys_a[ia] + keys_b[jb], -(keys_c[ic] + keys_d[jd]))
-    owners_ab, owners_cd = (np.array([b[0] for b in blocks], dtype=np.int64)
-                            for blocks in (blocks_ab, blocks_cd))
+    owners_ab, owners_cd = (np.array([b[0] for b in bs]) for bs in (blocks_ab, blocks_cd))
     found, key_hits = [np.empty((0, 5), dtype=np.int64)], 0
     for lo in range(0, len(hit_ab), _EMIT_CHUNK):
         ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]

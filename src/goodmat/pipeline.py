@@ -4,13 +4,13 @@ The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
-  3. match_codes:            the quad join at compressed length, one rowsum
-                             partition at a time → one arrangement per
+  3. match_codes:            the quad join at compressed length, one owner
+                             per rowsum partition of B′ → one arrangement per
                              {B′, C′, D′} of each S_q quad whose A′ is
                              orbit-minimal, as codes;
   4. canonical_codes dedup → one instance per compressed class;
-  5. uncompress_all: the quad join at full length, a batch of instances at
-                             a time → defining quads, one per orbit of the
+  5. uncompress_all: the quad join at full length, one owner per
+                             instance → defining quads, one per orbit of the
                              index maps u ≡ 1 (mod n/3) that fix every
                              compressed row;
   6. canonical_forms dedup → the sorted list of inequivalent good matrices.
@@ -32,9 +32,8 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ from .equiv import (
     canonical_forms,
     decode_quads,
     dedup,
-    orbit_minimal,
     unique_rows,
     units,
 )
@@ -197,12 +195,10 @@ def prepare_instances(
 ) -> tuple[list[CompressedQuad], CandidateSets, dict[str, float]]:
     """Stages 1–4: rowsums, candidates, matching, compressed dedup.
 
-    Matching gets only the A′ rows that are the minimum of their orbit under
-    j ↦ u·j mod m; S_q is closed under the compressed group, so by
-    equiv.orbit_minimal every class's canonical quad is still matched.
-    match_codes returns one (B′, C′, D′) arrangement of each quad, which
-    canonical_codes maps to its class.  The returned candidate sets are the
-    full ones.
+    match_codes joins only the A′ rows that are orbit-minimal under units(m),
+    which by equiv.orbit_minimal keeps every class's canonical quad, and
+    returns one (B′, C′, D′) arrangement of each quad; canonical_codes maps
+    it to its class.  The returned candidate sets are the full ones.
     """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
@@ -220,10 +216,7 @@ def prepare_instances(
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sk = list(cands.s_sk)
-    minimal = orbit_minimal(np.array(sk).reshape(len(sk), cands.m), units(cands.m))
-    matched = replace(cands, s_sk=frozenset(compress(sk, minimal)))
-    s_q = match_codes(matched, n, pair_filter=filters.psd_pairs)
+    s_q = match_codes(cands, n, pair_filter=filters.psd_pairs, multipliers=units(cands.m))
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -246,22 +239,29 @@ def enumerate_good_matrices(
     With shard=(i, N), only instances with index ≡ i (mod N) in the sorted
     deduped instance list are uncompressed: N shards jointly cover the search
     exactly once and their union equals the unsharded result.  jobs > 1
-    spreads the instances over that many worker processes; jobs < 1 raises
-    InvalidInputError.  seed no longer
-    affects the search (uncompression is a deterministic join); it is kept
-    for callers that pass it.
+    spreads the instances over that many worker processes; check_run rejects
+    bad values before the front end starts.  seed no longer affects the
+    search (a deterministic join); it is kept for callers that pass it.
     """
     start = time.perf_counter()
+    check_run(shard, jobs)
     prepared = prepare_instances(n, filters=filters, allow_large=allow_large)
     return enumerate_prepared(n, prepared, start=start, filters=filters, shard=shard, jobs=jobs)
 
 
-def shard_ids(count: int, shard: Optional[tuple[int, int]]) -> range:
-    """The ids, indices into the full list of count instances, that shard
-    (i, N) uncompresses: i, i + N, …; all of them without a shard."""
+def check_run(shard: Optional[tuple[int, int]], jobs: int) -> None:
+    """InvalidInputError unless shard is None or (i, N) with 0 ≤ i < N, and jobs ≥ 1."""
     i, total = shard or (0, 1)
     if not 0 <= i < total:
         raise InvalidInputError(f"shard index {i} not in range 0..{total - 1}")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
+
+
+def shard_ids(count: int, shard: Optional[tuple[int, int]]) -> range:
+    """The ids, indices into the full list of count instances, that shard
+    (i, N), checked by check_run, uncompresses: i, i + N, …; all without one."""
+    i, total = shard or (0, 1)
     return range(i, count, total)
 
 
@@ -279,12 +279,11 @@ def enumerate_prepared(
 
     start is the perf_counter() value the report's wall time counts from.
     """
+    check_run(shard, jobs)
     instance_quads, _, timings = prepared
     timings = dict(timings)
     fingerprint = instances_fingerprint(instance_quads)
     instance_quads = [instance_quads[i] for i in shard_ids(len(instance_quads), shard)]
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
 
     t0 = time.perf_counter()
     run = partial(uncompress_all, row_filter=filters.psd_candidates,

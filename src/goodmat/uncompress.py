@@ -17,12 +17,11 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         join_table columns — PSD, PAF table and packed PAF key (PAF(0) = n
         bounds every other PAF value of a ±1 row) — in CSR form: row r's
         preimages are lines offsets[r]..offsets[r+1] of flat arrays;
-  (iii) join a batch of consecutive instances at once (join_blocks), with
-        one block per instance on each side: the ordered A×B and C×D
-        products of its four table slices, owned by the instance.  Every quad
-        found must pass the PAF certificate, checked for a whole run in one
-        exact integer pass (spectral.paf_sums); a failure is a bug:
-        InternalError.
+  (iii) join every instance in one join_blocks call, which batches them:
+        one block per instance and side, the ordered A×B and C×D products
+        of its four table slices.  Every quad found must pass the PAF
+        certificate, checked for a whole run in one exact integer pass
+        (spectral.paf_sums); a failure is a bug: InternalError.
 
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
 PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
@@ -47,12 +46,6 @@ from .equiv import compression_units, orbit_minimal
 from .matching import join_blocks, join_table
 from .seqcore import CompressedQuad, DefiningQuad
 from .spectral import paf_sums, psd_bound
-
-
-#: The summed A×B and C×D preimage products of the instances joined at once;
-#: a batch closes with the instance that reaches it (so at n ≥ 51, where one
-#: instance exceeds it, each instance is its own batch).
-_BATCH_PAIRS = 1 << 16
 
 
 class PreimageTable(NamedTuple):
@@ -99,14 +92,12 @@ def uncompress_all(
     compression_units, from one preimage table per skewness over the
     distinct compressed rows of all instances.
 
-    Consecutive instances whose pair products sum to about _BATCH_PAIRS
-    share one join_blocks call, one block per instance and side, so no hit
-    joins pairs of two instances.  An instance with no preimages on some
-    side has no quad, no pairs and no block.
+    One join_blocks call joins them all, one block per instance and side,
+    so no hit joins pairs of two instances.
 
     Returns the quads of each instance, sorted (the join leaves their order
-    unspecified), and the summed join_blocks counters pairs_ab, pairs_cd
-    and key_hits.  A disabled row or pair filter is the bound +inf.
+    unspecified), and the join_blocks counters pairs_ab, pairs_cd and
+    key_hits.  A disabled row or pair filter is the bound +inf.
     """
     stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
     if not instances:
@@ -120,20 +111,9 @@ def uncompress_all(
     tables = (table_a, *[preimage_table(sy, False, bound=row_bound)] * 3)  # B, C, D share one
     index = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)])  # [instance, side]
     span = np.stack([t.offsets[index[:, s, None] + [0, 1]] for s, t in enumerate(tables)],
-                    axis=1)  # [instance, side, lo/hi]: the instance's rows of each table
-    size = span[..., 1] - span[..., 0]
-    work = np.where((size > 0).all(axis=1), size[:, 0] * size[:, 1] + size[:, 2] * size[:, 3], 0)
-    live = np.flatnonzero(work)
-    batch = (np.cumsum(work[live]) - work[live]) // _BATCH_PAIRS  # consecutive, ≈ equal work
-    edges = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(live)]
-    span, live = span.tolist(), live.tolist()
-    hits = [np.empty((0, 5), dtype=np.int64)]  # instance and the four table rows
-    for lo, hi in zip(edges, edges[1:]):
-        blocks_ab, blocks_cd = ([(i, span[i][x], span[i][x + 1], False) for i in live[lo:hi]]
-                                for x in (0, 2))
-        hits.append(join_blocks(tables, blocks_ab, blocks_cd, pair_bound, stats))
-    hits = np.concatenate(hits)
-    hits = hits[np.argsort(hits[:, 0], kind="stable")]
+                    axis=1).tolist()  # [instance][side]: the instance's rows of each table
+    blocks = [[(i, rows[x], rows[x + 1], False) for i, rows in enumerate(span)] for x in (0, 2)]
+    hits = join_blocks(tables, *blocks, pair_bound, stats)  # instance and the four table rows
     joined = np.stack([t.rows[hits[:, s + 1]] for s, t in enumerate(tables)], axis=1)
     failed = paf_sums(joined).any(axis=1)
     if failed.any():

@@ -1,6 +1,7 @@
 """Equivalence operations and canonical forms, full and compressed."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,14 +278,18 @@ def test_compression_minimal_rows_are_their_orbit_minimum(data):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("n", [9, 15, 21])
+@pytest.mark.parametrize("n", [9, 15, 21, 27, 33])
 def test_canonical_quads_have_orbit_minimal_a(n):
-    # what lets prepare_instances match only orbit-minimal A′ rows
+    # what lets match_codes join only orbit-minimal A′ rows; its own cut
+    # (multipliers) equals matching the cut candidate sets
     cands = generate_candidates(n, signed_rowsums(n))
     a = {q.ac for q in decode_quads(canonical_codes(match_codes(cands, n), n // 3), n // 3)}
     sk = sorted(cands.s_sk)
     minimal = orbit_minimal(np.array(sk), units(n // 3))
-    assert a and a <= {row for row, keep in zip(sk, minimal) if keep}
+    cut = {row for row, keep in zip(sk, minimal) if keep}
+    assert a and a <= cut
+    assert np.array_equal(match_codes(cands, n, multipliers=units(n // 3)),
+                          match_codes(replace(cands, s_sk=frozenset(cut)), n))
 
 
 code_arrays = st.one_of(

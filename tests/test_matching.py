@@ -5,6 +5,7 @@ compressed goodness conditions directly (pure Python PAF + rowsums).
 """
 
 import itertools
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -142,7 +143,9 @@ def block_pairs(blocks, keep):
 @given(st.data())
 def test_quad_join_equals_the_nested_loop(data):
     # several blocks per side, as uncompression passes one per instance and
-    # matching one per rowsum partition: hits only join pairs of one owner
+    # matching one per rowsum group: hits only join pairs of one owner, come
+    # back sorted by owner, and an owner without an A×B or a C×D product
+    # counts no pairs; joined in batches of any size
     length = data.draw(st.integers(1, 7), label="length")
     row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
     rows = [data.draw(st.lists(row, min_size=1, max_size=4), label=name) for name in "abcd"]
@@ -156,13 +159,34 @@ def test_quad_join_equals_the_nested_loop(data):
     tables = [join_side(t, length, paf_bound) for t in rows]
     blocks_ab = draw_blocks(data, len(rows[0]), len(rows[1]), "ab")
     blocks_cd = draw_blocks(data, len(rows[2]), len(rows[3]), "cd")
+    # owner 3 has blocks on one side only, owner 4 only empty ranges
+    one_side = data.draw(st.sampled_from([None, 0, 2]), label="owner 3")
+    if one_side is not None:
+        left, right = rows[one_side : one_side + 2]
+        (blocks_ab, blocks_cd)[one_side // 2].append((3, (0, len(left)), (0, len(right)), False))
+    if data.draw(st.booleans(), label="owner 4"):
+        blocks_ab.append((4, (0, 0), (0, len(rows[1])), False))
+        blocks_cd.append((4, (1, 1), (0, 0), True))
+    batch = data.draw(st.sampled_from([1, 5, matching._BATCH_PAIRS]), label="batch")
     stats = Counter()
-    got = join_blocks(tables, blocks_ab, blocks_cd, bound, stats)
+    with mock.patch.object(matching, "_BATCH_PAIRS", batch):
+        got = join_blocks(tables, blocks_ab, blocks_cd, bound, stats)
     assert got.shape[1] == 5
+    assert (np.diff(got[:, 0]) >= 0).all()  # sorted by owner
+
+    def products(blocks):
+        work = Counter()
+        for owner, (lo_l, hi_l), (lo_r, hi_r), _ in blocks:
+            work[owner] += (hi_l - lo_l) * (hi_r - lo_r)
+        return {owner for owner, size in work.items() if size}
+
+    live = products(blocks_ab) & products(blocks_cd)
+    assert not live & {3, 4}  # so neither counts a pair nor gives a hit
 
     def screened(blocks, x, y):
-        return block_pairs(blocks, lambda i, j: not (tables[x].psd[:, i] + tables[y].psd[:, j]
-                                                     > bound).any())
+        return block_pairs([b for b in blocks if b[0] in live],
+                           lambda i, j: not (tables[x].psd[:, i] + tables[y].psd[:, j]
+                                             > bound).any())
 
     ab, cd = screened(blocks_ab, 0, 1), screened(blocks_cd, 2, 3)
     want = Counter((o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd)
@@ -177,6 +201,30 @@ def test_quad_join_equals_the_nested_loop(data):
     every = join_blocks(zero, blocks_ab, blocks_cd, bound, Counter())
     assert Counter(map(tuple, every.tolist())) == Counter(
         (o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd) if o == p)
+
+
+def test_join_blocks_frees_each_batch_before_the_next(monkeypatch):
+    # A batch's pairs and key hits are gone when the next batch screens: at
+    # n = 57 each of matching's batches holds about 22M C′×D′ pairs and as
+    # many key hits, and keeping one batch's arrays raised the peak by 0.3 GB.
+    refs, screens = [], itertools.count()
+
+    def watch(fn, opens_batch):
+        def spy(*args):
+            if opens_batch():  # the A×B screen: nothing of the last batch is left
+                assert all(ref() is None for ref in refs)
+            out = fn(*args)
+            refs.extend(map(weakref.ref, out))
+            return out
+        return spy
+
+    monkeypatch.setattr(matching, "_screen_blocks",
+                        watch(matching._screen_blocks, lambda: next(screens) % 2 == 0))
+    monkeypatch.setattr(matching, "join_equal_keys",
+                        watch(matching.join_equal_keys, lambda: False))
+    monkeypatch.setattr(matching, "_BATCH_PAIRS", 1)  # one batch per rowsum group
+    assert len(match_codes(generate_candidates(27, signed_rowsums(27)), 27)) > 0
+    assert next(screens) >= 4  # two batches or more
 
 
 @given(st.data())

@@ -242,10 +242,16 @@ def test_parallel_jobs_match_sequential():
     assert par_report.solver_stats == seq_report.solver_stats
 
 
-@pytest.mark.parametrize("jobs", [0, -2])
-def test_jobs_below_one_rejected(jobs):
+@pytest.mark.parametrize("run", [{"jobs": 0}, {"jobs": -2}, {"shard": (2, 2)}],
+                         ids=["0", "-2", "shard2of2"])
+def test_jobs_below_one_rejected(run, monkeypatch):
+    # rejected before the front end runs (about 90 s and 1.9 GB at n = 57)
+    def front_end(*args, **kwargs):
+        raise AssertionError("prepare_instances ran before the arguments were checked")
+
+    monkeypatch.setattr(pipeline, "prepare_instances", front_end)
     with pytest.raises(InvalidInputError):
-        enumerate_good_matrices(9, jobs=jobs)
+        enumerate_good_matrices(9, **run)
 
 
 def test_order_validation():

@@ -300,7 +300,7 @@ def write_file(path, write):
 
 def test_only_write_file_writes_files():
     paths = [*sorted(ROOT.joinpath("src", "goodmat").glob("*.py")),
-             ROOT / "scripts" / "reproduce_counts.py"]
+             *sorted(ROOT.joinpath("scripts").glob("*.py"))]
     found = {path.name: file_writes(path.read_text()) for path in paths}
     assert len(found) > 10
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -11,6 +11,8 @@ import pytest
 
 from goodmat import matching
 from goodmat import uncompress as uncompress_module
+from goodmat.candidates import generate_candidates
+from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import (
     apply_automorphism,
     canonical_compressed,
@@ -19,8 +21,10 @@ from goodmat.equiv import (
     orbit_minimal,
     permute_row,
     row_key,
+    units,
 )
 from goodmat.errors import InternalError
+from goodmat.matching import match_codes
 from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.satsearch import build_instance, solve_all
 from goodmat.seqcore import (
@@ -198,31 +202,35 @@ def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
     want, stats = uncompress_all(instances)
     monkeypatch.setattr(matching, "packed_keys",
                         lambda paf, bound: np.zeros(len(paf), dtype=np.int64))
-    mixed = []
+    owners = []  # per screen inside join_blocks: the instances of its batch
 
-    def spy(tables, blocks_ab, blocks_cd, *args):
-        mixed.append(all(len({owner for owner, *_ in blocks}) > 1
-                         for blocks in (blocks_ab, blocks_cd)))
-        return join_blocks(tables, blocks_ab, blocks_cd, *args)
+    def spy(psd_l, psd_r, blocks, bound):
+        owners.append(len({owner for owner, *_ in blocks}))
+        return screen(psd_l, psd_r, blocks, bound)
 
-    join_blocks = uncompress_module.join_blocks
-    monkeypatch.setattr(uncompress_module, "join_blocks", spy)
+    screen = matching._screen_blocks
+    monkeypatch.setattr(matching, "_screen_blocks", spy)
     got, wide = uncompress_all(instances)
-    assert any(mixed)  # some batch joined pairs of several instances
+    assert max(owners) > 1  # some batch joined pairs of several instances
     assert got == want
     assert wide["key_hits"] > stats["key_hits"] >= sum(map(len, want))
 
 
 @pytest.mark.parametrize("filters", [True, False], ids=["filters", "no_filters"])
-@pytest.mark.parametrize("n", [15, 21])
+@pytest.mark.parametrize("n", [15, 21, 27, 33])
 def test_batch_size_changes_nothing(n, filters, monkeypatch):
-    instances = prepare_instances(n)[0]
+    # join_blocks batches owners: rowsum groups in match_codes, instances in
+    # uncompress_all (not at n = 33, where that takes seconds per size)
+    cands = generate_candidates(n, signed_rowsums(n), psd_filter=filters, rowsum_filter=filters)
+    instances = prepare_instances(n)[0] if n < 33 else []
     runs = []
-    for size in (1, uncompress_module._BATCH_PAIRS, 1 << 40):
-        monkeypatch.setattr(uncompress_module, "_BATCH_PAIRS", size)
-        runs.append(uncompress_all(instances, row_filter=filters, pair_filter=filters))
-    assert runs[0] == runs[1] == runs[2]
-    assert sum(map(len, runs[0][0])) > 0
+    for size in (1, matching._BATCH_PAIRS, 1 << 40):
+        monkeypatch.setattr(matching, "_BATCH_PAIRS", size)
+        runs.append((match_codes(cands, n, pair_filter=filters, multipliers=units(n // 3)),
+                     uncompress_all(instances, row_filter=filters, pair_filter=filters)))
+    for codes, found in runs[1:]:
+        assert np.array_equal(codes, runs[0][0]) and found == runs[0][1]
+    assert len(runs[0][0]) and (n == 33 or sum(map(len, runs[0][1][0])) > 0)
 
 
 def test_failed_certificate_raises_internal_error(monkeypatch):
