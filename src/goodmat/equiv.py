@@ -89,10 +89,11 @@ def _code_digits(codes: np.ndarray, m: int) -> np.ndarray:
 
 
 def decode_quads(codes: np.ndarray, m: int) -> list[CompressedQuad]:
-    """The compressed quads of an (N × 4) code array, in its row order."""
-    digits = _code_digits(np.reshape(codes, -1), m).astype(np.int64)
-    rows = list(map(tuple, (3 - 2 * digits).tolist()))
-    return [CompressedQuad(*rows[i : i + 4]) for i in range(0, len(rows), 4)]
+    """The compressed quads of an (N × 4) code array, in its row order, each code decoded once."""
+    distinct, index = np.unique(np.reshape(codes, -1), return_inverse=True)
+    rows = list(map(tuple, (3 - 2 * _code_digits(distinct, m).astype(np.int64)).tolist()))
+    flat = [rows[i] for i in index.tolist()]
+    return [CompressedQuad(*flat[i : i + 4]) for i in range(0, len(flat), 4)]
 
 
 # ── the operations ──────────────────────────────────────────────────────────

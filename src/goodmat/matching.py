@@ -19,6 +19,7 @@ one unique_rows yields the sorted set.
 join_blocks joins blocks of pairs, row ranges of two tables with an owner,
 a batch of owners at a time: matching's owners are the rowsum groups of B′,
 uncompression's its instances (slices of preimage tables built by join_table).
+join_equal_keys, a sort-merge join, yields its hits in key order, in chunks.
 
 The pair screen (_screen_blocks) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .candidates import _ROW_BLOCK, CandidateSets
-from .equiv import decode_quads, orbit_minimal, row_codes, row_key, unique_rows
+from .equiv import decode_quads, orbit_minimal, row_codes, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
 from .spectral import mirror_psd, psd_bound
@@ -125,10 +126,11 @@ def match_codes(
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
-    sk_arr = np.array(sorted(cands.s_sk), dtype=np.int64)
+    sk_arr = np.array(list(cands.s_sk), dtype=np.int64)
+    sk_arr = sk_arr[np.argsort(row_codes(sk_arr))]  # row code order
     sk_arr = sk_arr[orbit_minimal(sk_arr, multipliers)]  # no multipliers keep every row
-    sy_arr = np.array(sorted(cands.s_sy, key=lambda row: (sum(row), row_key(row))),
-                      dtype=np.int64)  # (rowsum, row code) order
+    sy_arr = np.array(list(cands.s_sy), dtype=np.int64)
+    sy_arr = sy_arr[np.lexsort((row_codes(sy_arr), sy_arr.sum(axis=1)))]  # (rowsum, row code)
     code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
     # the largest PAF(0) = Σ e² of either table: ≥ |PAF(k)| by Cauchy–Schwarz
     paf_bound = max(int((rows * rows).sum(axis=1).max()) for rows in (sk_arr, sy_arr))
@@ -195,10 +197,10 @@ def join_blocks(
             all four tables packed with the same bound), and join equal keys
             (join_equal_keys): equal keys mean the PAF sums cancel at
             columns 1..K;
-      (iii) per _EMIT_CHUNK hits, find each pair's owner from the blocks'
-            pair offsets, drop the hits across owners and confirm the rest
-            with the full exact PAF sum, which covers the columns past K.
-            A hit that differs only there is expected and dropped.
+      (iii) per chunk of about _EMIT_CHUNK hits in key order, find each
+            pair's owner from the blocks' pair offsets, drop the hits across
+            owners and confirm the rest with the full exact PAF sum, which
+            covers the columns past K; a hit differing only there is dropped.
 
     stats gains pairs_ab and pairs_cd (the screened pairs) and key_hits
     (the packed-key matches of one owner, kept for the exact check).
@@ -227,11 +229,9 @@ def _join_batch(tables: Sequence[JoinTable], blocks_ab: Sequence[tuple],
     ia, jb, ends_ab = _screen_blocks(tables[0].psd, tables[1].psd, blocks_ab, bound)
     ic, jd, ends_cd = _screen_blocks(tables[2].psd, tables[3].psd, blocks_cd, bound)
     keys_a, keys_b, keys_c, keys_d = (t.keys for t in tables)
-    hit_ab, hit_cd = join_equal_keys(keys_a[ia] + keys_b[jb], -(keys_c[ic] + keys_d[jd]))
     owners_ab, owners_cd = (np.array([b[0] for b in bs]) for bs in (blocks_ab, blocks_cd))
     found, key_hits = [np.empty((0, 5), dtype=np.int64)], 0
-    for lo in range(0, len(hit_ab), _EMIT_CHUNK):
-        ab, cd = hit_ab[lo : lo + _EMIT_CHUNK], hit_cd[lo : lo + _EMIT_CHUNK]
+    for ab, cd in join_equal_keys(keys_a[ia] + keys_b[jb], -(keys_c[ic] + keys_d[jd])):
         owner = owners_ab[np.searchsorted(ends_ab, ab, side="right")]
         same = owner == owners_cd[np.searchsorted(ends_cd, cd, side="right")]
         quads = np.stack([owner, ia[ab], jb[ab], ic[cd], jd[cd]], axis=1)[same]
@@ -288,19 +288,28 @@ def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:
     return paf[:, 1 : width + 1] @ radix ** np.arange(width, dtype=np.int64)
 
 
-def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j) with keys_l[i] == keys_r[j], for 1-D int64 keys.
+def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> Iterator[tuple]:
+    """Every index pair (i, j) with keys_l[i] == keys_r[j], for 1-D int64 keys,
+    in key order, as (i, j) arrays in chunks of about _EMIT_CHUNK pairs that
+    never split one key's pairs (join_blocks' (cumsum − count) // size rule).
 
-    The right side is sorted once; both searchsorted bounds of each left key
-    give the run of right rows it pairs with, expanded by repeat.  The order
-    of the pairs within one left key's run is unspecified.
+    A sort-merge join: both sides are argsorted, the sorted left keys are
+    searched in the sorted right keys once, in order, and a run's end is
+    looked up only for the left keys that matched.
     """
-    order = np.argsort(keys_r)
-    sorted_r = keys_r[order]
-    lo = np.searchsorted(sorted_r, keys_l, side="left")
-    count = np.searchsorted(sorted_r, keys_l, side="right") - lo
-    shift = np.repeat(lo - np.cumsum(count) + count, count)  # output slot → sorted slot
-    return np.repeat(np.arange(len(keys_l)), count), order[shift + np.arange(len(shift))]
+    order_l, order_r = np.argsort(keys_l), np.argsort(keys_r)
+    keys_l, keys_r = keys_l[order_l], keys_r[order_r]  # the unsorted keys are freed
+    lo = np.searchsorted(keys_r, keys_l)
+    hit = np.flatnonzero(lo < len(keys_r))
+    hit = hit[keys_r[lo[hit]] == keys_l[hit]]
+    key, lo = keys_l[hit], lo[hit]
+    count = np.searchsorted(keys_r, key, side="right") - lo
+    before = np.cumsum(count) - count  # pairs ahead of each matched left row
+    starts = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each key's first row
+    edges = starts[np.diff(before[starts] // _EMIT_CHUNK, prepend=-1) > 0].tolist() + [len(key)]
+    for a, b in zip(edges, edges[1:]):
+        shift = np.repeat(lo[a:b] - before[a:b] + before[a], count[a:b])  # slot → sorted slot
+        yield np.repeat(order_l[hit[a:b]], count[a:b]), order_r[shift + np.arange(len(shift))]
 
 
 def paf_matrix(rows: np.ndarray) -> np.ndarray:

@@ -58,6 +58,9 @@ def test_row_codes_realize_row_key_order(rows):
     assert by_code == sorted(rows, key=row_key)
     quads = np.array(codes[: len(codes) // 4 * 4]).reshape(-1, 4)
     assert [r for q in decode_quads(quads, 5) for r in q] == rows[: quads.size]
+    shared = [0, 1, 0, 0, 1, 1, 0, 1]  # repeated codes: quads sharing rows
+    got = decode_quads(np.array([codes[i] for i in shared]).reshape(2, 4), 5)
+    assert [r for q in got for r in q] == [rows[i] for i in shared]
 
 
 def test_row_codes_refuse_rows_longer_than_31():

@@ -100,13 +100,25 @@ small_keys = st.lists(st.integers(-3, 3), max_size=12).map(
     lambda keys: np.array(keys, dtype=np.int64))
 
 
-@given(small_keys, small_keys)
-def test_join_equals_the_nested_loop(left, right):
-    li, ri = join_equal_keys(left, right)
-    got = list(zip(li.tolist(), ri.tolist()))
+@given(small_keys, small_keys, st.sampled_from([1, 2, matching._EMIT_CHUNK]))
+def test_join_equals_the_nested_loop(left, right, size):
+    # the pairs come in key order, in chunks of about size pairs: each key's
+    # pairs sit in one chunk, which holds at most size plus its longest key
+    # run minus 1 pairs, and no pair repeats
+    with mock.patch.object(matching, "_EMIT_CHUNK", size):
+        chunks = [list(zip(i.tolist(), j.tolist())) for i, j in join_equal_keys(left, right)]
+    got = [pair for chunk in chunks for pair in chunk]
     want = {(i, j) for i in range(len(left)) for j in range(len(right))
             if left[i] == right[j]}
     assert len(got) == len(want) and set(got) == want
+    keys = [left[i] for i, _ in got]
+    assert keys == sorted(keys)
+    run = Counter(keys)  # the pairs of each key
+    for chunk in chunks:
+        assert chunk
+        in_chunk = {left[i] for i, _ in chunk}
+        assert sum(run[key] for key in in_chunk) == len(chunk)
+        assert len(chunk) <= size + max(run[key] for key in in_chunk) - 1
 
 
 def join_side(rows, length, paf_bound):
@@ -207,24 +219,30 @@ def test_join_blocks_frees_each_batch_before_the_next(monkeypatch):
     # A batch's pairs and key hits are gone when the next batch screens: at
     # n = 57 each of matching's batches holds about 22M C′×D′ pairs and as
     # many key hits, and keeping one batch's arrays raised the peak by 0.3 GB.
-    refs, screens = [], itertools.count()
+    refs, joined, screens = [], [], itertools.count()
+    screen, join = matching._screen_blocks, matching.join_equal_keys
 
-    def watch(fn, opens_batch):
-        def spy(*args):
-            if opens_batch():  # the A×B screen: nothing of the last batch is left
-                assert all(ref() is None for ref in refs)
-            out = fn(*args)
-            refs.extend(map(weakref.ref, out))
-            return out
-        return spy
+    def watch_screen(*args):
+        if next(screens) % 2 == 0:  # the A×B screen: nothing of the last batch is left
+            assert all(ref() is None for ref in refs)
+        out = screen(*args)
+        refs.extend(map(weakref.ref, out))
+        return out
 
-    monkeypatch.setattr(matching, "_screen_blocks",
-                        watch(matching._screen_blocks, lambda: next(screens) % 2 == 0))
-    monkeypatch.setattr(matching, "join_equal_keys",
-                        watch(matching.join_equal_keys, lambda: False))
+    def watch_join(keys_l, keys_r):
+        chunks = join(keys_l, keys_r)
+        for chunk in chunks:  # each chunk, and the sorted arrays the join holds
+            held = chunks.gi_frame.f_locals.values()
+            joined.append(len(chunk[0]))
+            refs.extend(weakref.ref(x) for x in (*chunk, *held) if isinstance(x, np.ndarray))
+            yield chunk
+
+    monkeypatch.setattr(matching, "_screen_blocks", watch_screen)
+    monkeypatch.setattr(matching, "join_equal_keys", watch_join)
     monkeypatch.setattr(matching, "_BATCH_PAIRS", 1)  # one batch per rowsum group
     assert len(match_codes(generate_candidates(27, signed_rowsums(27)), 27)) > 0
     assert next(screens) >= 4  # two batches or more
+    assert sum(joined) > 0  # the join yielded key hits
 
 
 @given(st.data())

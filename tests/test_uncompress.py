@@ -220,12 +220,15 @@ def test_prefix_only_key_matches_are_dropped_not_raised(monkeypatch):
 @pytest.mark.parametrize("n", [15, 21, 27, 33])
 def test_batch_size_changes_nothing(n, filters, monkeypatch):
     # join_blocks batches owners: rowsum groups in match_codes, instances in
-    # uncompress_all (not at n = 33, where that takes seconds per size)
+    # uncompress_all (not at n = 33, where that takes seconds per size); and
+    # join_equal_keys emits key hits in chunks, one key per chunk with size 1
     cands = generate_candidates(n, signed_rowsums(n), psd_filter=filters, rowsum_filter=filters)
     instances = prepare_instances(n)[0] if n < 33 else []
     runs = []
-    for size in (1, matching._BATCH_PAIRS, 1 << 40):
-        monkeypatch.setattr(matching, "_BATCH_PAIRS", size)
+    batch, emit = matching._BATCH_PAIRS, matching._EMIT_CHUNK  # the defaults
+    for sizes in ((1, emit), (batch, emit), (1 << 40, emit), (batch, 1)):
+        monkeypatch.setattr(matching, "_BATCH_PAIRS", sizes[0])
+        monkeypatch.setattr(matching, "_EMIT_CHUNK", sizes[1])
         runs.append((match_codes(cands, n, pair_filter=filters, multipliers=units(n // 3)),
                      uncompress_all(instances, row_filter=filters, pair_filter=filters)))
     for codes, found in runs[1:]:
