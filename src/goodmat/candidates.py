@@ -36,7 +36,6 @@ from typing import Iterator
 import numpy as np
 
 from .diophantine import RowsumTriple, rowsum_components
-from .equiv import _place_values
 from .errors import InvalidInputError
 from .seqcore import Row
 from .spectral import mirror_psd, psd_bound
@@ -83,6 +82,15 @@ class CandidateSets:
     m: int
 
 
+def check_order(n: int) -> None:
+    """InvalidInputError unless n is odd, ≥ 3, divisible by 3 and n/3 ≤ 31,
+    the most base-4 digits an int64 row code (equiv.row_codes) holds."""
+    if n < 3 or n % 2 == 0 or n % 3 != 0:
+        raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
+    if n // 3 > 31:
+        raise InvalidInputError(f"row length {n // 3} exceeds 31, all an int64 row code holds")
+
+
 def generate_candidates(
     n: int,
     rowsums: frozenset[RowsumTriple],
@@ -90,14 +98,12 @@ def generate_candidates(
     psd_filter: bool = True,
     rowsum_filter: bool = True,
 ) -> CandidateSets:
-    """Run the compressed-first sweep for order n (odd, divisible by 3, at most 93).
+    """Run the compressed-first sweep for order n (check_order).
 
     psd_filter=False sweeps against the bound +inf, which every row meets;
     rowsum_filter=False admits every rowsum."""
-    if n < 3 or n % 2 == 0 or n % 3 != 0:
-        raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
+    check_order(n)
     m = n // 3
-    _place_values(m)  # raises for m > 31: matching's row codes would not fit an int64
     if not rowsums:
         return CandidateSets(frozenset(), frozenset(), n, m)
     bound = psd_bound(n, psd_filter)

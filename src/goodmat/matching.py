@@ -7,26 +7,26 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-the quad join (join_blocks) over one join_table per side (plane-major PSD,
-PAF table, packed keys) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
-pairing only the rowsum partitions that can meet the k = 0 identity.
+the quad join (join_blocks) over one join_table per side (rows, plane-major
+PSD, PAF table, packed keys) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
+pairing only the rowsum groups of s_sy that can meet the k = 0 identity.
 Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
 permuting them; match_codes emits one arrangement of each quad, and
 all_arrangements expands these to S_q.  Quads are kept as rows of integer
 codes (equiv's row code), whose lexicographic order is quad_key order, so
 one unique_rows yields the sorted set.
 
-join_blocks joins blocks of pairs, row ranges of two tables with an owner,
-a batch of owners at a time: matching's owners are the rowsum groups of B′,
-uncompression's its instances (slices of preimage tables built by join_table).
-join_equal_keys, a sort-merge join, yields its hits in key order, in chunks.
+join_blocks joins blocks, each a pair of groups of two tables with an
+owner, a batch of owners at a time: matching's owners are the rowsum groups
+of B′, uncompression's its instances (groups: one compressed row's
+preimages).  join_equal_keys, a sort-merge join, yields hits in chunks.
 
 The pair screen (_screen_blocks) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
 rows of a block the planes' masks l + r ≤ bound are and-reduced over the
 leading (frequency) axis.  Every element decision is exactly l + r ≤ bound,
 so the screen keeps the same pairs whatever the layout; a side may carry
-fewer planes (matching drops k = 0, which its rowsum partition fixes;
+fewer planes (matching drops k = 0, which its rowsum groups fix;
 uncompression drops those its compressed screen has already bounded), and
 the screen then reads only those.  A disabled pair filter is the bound +inf:
 every PSD value is finite, so the screen then keeps every pair, in the same
@@ -52,6 +52,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .candidates import _ROW_BLOCK, CandidateSets
+from .diophantine import signed_rowsums
 from .equiv import decode_quads, orbit_minimal, row_codes, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
@@ -65,11 +66,13 @@ _BATCH_PAIRS = 1 << 16
 
 
 class JoinTable(NamedTuple):
-    """What the quad join reads of N rows of one length L."""
+    """N rows of one length L in G groups, group g rows offsets[g]..offsets[g+1]."""
 
-    psd: np.ndarray   # (F × N) float64, plane-major PSD on the screened planes
-    paf: np.ndarray   # (N × (⌊L/2⌋ + 1)) int16 PAF table, columns k = 0..⌊L/2⌋
-    keys: np.ndarray  # (N) int64 packed PAF keys
+    offsets: np.ndarray  # (G + 1) int64
+    rows: np.ndarray     # (N × L) the rows
+    psd: np.ndarray      # (F × N) float64, plane-major PSD on the screened planes
+    paf: np.ndarray      # (N × (⌊L/2⌋ + 1)) int16 PAF table, columns k = 0..⌊L/2⌋
+    keys: np.ndarray     # (N) int64 packed PAF keys
 
 
 def match_quadruples(
@@ -108,19 +111,18 @@ def match_codes(
     rearrangement of each (all_arrangements restores S_q).  A′ is never
     moved, so the cut on the A′ rows stays exact.
 
-    One join_blocks call, partitioned by rowsum.  s_sy is sorted by (rowsum,
-    row code), so the B′ rows of one rowsum r_B are a range of rows, and each
-    such group is an owner: its A′×B′ block against the C′×D′ blocks of every
-    rowsum partition pair (both values present in s_sy) with r_B ≤ r_C ≤ r_D
-    and 1 + r_B² + r_C² + r_D² = 4n — upper when r_C = r_D, the whole product
-    otherwise.  A hit is kept if (r_B, B′) ≤ (r_C, C′), which only removes
-    hits with r_B = r_C.  Any quad outside these partitions fails the k = 0
-    identity, so no representative is lost, with or without the rowsum
-    filter of the sweep.  The k = 0 identity is still checked on every hit,
-    as the exact confirmation.  Within a partition it also fixes the k = 0
-    PSD plane of every pair (1 + r_B² for A′×B′, r_C² + r_D² for C′×D′, both
-    ≤ 4n), so the pair screens skip that plane.  pair_filter=False screens
-    against the bound +inf, which keeps every pair.
+    One join_blocks call: s_sy is sorted by (rowsum, row code) into one group
+    per rowsum, and each B′ group r_B is an owner: its A′×B′ block (s_sk is
+    one group) against the C′×D′ blocks of each triple r_B ≤ r_C ≤ r_D of
+    signed_rowsums(n) with a group for all three, upper when r_C = r_D.  A
+    row of s_sy has rowsum ≡ n (mod 4), the sign rule's residue, so these
+    are all the groups with 1 + r_B² + r_C² + r_D² = 4n, and a quad outside
+    them fails the k = 0 identity, with or without the sweep's rowsum
+    filter.  A hit is kept if (r_B, B′) ≤ (r_C, C′), which only removes hits
+    with r_B = r_C, and if it meets the k = 0 identity, the exact check.
+    A block also fixes the k = 0 PSD plane of its pairs (1 + r_B² for A′×B′,
+    r_C² + r_D² for C′×D′, both ≤ 4n), so the screens skip that plane.
+    pair_filter=False screens against the bound +inf, which keeps every pair.
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
@@ -136,14 +138,13 @@ def match_codes(
     paf_bound = max(int((rows * rows).sum(axis=1).max()) for rows in (sk_arr, sy_arr))
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
     planes = np.arange(1, cands.m // 2 + 1)
-    sy = join_table(sy_arr, False, planes, paf_bound)
-    tables = (join_table(sk_arr, True, planes, paf_bound), sy, sy, sy)
-
     sums, first = np.unique(rs_sy, return_index=True)
-    part = dict(zip(sums.tolist(), zip(first.tolist(), [*first[1:].tolist(), len(rs_sy)])))
-    blocks_ab = [(rb, (0, len(sk_arr)), rows_b, False) for rb, rows_b in part.items()]
-    blocks_cd = [(rb, part[rc], part[rd], rc == rd) for rb in part for rc in part for rd in part
-                 if rb <= rc <= rd and 1 + rb * rb + rc * rc + rd * rd == 4 * n]
+    sy = join_table(sy_arr, False, planes, paf_bound, [*first, len(sy_arr)])
+    tables = (join_table(sk_arr, True, planes, paf_bound, [0, len(sk_arr)]), sy, sy, sy)
+    group = {rowsum: g for g, rowsum in enumerate(sums.tolist())}
+    blocks_ab = [(g, 0, g, False) for g in group.values()]
+    blocks_cd = [(group[x], group[y], group[z], y == z) for x, y, z in sorted(signed_rowsums(n))
+                 if {x, y, z} <= group.keys()]
     _, ia, jb, ic, jd = join_blocks(tables, blocks_ab, blocks_cd, psd_bound(n, pair_filter),
                                     Counter()).T
     ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
@@ -151,11 +152,13 @@ def match_codes(
     return unique_rows(np.stack([code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]], axis=1)[ok])
 
 
-def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int) -> JoinTable:
-    """The JoinTable of an (N × L) array of skew (or symmetric) mirror rows,
-    filled in blocks of _ROW_BLOCK rows: the plane-major PSD on planes (one
-    line per k of planes), the int16 PAF table and the packed PAF keys with
-    bound (packed_keys).
+def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int,
+               offsets: Sequence[int]) -> JoinTable:
+    """The JoinTable of an (N × L) array of skew (or symmetric) mirror rows
+    whose groups are rows offsets[g]..offsets[g+1], filled in blocks of
+    _ROW_BLOCK rows: the plane-major PSD on planes (one line per k of
+    planes), the int16 PAF table and the packed PAF keys with bound
+    (packed_keys).
 
     Matching passes planes k ≥ 1 and the largest PAF(0) of its two tables,
     uncompression planes k ≢ 0 (mod 3) and PAF(0) = n.  int16 holds every
@@ -170,7 +173,7 @@ def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int) -> 
         psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
         paf[block] = paf_matrix(rows[block].astype(np.int16))
         keys[block] = packed_keys(paf[block], bound)
-    return JoinTable(psd, paf, keys)
+    return JoinTable(np.asarray(offsets, dtype=np.int64), rows, psd, paf, keys)
 
 
 def join_blocks(
@@ -180,16 +183,16 @@ def join_blocks(
     bound: float,
     stats: Counter,
 ) -> np.ndarray:
-    """The quad join over the tables (A, B, C, D), each with a JoinTable's
-    psd, paf and keys: a line (owner, a, b, c, d) of table rows for every
-    A×B pair of blocks_ab and C×D pair of blocks_cd of one owner whose four
-    PAF rows sum to zero at every column k ≥ 1, sorted by owner.  A block is
-    (owner, (lo, hi) rows of the left table, (lo, hi) rows of the right one,
-    upper): the pairs of the two ranges, only i ≤ j counted from lo with
-    upper.  An owner with no A×B or no C×D product is skipped; the others
-    are joined in ascending order, in batches of consecutive owners whose
-    full A×B plus C×D products reach _BATCH_PAIRS (a batch closes with the
-    owner that reaches it).  Per batch (_join_batch):
+    """The quad join over the JoinTables (A, B, C, D): a line (owner, a, b,
+    c, d) of table rows for every A×B pair of blocks_ab and C×D pair of
+    blocks_cd of one owner whose four PAF rows sum to zero at every column
+    k ≥ 1, sorted by owner.  A block is a pair of groups, (owner, group of
+    the left table, group of the right one, upper): the pairs of the two
+    groups' rows, only i ≤ j counted from each group's first row with upper.
+    An owner with no A×B or no C×D product is skipped; the others are joined
+    in ascending order, in batches of consecutive owners whose full A×B plus
+    C×D products reach _BATCH_PAIRS (a batch closes with the owner that
+    reaches it).  Per batch (_join_batch):
 
       (i)   screen each block's pairs against bound (_screen_blocks);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
@@ -207,10 +210,11 @@ def join_blocks(
     """
     by_owner: dict = {}  # owner → its A×B blocks, its C×D blocks, their products
     for side, blocks in enumerate((blocks_ab, blocks_cd)):
-        for block in blocks:
-            entry = by_owner.setdefault(block[0], ([], [], [0, 0]))
-            entry[side].append(block)
-            entry[2][side] += (block[1][1] - block[1][0]) * (block[2][1] - block[2][0])
+        left, right = (t.offsets.tolist() for t in tables[2 * side : 2 * side + 2])
+        for owner, g_l, g_r, upper in blocks:  # groups as (lo, hi) row ranges
+            entry = by_owner.setdefault(owner, ([], [], [0, 0]))
+            entry[side].append((owner, left[g_l : g_l + 2], right[g_r : g_r + 2], upper))
+            entry[2][side] += (left[g_l + 1] - left[g_l]) * (right[g_r + 1] - right[g_r])
     live = sorted(owner for owner, (_, _, work) in by_owner.items() if all(work))
     work = np.array([sum(by_owner[owner][2]) for owner in live], dtype=np.int64)
     batch = (np.cumsum(work) - work) // _BATCH_PAIRS  # consecutive, ≈ equal work

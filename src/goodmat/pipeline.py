@@ -5,7 +5,7 @@ The enumeration pipeline for an odd order n divisible by 3:
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
   2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
   3. match_codes:            the quad join at compressed length, one owner
-                             per rowsum partition of B′ → one arrangement per
+                             per rowsum group of B′ → one arrangement per
                              {B′, C′, D′} of each S_q quad whose A′ is
                              orbit-minimal, as codes;
   4. canonical_codes dedup → one instance per compressed class;
@@ -34,11 +34,11 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .candidates import CandidateSets, generate_candidates
+from .candidates import check_order, generate_candidates
 from .diophantine import signed_rowsums
 from .equiv import (
     CanonicalQuad,
@@ -103,14 +103,17 @@ class FilterConfig:
                    psd_pairs=False, prefix_checks=False)
 
 
-def _json_typed(name: str, value) -> bool:
-    """Whether a report field's parsed JSON value is of the field's type."""
-    if name in ("stage_seconds", "solver_stats"):
-        return type(value) is dict and all(type(v) in (int, float) for v in value.values())
-    if name == "shard":
-        return value is None or type(value) is list and list(map(type, value)) == [int, int]
-    return type(value) in {"wall_time_s": (int, float), "exhaustive": (bool,), "digest": (str,),
-                           "instances_fingerprint": (str,)}.get(name, (int,))
+def _of_type(kind, value) -> bool:
+    """Whether a parsed JSON value is of the declared type kind: a float is
+    any number, a tuple a list of its length, Optional[X] None or an X."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is dict:
+        return type(value) is dict and all(_of_type(args[1], v) for v in value.values())
+    if origin is tuple:
+        return type(value) is list and len(value) == len(args) and all(map(_of_type, args, value))
+    if args:  # Optional[...]
+        return any(_of_type(member, value) for member in args)
+    return type(value) in ((int, float) if kind is float else (kind,))
 
 
 @dataclass
@@ -152,10 +155,11 @@ class SearchReport:
         try:
             data = json.loads(text)
             values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-            if wrong := [k for k, v in values.items() if not _json_typed(k, v)]:
+            kinds = get_type_hints(cls)
+            if wrong := [k for k, v in values.items() if not _of_type(kinds[k], v)]:
                 raise ValueError(f"{', '.join(wrong)} of the wrong JSON type")
-            shard = tuple(values["shard"]) if values.get("shard") else None
-            return cls(**{"exhaustive": False, **values, "shard": shard})
+            values = {k: tuple(v) if type(v) is list else v for k, v in values.items()}
+            return cls(**{"exhaustive": False, **values})  # only tuple fields hold lists
         except (ValueError, TypeError) as exc:
             raise ParseError(f"not a report: {exc}") from None
 
@@ -178,8 +182,7 @@ def _rows_digest(quads, fmt: Callable) -> str:
 
 
 def _validate_order(n: int, allow_large: bool) -> None:
-    if n < 3 or n % 2 == 0 or n % 3 != 0:
-        raise InvalidInputError(f"order must be odd, >= 3 and divisible by 3, got {n}")
+    check_order(n)
     if n > UNLIMITED_MAX_ORDER and not allow_large:
         raise InvalidInputError(
             f"order {n} exceeds the desk-scale limit {UNLIMITED_MAX_ORDER}; "
@@ -192,13 +195,13 @@ def prepare_instances(
     *,
     filters: FilterConfig = FilterConfig(),
     allow_large: bool = False,
-) -> tuple[list[CompressedQuad], CandidateSets, dict[str, float]]:
-    """Stages 1–4: rowsums, candidates, matching, compressed dedup.
+) -> tuple[list[CompressedQuad], dict[str, float]]:
+    """Stages 1–4 (rowsums, candidates, matching, compressed dedup) → (instances, timings).
 
     match_codes joins only the A′ rows that are orbit-minimal under units(m),
     which by equiv.orbit_minimal keeps every class's canonical quad, and
     returns one (B′, C′, D′) arrangement of each quad; canonical_codes maps
-    it to its class.  The returned candidate sets are the full ones.
+    it to its class.
     """
     _validate_order(n, allow_large)
     timings: dict[str, float] = {}
@@ -222,7 +225,7 @@ def prepare_instances(
     t0 = time.perf_counter()
     instances = decode_quads(unique_rows(canonical_codes(s_q, cands.m)), cands.m)
     timings["instance_dedup"] = time.perf_counter() - t0
-    return instances, cands, timings
+    return instances, timings
 
 
 def enumerate_good_matrices(
@@ -267,7 +270,7 @@ def shard_ids(count: int, shard: Optional[tuple[int, int]]) -> range:
 
 def enumerate_prepared(
     n: int,
-    prepared: tuple[list[CompressedQuad], CandidateSets, dict[str, float]],
+    prepared: tuple[list[CompressedQuad], dict[str, float]],
     *,
     start: float,
     filters: FilterConfig = FilterConfig(),
@@ -280,7 +283,7 @@ def enumerate_prepared(
     start is the perf_counter() value the report's wall time counts from.
     """
     check_run(shard, jobs)
-    instance_quads, _, timings = prepared
+    instance_quads, timings = prepared
     timings = dict(timings)
     fingerprint = instances_fingerprint(instance_quads)
     instance_quads = [instance_quads[i] for i in shard_ids(len(instance_quads), shard)]

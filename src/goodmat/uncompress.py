@@ -13,15 +13,15 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         _ROW_BLOCK rows: keep the rows inside the row PSD bound (a float
         filter) and, in the A table, only the rows that are
         equiv.orbit_minimal under equiv.compression_units(n), whose
-        docstring says why that is exact; store each kept row with its
-        join_table columns — PSD, PAF table and packed PAF key (PAF(0) = n
-        bounds every other PAF value of a ±1 row) — in CSR form: row r's
-        preimages are lines offsets[r]..offsets[r+1] of flat arrays;
+        docstring says why that is exact; the table is a join_table whose
+        group r holds the kept preimages of compressed row r, with their
+        PSD, PAF table and packed PAF key (PAF(0) = n bounds every other
+        PAF value of a ±1 row);
   (iii) join every instance in one join_blocks call, which batches them:
         one block per instance and side, the ordered A×B and C×D products
-        of its four table slices.  Every quad found must pass the PAF
-        certificate, checked for a whole run in one exact integer pass
-        (spectral.paf_sums); a failure is a bug: InternalError.
+        of the groups of its four compressed rows.  Every quad found must
+        pass the PAF certificate, checked for a whole run in one exact
+        integer pass (spectral.paf_sums); a failure is a bug: InternalError.
 
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
 PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
@@ -36,36 +36,24 @@ is orbit-minimal.  C×D is the ordered product even when C′ = D′.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .candidates import _layout, _preimage_blocks
 from .errors import InternalError
 from .equiv import compression_units, orbit_minimal
-from .matching import join_blocks, join_table
+from .matching import JoinTable, join_blocks, join_table
 from .seqcore import CompressedQuad, DefiningQuad
 from .spectral import paf_sums, psd_bound
 
 
-class PreimageTable(NamedTuple):
-    """The preimages of R compressed rows of one skewness, in CSR form: the
-    preimages of compressed row r are lines offsets[r]..offsets[r+1] of the
-    flat arrays, whose psd, paf and keys are those of a matching.JoinTable."""
-
-    offsets: np.ndarray  # (R + 1) int64
-    rows: np.ndarray     # (N × n) int8
-    psd: np.ndarray      # (F′ × N) float64, planes k ≢ 0 (mod 3) of k = 0..⌊n/2⌋
-    paf: np.ndarray      # (N × (⌊n/2⌋ + 1)) int16
-    keys: np.ndarray     # (N) int64 packed PAF keys
-
-
 def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
-                   multipliers: Sequence[int] = ()) -> PreimageTable:
-    """The preimages of every row of an (R × m) array of compressed rows
+                   multipliers: Sequence[int] = ()) -> JoinTable:
+    """The JoinTable of the preimages of an (R × m) array of compressed rows
     whose PSD stays within bound at every k and that are orbit_minimal under
-    multipliers (all for none), with their join_table columns.  Only the kept
-    rows of each _ROW_BLOCK block are copied into the table."""
+    multipliers (all for none), group r those of row r.  Only the kept rows
+    of each _ROW_BLOCK block are copied into the table."""
     layout = _layout(crows, skew)
     kept, blocks = np.zeros(len(crows), dtype=np.int64), []
     for owner, rows in _preimage_blocks(layout, skew, bound, np.arange(len(crows)), layout[2]):
@@ -79,7 +67,7 @@ def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
     n = rows.shape[1]
     planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
     offsets = np.concatenate([[0], np.cumsum(kept)])
-    return PreimageTable(offsets, rows, *join_table(rows, skew, planes, n))  # |PAF| ≤ PAF(0) = n
+    return join_table(rows, skew, planes, n, offsets)  # |PAF| ≤ PAF(0) = n
 
 
 def uncompress_all(
@@ -109,10 +97,8 @@ def uncompress_all(
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
     table_a = preimage_table(sk, True, bound=row_bound, multipliers=compression_units(n))
     tables = (table_a, *[preimage_table(sy, False, bound=row_bound)] * 3)  # B, C, D share one
-    index = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)])  # [instance, side]
-    span = np.stack([t.offsets[index[:, s, None] + [0, 1]] for s, t in enumerate(tables)],
-                    axis=1).tolist()  # [instance][side]: the instance's rows of each table
-    blocks = [[(i, rows[x], rows[x + 1], False) for i, rows in enumerate(span)] for x in (0, 2)]
+    groups = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)]).tolist()  # A, B, C, D
+    blocks = [[(i, g[x], g[x + 1], False) for i, g in enumerate(groups)] for x in (0, 2)]
     hits = join_blocks(tables, *blocks, pair_bound, stats)  # instance and the four table rows
     joined = np.stack([t.rows[hits[:, s + 1]] for s, t in enumerate(tables)], axis=1)
     failed = paf_sums(joined).any(axis=1)

@@ -13,6 +13,7 @@ from goodmat import candidates
 from goodmat.candidates import CandidateSets, generate_candidates
 from goodmat.diophantine import rowsum_components, signed_rowsums
 from goodmat.errors import InvalidInputError
+from goodmat.pipeline import prepare_instances
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
 
 
@@ -183,3 +184,5 @@ def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
     monkeypatch.setattr(candidates, "_sweep", no_sweep)
     with pytest.raises(InvalidInputError, match="exceeds 31"):
         generate_candidates(99, signed_rowsums(99))  # m = 33
+    with pytest.raises(InvalidInputError, match="exceeds 31"):  # the same rule at both entries
+        prepare_instances(99, allow_large=True)

@@ -31,6 +31,7 @@ from goodmat.matching import (
 )
 from goodmat.pipeline import FilterConfig
 from goodmat.seqcore import CompressedQuad
+from goodmat.uncompress import preimage_table
 
 
 def oracle_paf(x, k):
@@ -121,11 +122,36 @@ def test_join_equals_the_nested_loop(left, right, size):
         assert len(chunk) <= size + max(run[key] for key in in_chunk) - 1
 
 
-def join_side(rows, length, paf_bound):
-    """The JoinTable of rows of one length, with its PSD on every plane."""
+def join_side(rows, length, paf_bound, offsets):
+    """The JoinTable of rows of one length grouped by offsets, with its PSD
+    on every plane."""
     table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
     paf = paf_matrix(table)
-    return JoinTable(np.abs(np.fft.fft(table, axis=1)).T ** 2, paf, packed_keys(paf, paf_bound))
+    psd = np.abs(np.fft.fft(table, axis=1)).T ** 2
+    return JoinTable(np.array(offsets, dtype=np.int64), table, psd, paf, packed_keys(paf, paf_bound))
+
+
+def draw_offsets(data, rows, label):
+    """The CSR offsets of 1 to 4 groups of a table of rows rows, empty
+    groups among them."""
+    cuts = data.draw(st.lists(st.integers(0, rows), max_size=3), label=f"{label} cuts")
+    return [0, *sorted(cuts), rows]
+
+
+def draw_group_blocks(data, groups_l, groups_r, label):
+    """A few blocks of join_blocks over tables of groups_l and groups_r
+    groups, owners drawn as draw_blocks draws them."""
+    return [((k + data.draw(st.integers(0, 2), label=f"{label} owner")) % 3,
+             data.draw(st.integers(0, groups_l - 1), label=f"{label} left"),
+             data.draw(st.integers(0, groups_r - 1), label=f"{label} right"),
+             data.draw(st.booleans(), label=f"{label} upper"))
+            for k in range(data.draw(st.integers(1, 4), label=f"{label} blocks"))]
+
+
+def as_ranges(blocks, offsets_l, offsets_r):
+    """Group blocks as row-range blocks: group g is rows offsets[g]..offsets[g + 1]."""
+    return [(owner, (offsets_l[g_l], offsets_l[g_l + 1]), (offsets_r[g_r], offsets_r[g_r + 1]),
+             upper) for owner, g_l, g_r, upper in blocks]
 
 
 def draw_blocks(data, rows_l, rows_r, label):
@@ -157,34 +183,45 @@ def test_quad_join_equals_the_nested_loop(data):
     # several blocks per side, as uncompression passes one per instance and
     # matching one per rowsum group: hits only join pairs of one owner, come
     # back sorted by owner, and an owner without an A×B or a C×D product
-    # counts no pairs; joined in batches of any size
+    # counts no pairs; joined in batches of any size.  A block was once
+    # (owner, (lo, hi) rows of the left table, (lo, hi) rows of the right
+    # one, upper); it now names a group of each table, and the oracle reads
+    # the ranges the groups stand for (as_ranges)
     length = data.draw(st.integers(1, 7), label="length")
     row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
     rows = [data.draw(st.lists(row, min_size=1, max_size=4), label=name) for name in "abcd"]
+    offsets = [draw_offsets(data, len(t), name) for t, name in zip(rows, "abcd")]
     if data.draw(st.booleans(), label="d is c"):
-        rows[3] = rows[2]  # as in matching, and in uncompression when C′ = D′
+        rows[3], offsets[3] = rows[2], offsets[2]  # as in matching and uncompression
+    owner_4 = data.draw(st.booleans(), label="owner 4")
+    if owner_4:  # one more group, empty, at the end of each table
+        offsets = [[*o, o[-1]] for o in offsets]
     screen = data.draw(st.booleans(), label="screen")  # or the bound +inf
     bound = data.draw(st.floats(0, 400), label="bound") if screen else np.inf
     paf_bound = max((sum(e * e for e in r) for t in rows for r in t), default=1)
     if data.draw(st.booleans(), label="one-column keys"):
         paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
-    tables = [join_side(t, length, paf_bound) for t in rows]
-    blocks_ab = draw_blocks(data, len(rows[0]), len(rows[1]), "ab")
-    blocks_cd = draw_blocks(data, len(rows[2]), len(rows[3]), "cd")
-    # owner 3 has blocks on one side only, owner 4 only empty ranges
+    tables = [join_side(t, length, paf_bound, o) for t, o in zip(rows, offsets)]
+    groups = [len(o) - 1 for o in offsets]
+    blocks_ab = draw_group_blocks(data, groups[0], groups[1], "ab")
+    blocks_cd = draw_group_blocks(data, groups[2], groups[3], "cd")
+    # owner 3 has blocks on one side only (its largest groups), owner 4 only
+    # empty groups
     one_side = data.draw(st.sampled_from([None, 0, 2]), label="owner 3")
     if one_side is not None:
-        left, right = rows[one_side : one_side + 2]
-        (blocks_ab, blocks_cd)[one_side // 2].append((3, (0, len(left)), (0, len(right)), False))
-    if data.draw(st.booleans(), label="owner 4"):
-        blocks_ab.append((4, (0, 0), (0, len(rows[1])), False))
-        blocks_cd.append((4, (1, 1), (0, 0), True))
+        largest = [int(np.argmax(np.diff(o))) for o in offsets[one_side : one_side + 2]]
+        (blocks_ab, blocks_cd)[one_side // 2].append((3, *largest, False))
+    if owner_4:
+        blocks_ab.append((4, groups[0] - 1, 0, False))
+        blocks_cd.append((4, groups[2] - 1, groups[3] - 1, True))
     batch = data.draw(st.sampled_from([1, 5, matching._BATCH_PAIRS]), label="batch")
     stats = Counter()
     with mock.patch.object(matching, "_BATCH_PAIRS", batch):
         got = join_blocks(tables, blocks_ab, blocks_cd, bound, stats)
     assert got.shape[1] == 5
     assert (np.diff(got[:, 0]) >= 0).all()  # sorted by owner
+    ranges_ab = as_ranges(blocks_ab, offsets[0], offsets[1])
+    ranges_cd = as_ranges(blocks_cd, offsets[2], offsets[3])
 
     def products(blocks):
         work = Counter()
@@ -192,7 +229,7 @@ def test_quad_join_equals_the_nested_loop(data):
             work[owner] += (hi_l - lo_l) * (hi_r - lo_r)
         return {owner for owner, size in work.items() if size}
 
-    live = products(blocks_ab) & products(blocks_cd)
+    live = products(ranges_ab) & products(ranges_cd)
     assert not live & {3, 4}  # so neither counts a pair nor gives a hit
 
     def screened(blocks, x, y):
@@ -200,11 +237,11 @@ def test_quad_join_equals_the_nested_loop(data):
                            lambda i, j: not (tables[x].psd[:, i] + tables[y].psd[:, j]
                                              > bound).any())
 
-    ab, cd = screened(blocks_ab, 0, 1), screened(blocks_cd, 2, 3)
+    ab, cd = screened(ranges_ab, 0, 1), screened(ranges_cd, 2, 3)
     want = Counter((o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd)
                    if o == p and all(sum(oracle_paf(t[x], s) for t, x in zip(rows, (a, b, c, d)))
                                      == 0 for s in range(1, length // 2 + 1)))
-    assert Counter(map(tuple, got.tolist())) == want  # overlapping blocks: hits repeat
+    assert Counter(map(tuple, got.tolist())) == want  # a repeated group pair repeats its hits
     assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
     assert stats["key_hits"] >= sum(want.values())
     # all-zero PAF tables make every pair of one owner a hit, however rare
@@ -213,6 +250,60 @@ def test_quad_join_equals_the_nested_loop(data):
     every = join_blocks(zero, blocks_ab, blocks_cd, bound, Counter())
     assert Counter(map(tuple, every.tolist())) == Counter(
         (o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd) if o == p)
+
+
+def capture_join(monkeypatch):
+    """The tables and blocks of each join_blocks call, which then joins nothing."""
+    calls = []
+
+    def join(tables, blocks_ab, blocks_cd, bound, stats):
+        calls.append((tables, blocks_ab, blocks_cd))
+        return np.empty((0, 5), dtype=np.int64)
+
+    monkeypatch.setattr(matching, "join_blocks", join)
+    return calls
+
+
+@pytest.mark.parametrize("n,filters", [
+    *((n, FilterConfig()) for n in (9, 15, 21, 27, 33, 39, 45)),
+    *((n, FilterConfig.no_filters()) for n in (9, 15, 21, 27)),
+], ids=lambda x: {FilterConfig(): "filters", FilterConfig.no_filters(): "no_filters"}.get(x))
+def test_cd_blocks_are_the_signed_rowsum_triples_present(n, filters, monkeypatch):
+    # the C′×D′ blocks are the triples r_B ≤ r_C ≤ r_D of s_sy's rowsums with
+    # 1 + r_B² + r_C² + r_D² = 4n (the cubic loop they replace): every
+    # rowsum of s_sy is ≡ n (mod 4), the residue of signed_rowsums
+    cands = generate_candidates(n, signed_rowsums(n), psd_filter=filters.psd_candidates,
+                                rowsum_filter=filters.rowsum_candidates)
+    calls = capture_join(monkeypatch)
+    match_codes(cands, n, pair_filter=filters.psd_pairs)
+    ((_, sy, _, _), blocks_ab, blocks_cd), = calls
+    present = sorted({sum(row) for row in cands.s_sy})
+    assert all((r - n) % 4 == 0 for r in present)
+    group_sum = [int(sy.rows[lo].sum()) for lo in sy.offsets[:-1].tolist()]
+    assert group_sum == present  # one group per rowsum, in rowsum order
+    assert blocks_ab == [(g, 0, g, False) for g in range(len(present))]
+    want = [(x, y, z) for x in present for y in present for z in present
+            if x <= y <= z and 1 + x * x + y * y + z * z == 4 * n]
+    assert want and [tuple(group_sum[g] for g in block[:3]) for block in blocks_cd] == want
+    assert [block[3] for block in blocks_cd] == [y == z for _, y, z in want]
+
+
+@pytest.mark.parametrize("n", [9, 21])
+def test_join_tables_are_grouped_join_tables(n, monkeypatch):
+    # every table of both lengths is a JoinTable whose offsets partition its rows
+    cands = generate_candidates(n, signed_rowsums(n))
+    crows = np.array(sorted(cands.s_sk))
+    calls = capture_join(monkeypatch)
+    match_codes(cands, n)
+    ((tables, _, _),) = calls
+    preimages = preimage_table(crows, True, bound=np.inf)
+    for table in (*tables, preimages):
+        assert isinstance(table, JoinTable)
+        assert table.offsets[0] == 0 and (np.diff(table.offsets) >= 0).all()
+        assert table.offsets[-1] == len(table.rows) == len(table.paf) == len(table.keys)
+        assert table.psd.shape[1] == len(table.rows)
+    assert len(tables[0].offsets) == 2  # s_sk is one group
+    assert len(preimages.offsets) == len(crows) + 1  # one group per compressed row
 
 
 def test_join_blocks_frees_each_batch_before_the_next(monkeypatch):
