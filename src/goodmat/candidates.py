@@ -20,16 +20,19 @@ Every other group has 1 choice when |c′_k| = 3 and 3 when |c′_k| = 1.  So:
         row with a good preimage X: PSD_X(3k′) = PSD_X′(k′) and
         rowsum(X) = rowsum(X′);
   (iii) keep a survivor iff one of its preimages passes the full PSD bound,
-        sought in rounds of doubling width from _FIRST_ROUND preimages until
-        one passes or none is left (the rounds only order the search).
+        sought from its middle one (count // 2, mod count) in rounds of
+        doubling width from _FIRST_ROUND preimages until one passes or none
+        is left (the start and the rounds only order the search).
 
 A row's preimages are the mixed-radix numbers over its groups' choices, the
-last group varying fastest; uncompression uses the same enumerator.  The float
-masks only screen.
+last group varying fastest; uncompression uses the same enumerator.  They are
+screened from their choice triples (_choice_maps), and only the rows that
+uncompression keeps are built.  The float masks only screen.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -38,7 +41,7 @@ import numpy as np
 from .diophantine import RowsumTriple, rowsum_components
 from .errors import InvalidInputError
 from .seqcore import Row
-from .spectral import mirror_psd, psd_bound
+from .spectral import half_basis, mirror_psd, psd_bound
 
 #: Compressed rows per screen block, and preimage rows per block of lines.
 _ROW_BLOCK = 4096
@@ -51,7 +54,8 @@ _TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 
 
 def _choice_table() -> tuple[np.ndarray, np.ndarray]:
-    """The triples a group may take, as [value, choice, 3], and their counts.
+    """The triples a group may take, as [3·value + choice, 3], and the
+    choice count of each value.
 
     Values 0–3 are group 0 of a skew row (x_0 = +1, x_{2m} = −x_m), 4–7
     group 0 of a symmetric row (x_{2m} = x_m), 8–11 every other group, each
@@ -66,7 +70,7 @@ def _choice_table() -> tuple[np.ndarray, np.ndarray]:
                 choice = choice[(choice[:, 0] == 1) & (choice[:, 2] == sign * choice[:, 1])]
             table[value, : len(choice)] = choice
             count[value] = len(choice)
-    return table, count
+    return table.reshape(36, 3), count
 
 
 _CHOICES, _CHOICE_COUNTS = _choice_table()
@@ -141,7 +145,8 @@ def _image_rows(index: np.ndarray, m: int, skew: bool) -> np.ndarray:
 
 def _witnessed(crows: np.ndarray, skew: bool, bound: float) -> np.ndarray:
     """Which compressed rows have a preimage whose PSD stays within bound at
-    every k: the pending rows' next preimages, in rounds of doubling width."""
+    every k: the pending rows' next preimages, from each row's middle one
+    (count // 2, wrapping round mod count), in rounds of doubling width."""
     layout = _layout(crows, skew)
     count = layout[2]
     found = np.zeros(len(crows), dtype=bool)
@@ -149,7 +154,8 @@ def _witnessed(crows: np.ndarray, skew: bool, bound: float) -> np.ndarray:
     start, width = 0, _FIRST_ROUND
     while len(pending):
         take = np.minimum(count[pending] - start, width)
-        for owner, _ in _preimage_blocks(layout, skew, bound, pending, take, start):
+        first = count[pending] // 2 + start
+        for owner, _ in _preimage_blocks(layout, skew, bound, pending, take, first):
             found[owner] = True
         start, width = start + width, 2 * width
         pending = pending[~found[pending] & (count[pending] > start)]
@@ -157,8 +163,8 @@ def _witnessed(crows: np.ndarray, skew: bool, bound: float) -> np.ndarray:
 
 
 def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per compressed row and free group k = 0..(m−1)/2, the _CHOICES index
-    and the mixed-radix stride (the last group varies fastest); and per row
+    """Per compressed row and free group k = 0..(m−1)/2, the _CHOICE_COUNTS
+    index and the mixed-radix stride (the last group varies fastest); and per row
     its number of preimages, 0 for a row whose mirror groups disagree."""
     m = crows.shape[1]
     free = (m + 1) // 2
@@ -172,39 +178,55 @@ def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.n
 
 def _preimage_blocks(
     layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool, bound: float,
-    owners: np.ndarray, take: np.ndarray, start: int = 0,
+    owners: np.ndarray, take: np.ndarray, first: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Preimages start..start + take[i] − 1 of compressed row owners[i] of a
-    _layout, for every i, in blocks of _ROW_BLOCK lines (at least one block):
-    per block, (each kept line's compressed row, the kept int8 rows).  A line
-    is kept iff its PSD stays within bound at every k."""
+    """Preimages first[i]..first[i] + take[i] − 1 (mod its count) of
+    compressed row owners[i] of a _layout, for every i, in blocks of
+    _ROW_BLOCK lines (at least one block): per block, (each kept line's
+    compressed row, its int8 triples, group g's at 3g..3g + 2).  A line is
+    kept iff its PSD stays within bound at every k, from its triples times
+    the basis of _choice_maps: 1 + proj² skew, (1 + proj)² symmetric."""
+    value, stride, _ = layout
+    basis = _choice_maps(2 * value.shape[1] - 1, skew)[0]
     offsets = np.concatenate([[0], np.cumsum(take)])
     for lo in range(0, offsets[-1] or 1, _ROW_BLOCK):
         line = np.arange(lo, min(lo + _ROW_BLOCK, offsets[-1]))
         index = np.searchsorted(offsets, line, side="right") - 1
         owner = owners[index]
-        rows = _preimage_rows(layout, skew, owner, start + line - offsets[index])
-        keep = (mirror_psd(rows, skew) <= bound).all(axis=1)
-        yield owner[keep], rows[keep]
+        local = first[index] + line - offsets[index]  # group 0's digit takes it mod count
+        choice = 3 * value[owner] + local[:, None] // stride[owner] % _CHOICE_COUNTS[value[owner]]
+        triples = np.take(_CHOICES, choice, axis=0).reshape(len(line), len(basis))
+        proj = triples.astype(np.float64) @ basis
+        keep = ((1 + proj**2 if skew else (1 + proj) ** 2) <= bound).all(axis=1)
+        yield owner[keep], triples[keep]
 
 
-def _preimage_rows(
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray], skew: bool,
-    owner: np.ndarray, local: np.ndarray,
-) -> np.ndarray:
-    """Preimage number local[i] of compressed row owner[i] of a _layout, for
-    every i, as one (len(owner) × n) int8 array."""
-    value, stride, _ = layout
-    free = value.shape[1]
-    m = 2 * free - 1
-    value = value[owner]
-    digit = local[:, None] // stride[owner] % _CHOICE_COUNTS[value]
-    triples = _CHOICES[value, digit]  # [line, group, 3]
-    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
-    rows = np.empty((len(owner), 3 * m), dtype=np.int8)
-    rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
-    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
-    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
-        len(owner), pos.size - 3)
-    return rows
+def _preimage_rows(triples: np.ndarray, skew: bool) -> np.ndarray:
+    """The (lines × n) int8 rows of _preimage_blocks' kept lines, gathered
+    from their triples and the triples' negatives."""
+    column = _choice_maps(2 * triples.shape[1] // 3 - 1, skew)[1]
+    return np.concatenate([triples, -triples], axis=1)[:, column]
 
+
+@lru_cache(maxsize=None)
+def _choice_maps(m: int, skew: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For preimages of length n = 3m, h = n // 2, as lines of triples: the
+    (3·free × (h+1)) basis that maps a line to mirror_psd's projection, and
+    each row entry's column in [line, −line].  Entry i of group g sits at
+    p = g + i·m, or, when p > h, at its mirror n − p with the skew sign;
+    x_0 = +1 is the constant term, and x_2m, the mirror of x_m, gets a zero
+    row."""
+    n, free, h = 3 * m, (m + 1) // 2, 3 * m // 2
+    half = half_basis(n)[:, h + 1 :] if skew else half_basis(n)[:, : h + 1]
+    basis = np.zeros((3 * free, h + 1))
+    column = np.empty(n, dtype=np.intp)
+    for g, i in product(range(free), range(3)):
+        p = g + i * m
+        column[p] = 3 * g + i
+        if g:
+            column[n - p] = 3 * g + i + (3 * free if skew else 0)
+        if 0 < p <= h:
+            basis[3 * g + i] = half[p - 1]
+        elif g:
+            basis[3 * g + i] = (-1 if skew else 1) * half[n - p - 1]
+    return basis, column

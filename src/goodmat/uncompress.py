@@ -6,12 +6,12 @@ This is the compression/uncompression scheme of Đoković and Kotsireas
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
 (join_table and join_blocks) — one join at two lengths:
 
-  (i)   enumerate the preimages of compressed rows directly, with the
-        candidate sweep's mixed-radix enumerator (candidates._preimage_rows);
+  (i)   enumerate the preimages of compressed rows with the candidate
+        sweep's enumerator and screen (candidates._preimage_blocks): only
+        those inside the row PSD bound (a float filter) are built as rows;
   (ii)  build one preimage table per skewness for all the distinct
-        compressed rows of a run (preimage_table), in blocks of
-        _ROW_BLOCK rows: keep the rows inside the row PSD bound (a float
-        filter) and, in the A table, only the rows that are
+        compressed rows of a run (preimage_table), _ROW_BLOCK lines at a
+        time, and in the A table keep only the rows that are
         equiv.orbit_minimal under equiv.compression_units(n), whose
         docstring says why that is exact; the table is a join_table whose
         group r holds the kept preimages of compressed row r, with their
@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .candidates import _layout, _preimage_blocks
+from .candidates import _layout, _preimage_blocks, _preimage_rows
 from .errors import InternalError
 from .equiv import compression_units, orbit_minimal
 from .matching import JoinTable, join_blocks, join_table
@@ -52,11 +52,13 @@ def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
                    multipliers: Sequence[int] = ()) -> JoinTable:
     """The JoinTable of the preimages of an (R × m) array of compressed rows
     whose PSD stays within bound at every k and that are orbit_minimal under
-    multipliers (all for none), group r those of row r.  Only the kept rows
-    of each _ROW_BLOCK block are copied into the table."""
+    multipliers (all for none), group r those of row r.  Only the preimages
+    inside bound are built as rows, _ROW_BLOCK lines at a time."""
     layout = _layout(crows, skew)
     kept, blocks = np.zeros(len(crows), dtype=np.int64), []
-    for owner, rows in _preimage_blocks(layout, skew, bound, np.arange(len(crows)), layout[2]):
+    owners = np.arange(len(crows))
+    for owner, triples in _preimage_blocks(layout, skew, bound, owners, layout[2], 0 * owners):
+        rows = _preimage_rows(triples, skew)
         if multipliers:  # an uncut block is kept as it is: a copy raises the peak RSS
             minimal = orbit_minimal(rows, multipliers)
             owner, rows = owner[minimal], rows[minimal]

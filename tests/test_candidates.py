@@ -7,7 +7,10 @@ shared helpers beyond the row constructors) of the compressed candidate sets.
 import cmath
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from goodmat import candidates
 from goodmat.candidates import CandidateSets, generate_candidates
@@ -15,6 +18,7 @@ from goodmat.diophantine import rowsum_components, signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.pipeline import prepare_instances
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
+from goodmat.spectral import EPS, mirror_psd
 
 
 def psd_ok(row, slack=1e-2):
@@ -186,3 +190,171 @@ def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
         generate_candidates(99, signed_rowsums(99))  # m = 33
     with pytest.raises(InvalidInputError, match="exceeds 31"):  # the same rule at both entries
         prepare_instances(99, allow_large=True)
+
+
+# ── the preimage screen: choice triples, gathered rows, witness order ──────
+
+def scatter_rows(layout, skew, owner, local):
+    """Preimage number local[i] of compressed row owner[i] of a _layout as an
+    int8 row, by the construction the gathered rows replaced: mixed-radix
+    digits, a [value, digit] triple lookup and two column scatters."""
+    value, stride, _ = layout
+    free = value.shape[1]
+    m = 2 * free - 1
+    value = value[owner]
+    digit = local[:, None] // stride[owner] % candidates._CHOICE_COUNTS[value]
+    triples = candidates._CHOICES.reshape(12, 3, 3)[value, digit]  # [line, group, 3]
+    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
+    rows = np.empty((len(owner), 3 * m), dtype=np.int8)
+    rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
+    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
+    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
+        len(owner), pos.size - 3)
+    return rows
+
+
+def image_rows(n, skew, sample=None):
+    """Every compressed image row of order n and one skewness, or `sample`
+    of them drawn without replacement."""
+    m = n // 3
+    total = (1 if skew else 2) << 2 * ((m - 1) // 2)
+    index = np.arange(total)
+    if sample is not None:
+        index = np.sort(np.random.default_rng(n).choice(total, sample, replace=False))
+    return candidates._image_rows(index, m, skew)
+
+
+def every_line(layout, skew, bound=np.inf):
+    """(owner, triples) of every preimage of a _layout's rows in order, kept
+    against bound."""
+    owners = np.arange(len(layout[2]))
+    blocks = list(candidates._preimage_blocks(layout, skew, bound, owners, layout[2], 0 * owners))
+    return np.concatenate([o for o, _ in blocks]), np.concatenate([c for _, c in blocks])
+
+
+@pytest.mark.parametrize("n, sample", [(9, None), (15, None), (21, None), (27, None),
+                                       (45, 12), (57, 4)])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_choice_screen_equals_mirror_psd(n, sample, skew):
+    layout = candidates._layout(image_rows(n, skew, sample), skew)
+    owner, triples = every_line(layout, skew)
+    assert len(owner) == layout[2].sum()
+    proj = triples.astype(float) @ candidates._choice_maps(n // 3, skew)[0]
+    got = 1 + proj**2 if skew else (1 + proj) ** 2
+    want = mirror_psd(candidates._preimage_rows(triples, skew), skew)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # the screen keeps exactly the lines whose built row is within the bound
+    bound = 4 * n + EPS
+    assert np.abs(want.max(axis=1) - bound).min() > 1e-6
+    kept = every_line(layout, skew, bound)
+    passes = (want <= bound).all(axis=1)
+    assert np.array_equal(kept[0], owner[passes])
+    assert np.array_equal(kept[1], triples[passes])
+
+
+@pytest.mark.parametrize("n", [3, 9, 15, 21])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_gathered_rows_equal_the_scatter_construction(n, skew):
+    layout = candidates._layout(image_rows(n, skew), skew)
+    count = layout[2]
+    owner, triples = every_line(layout, skew)
+    local = np.concatenate([np.arange(c) for c in count])
+    want = scatter_rows(layout, skew, np.repeat(np.arange(len(count)), count), local)
+    assert np.array_equal(candidates._preimage_rows(triples, skew), want)
+
+
+@pytest.mark.parametrize("n", [45, 57])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_gathered_rows_equal_the_scatter_construction_sampled(n, skew):
+    # sampled rows, each from a random first preimage for a random number of
+    # lines that may wrap round past its last preimage
+    layout = candidates._layout(image_rows(n, skew, 64), skew)
+    count = layout[2]
+    rng = np.random.default_rng(n + skew)
+    first = rng.integers(0, count)
+    take = rng.integers(1, 2 * count + 1)
+    blocks = list(candidates._preimage_blocks(layout, skew, np.inf, np.arange(64), take, first))
+    owner = np.concatenate([o for o, _ in blocks])
+    triples = np.concatenate([t for _, t in blocks])
+    assert np.array_equal(owner, np.repeat(np.arange(64), take))
+    local = np.concatenate([(f + np.arange(t)) % c for f, t, c in zip(first, take, count)])
+    assert np.array_equal(candidates._preimage_rows(triples, skew),
+                          scatter_rows(layout, skew, owner, local))
+
+
+def worst_psd(layout, skew):
+    """Per row of a _layout, the largest PSD of each of its preimages in
+    order, from a DFT of the scatter-built rows."""
+    count = layout[2]
+    rows = scatter_rows(layout, skew, np.repeat(np.arange(len(count)), count),
+                        np.concatenate([np.arange(c) for c in count]))
+    worst = (np.abs(np.fft.fft(rows, axis=1)) ** 2).max(axis=1)
+    return np.split(worst, np.cumsum(count)[:-1])
+
+
+@pytest.mark.parametrize("n", [15, 21])
+@given(data=st.data())
+def test_witness_search_equals_the_brute_force(n, data):
+    # one line per block and a first round of one preimage, so the wrap from
+    # count // 2 crosses every block and round edge; the batch mixes image
+    # rows (1 and 2 preimages among them) with rows that have none
+    skew = data.draw(st.booleans(), label="skew")
+    m = n // 3
+    pool = np.concatenate([image_rows(n, skew), [(1,) * m, (3,) + (-1,) * (m - 1)]])
+    pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
+    crows = pool[pick]
+    layout = candidates._layout(crows, skew)
+    worst = worst_psd(layout, skew)
+    bound = data.draw(st.floats(4 * n - 40, 4 * n + EPS), label="bound")
+    assume(all(np.abs(w - bound).min() > 1e-6 for w in worst if len(w)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(candidates, "_ROW_BLOCK", 1)
+        patch.setattr(candidates, "_FIRST_ROUND", 1)
+        got = candidates._witnessed(crows, skew, bound)
+    assert got.tolist() == [bool((w <= bound).any()) for w in worst]
+
+
+@pytest.mark.parametrize("n", [15, 21])
+@given(data=st.data())
+def test_witness_search_finds_a_lone_passing_preimage(n, data):
+    # the real PSD rarely singles out one preimage (the compression units
+    # permute a row's preimages and keep their largest PSD), so the screen
+    # is replaced by one that passes only drawn preimages: none, the first,
+    # the last or a few others of each row
+    skew = data.draw(st.booleans(), label="skew")
+    pool = image_rows(n, skew)
+    crows = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))]
+    layout = candidates._layout(crows, skew)
+    count = layout[2]
+    owner, triples = every_line(layout, skew)
+    number = {(o, tuple(t)): i
+              for o, t, i in zip(owner.tolist(), triples.tolist(),
+                                 np.concatenate([np.arange(c) for c in count]).tolist())}
+    passing = [data.draw(st.one_of(st.just(set()), st.just({0}), st.just({c - 1}),
+                                   st.sets(st.integers(0, c - 1), max_size=3)))
+               for c in count.tolist()]
+    screen, tried = candidates._preimage_blocks, []
+
+    def drawn_screen(layout, skew, bound, owners, take, first):
+        for o, c in screen(layout, skew, np.inf, owners, take, first):
+            lines = [(r, number[r, tuple(t)]) for r, t in zip(o.tolist(), c.tolist())]
+            tried.extend(lines)
+            keep = np.array([i in passing[r] for r, i in lines], dtype=bool)
+            yield o[keep], c[keep]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(candidates, "_ROW_BLOCK", 1)
+        patch.setattr(candidates, "_FIRST_ROUND", 1)
+        patch.setattr(candidates, "_preimage_blocks", drawn_screen)
+        got = candidates._witnessed(crows, skew, 0.0)
+    assert got.tolist() == [bool(p) for p in passing]
+    assert len(set(tried)) == len(tried)  # no preimage is tried twice
+    for r, c in enumerate(count.tolist()):
+        # from the middle preimage, wrapping round, up to the end of the round
+        # (1, 3, 7, … lines) that meets the first passing one, or every line
+        wrap = [(c // 2 + j) % c for j in range(c)]
+        hit = next((j for j, i in enumerate(wrap) if i in passing[r]), c)
+        edge = 1
+        while edge <= hit and edge < c:
+            edge = 2 * edge + 1
+        assert [i for row, i in tried if row == r] == wrap[:edge]
