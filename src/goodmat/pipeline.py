@@ -3,7 +3,7 @@
 The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
-  2. generate_candidates:    compressed-first sweep → candidate sets s_sk, s_sy;
+  2. generate_candidates:    compressed sweep → candidate sets s_sk, s_sy;
   3. match_codes:            the quad join at compressed length, one owner
                              per rowsum group of B′ → one arrangement per
                              {B′, C′, D′} of each S_q quad whose A′ is
@@ -90,7 +90,7 @@ class FilterConfig:
     (satsearch.build_instance / solve_all), which the search never runs.
     """
 
-    psd_candidates: bool = True   # per-row PSD bound: sweep and full preimages
+    psd_candidates: bool = True   # row PSD bound: compressed in the sweep, full in uncompression
     rowsum_candidates: bool = True  # rowsum membership for symmetric rows
     psd_pairs: bool = True        # pairwise PSD bound before both joins
     prefix_checks: bool = True    # SAT reference only: PSD checks in the callback

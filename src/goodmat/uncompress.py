@@ -6,9 +6,10 @@ This is the compression/uncompression scheme of Đoković and Kotsireas
 Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
 (join_table and join_blocks) — one join at two lengths:
 
-  (i)   enumerate the preimages of compressed rows with the candidate
-        sweep's enumerator and screen (candidates._preimage_blocks): only
-        those inside the row PSD bound (a float filter) are built as rows;
+  (i)   enumerate the preimages of compressed rows and screen them by the
+        full-length row PSD bound (a float filter) from their choice
+        triples times a basis (_choice_maps): only those inside it are
+        built as rows;
   (ii)  build one preimage table per skewness for all the distinct
         compressed rows of a run (preimage_table), _ROW_BLOCK lines at a
         time, and in the A table keep only the rows that are
@@ -31,45 +32,134 @@ each disabled filter into the bound +inf, which every row and pair meets.
 The quads found are exactly the certified models of the instance's SAT
 encoding (satsearch, kept as the reference and for DIMACS export) whose A
 is orbit-minimal.  C×D is the ordered product even when C′ = D′.
+
+A compressed row's preimages are the mixed-radix numbers over the choices of
+its free groups 0..(m−1)/2, the last group varying fastest: group 0 (x_0 = +1,
+x_{2m} = ±x_m) has 2 choices in a skew row and 1 in a symmetric row, every
+other group 1 when |c′_k| = 3 and 3 when |c′_k| = 1; a choice is a triple
+(x_k, x_{k+m}, x_{k+2m}).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .candidates import _layout, _preimage_blocks, _preimage_rows
+from .candidates import _ROW_BLOCK
 from .errors import InternalError
 from .equiv import compression_units, orbit_minimal
 from .matching import JoinTable, join_blocks, join_table
 from .seqcore import CompressedQuad, DefiningQuad
-from .spectral import paf_sums, psd_bound
+from .spectral import half_basis, paf_sums, psd_bound
+
+#: The eight ±1 triples (x_k, x_{k+m}, x_{k+2m}) one compression group can take.
+_TRIPLES = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
+
+
+def _choice_table() -> tuple[np.ndarray, np.ndarray]:
+    """The triples a group may take, as [3·value + choice, 3], and the
+    choice count of each value.
+
+    Values 0–3 are group 0 of a skew row (x_0 = +1, x_{2m} = −x_m), 4–7
+    group 0 of a symmetric row (x_{2m} = x_m), 8–11 every other group, each
+    for c′_k = +3, +1, −1, −3 in turn (offset + (3 − c′_k)/2).
+    """
+    table = np.zeros((12, 3, 3), dtype=np.int8)
+    count = np.zeros(12, dtype=np.int64)
+    for base, sign in ((0, -1), (4, 1), (8, 0)):
+        for value, c in enumerate((3, 1, -1, -3), start=base):
+            choice = _TRIPLES[_TRIPLES.sum(axis=1) == c]
+            if sign:
+                choice = choice[(choice[:, 0] == 1) & (choice[:, 2] == sign * choice[:, 1])]
+            table[value, : len(choice)] = choice
+            count[value] = len(choice)
+    return table.reshape(36, 3), count
+
+
+_CHOICES, _CHOICE_COUNTS = _choice_table()
 
 
 def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
                    multipliers: Sequence[int] = ()) -> JoinTable:
     """The JoinTable of the preimages of an (R × m) array of compressed rows
     whose PSD stays within bound at every k and that are orbit_minimal under
-    multipliers (all for none), group r those of row r.  Only the preimages
-    inside bound are built as rows, _ROW_BLOCK lines at a time."""
-    layout = _layout(crows, skew)
+    multipliers (all for none), group r those of row r in mixed-radix order."""
+    rows, kept = _preimage_rows(crows, skew, bound, multipliers)
+    n = rows.shape[1]
+    planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
+    offsets = np.concatenate([[0], np.cumsum(kept)])
+    return join_table(rows, skew, planes, n, offsets)  # |PAF| ≤ PAF(0) = n
+
+
+def _preimage_rows(crows: np.ndarray, skew: bool, bound: float,
+                   multipliers: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """preimage_table's rows, and how many of them each compressed row owns.
+    The preimages are screened _ROW_BLOCK at a time, from their triples times
+    the basis of _choice_maps: 1 + proj² skew, (1 + proj)² symmetric.  A
+    function of its own, so that its block arrays are freed before join_table
+    allocates."""
+    value, stride, count = _layout(crows, skew)
+    basis, column = _choice_maps(crows.shape[1], skew)
+    first = np.concatenate([[0], np.cumsum(count)])  # each row's first line
     kept, blocks = np.zeros(len(crows), dtype=np.int64), []
-    owners = np.arange(len(crows))
-    for owner, triples in _preimage_blocks(layout, skew, bound, owners, layout[2], 0 * owners):
-        rows = _preimage_rows(triples, skew)
+    for lo in range(0, first[-1] or 1, _ROW_BLOCK):
+        line = np.arange(lo, min(lo + _ROW_BLOCK, first[-1]))
+        owner = np.searchsorted(first, line, side="right") - 1
+        local = line - first[owner]
+        choice = 3 * value[owner] + local[:, None] // stride[owner] % _CHOICE_COUNTS[value[owner]]
+        triples = np.take(_CHOICES, choice, axis=0).reshape(len(line), len(basis))
+        proj = triples.astype(np.float64) @ basis
+        keep = ((1 + proj**2 if skew else (1 + proj) ** 2) <= bound).all(axis=1)
+        owner, triples = owner[keep], triples[keep]
+        rows = np.concatenate([triples, -triples], axis=1)[:, column]
         if multipliers:  # an uncut block is kept as it is: a copy raises the peak RSS
             minimal = orbit_minimal(rows, multipliers)
             owner, rows = owner[minimal], rows[minimal]
         kept += np.bincount(owner, minlength=len(crows))
         blocks.append(rows)
-    rows = np.concatenate(blocks)
-    del blocks, layout  # freed before join_table allocates the other columns
-    n = rows.shape[1]
-    planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
-    offsets = np.concatenate([[0], np.cumsum(kept)])
-    return join_table(rows, skew, planes, n, offsets)  # |PAF| ≤ PAF(0) = n
+    return np.concatenate(blocks), kept
+
+
+def _layout(crows: np.ndarray, skew: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per compressed row and free group k = 0..(m−1)/2, the _CHOICE_COUNTS
+    index and the mixed-radix stride (the last group varies fastest); and per row
+    its number of preimages, 0 for a row whose mirror groups disagree."""
+    m = crows.shape[1]
+    free = (m + 1) // 2
+    value = np.r_[0 if skew else 4, np.full(free - 1, 8)] + (3 - crows[:, :free]) // 2
+    count = _CHOICE_COUNTS[value]
+    stride = np.ones_like(count)
+    stride[:, :-1] = np.cumprod(count[:, :0:-1], axis=1)[:, ::-1]
+    mirrored = crows[:, m - np.arange(1, free)] == (-1 if skew else 1) * crows[:, 1:free]
+    return value, stride, count.prod(axis=1) * mirrored.all(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _choice_maps(m: int, skew: bool) -> tuple[np.ndarray, np.ndarray]:
+    """For preimages of length n = 3m, h = n // 2, as lines of triples: the
+    (3·free × (h+1)) basis that maps a line to mirror_psd's projection, and
+    each row entry's column in [line, −line].  Entry i of group g sits at
+    p = g + i·m, or, when p > h, at its mirror n − p with the skew sign;
+    x_0 = +1 is the constant term, and x_2m, the mirror of x_m, gets a zero
+    row."""
+    n, free, h = 3 * m, (m + 1) // 2, 3 * m // 2
+    half = half_basis(n)[:, h + 1 :] if skew else half_basis(n)[:, : h + 1]
+    basis = np.zeros((3 * free, h + 1))
+    column = np.empty(n, dtype=np.intp)
+    for g, i in product(range(free), range(3)):
+        p = g + i * m
+        column[p] = 3 * g + i
+        if g:
+            column[n - p] = 3 * g + i + (3 * free if skew else 0)
+        if 0 < p <= h:
+            basis[3 * g + i] = half[p - 1]
+        elif g:
+            basis[3 * g + i] = (-1 if skew else 1) * half[n - p - 1]
+    return basis, column
 
 
 def uncompress_all(

@@ -1,4 +1,4 @@
-"""Candidate generation: the compressed-first sweep with PSD and rowsum screens.
+"""Candidate generation: the compressed sweep with PSD and rowsum screens.
 
 Oracle: a pure-Python re-derivation over all 2^d full rows (no numpy, no
 shared helpers beyond the row constructors) of the compressed candidate sets.
@@ -9,16 +9,16 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from goodmat import candidates
+from goodmat import uncompress as uncompress_module
 from goodmat.candidates import CandidateSets, generate_candidates
 from goodmat.diophantine import rowsum_components, signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.pipeline import prepare_instances
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
-from goodmat.spectral import EPS, mirror_psd
+from goodmat.spectral import EPS, mirror_psd, psd_bound
+from goodmat.uncompress import preimage_table
 
 
 def psd_ok(row, slack=1e-2):
@@ -109,7 +109,7 @@ def test_order_validation():
         generate_candidates(1, rowsums)
 
 
-# ── blocks, witness rounds and frozen sets ─────────────────────────────────
+# ── blocks, bounds and frozen sets ─────────────────────────────────────────
 
 def sets_digest(cands):
     """SHA-256 of sorted s_sk then sorted s_sy, one row per line, a blank
@@ -126,10 +126,8 @@ def sets_digest(cands):
 @pytest.mark.parametrize("filters", [(True, True), (False, False), (True, False), (False, True)],
                          ids=["True", "False", "psd_only", "rowsum_only"])
 def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
-    # one compressed row per screen block, one preimage line per block and a
-    # first witness round of one preimage, so every block and round boundary runs
+    # one compressed row per screen block, so every block boundary runs
     monkeypatch.setattr(candidates, "_ROW_BLOCK", 1)
-    monkeypatch.setattr(candidates, "_FIRST_ROUND", 1)
     psd_filter, rowsum_filter = filters
     rowsums = signed_rowsums(n)
     got = generate_candidates(n, rowsums, psd_filter=psd_filter, rowsum_filter=rowsum_filter)
@@ -142,15 +140,20 @@ def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
 @pytest.mark.parametrize("slack", [-30.0, -40.0])
 def test_tight_bounds_match_oracle(n, slack):
     # under 4n − 30 or 4n − 40 some compressed rows pass their own PSD and
-    # rowsum screen but have no preimage within the bound
+    # rowsum screen but have no preimage within the bound: the sweep keeps
+    # them, uncompression gives them an empty preimage group, and the rows
+    # with a nonempty group are the oracle's sets
     rowsums = signed_rowsums(n)
-    allowed = sorted(rowsum_components(rowsums))
-    s_sk = candidates._sweep(n // 3, True, 4 * n + slack, None)
-    s_sy = candidates._sweep(n // 3, False, 4 * n + slack, allowed)
-    want_sk, want_sy = oracle_candidates(n, rowsums, slack=slack)
-    assert s_sk == want_sk and s_sy == want_sy
-    full = generate_candidates(n, rowsums)  # a tighter bound only shrinks the sets
-    assert s_sk < full.s_sk and s_sy <= full.s_sy
+    want = oracle_candidates(n, rowsums, slack=slack)
+    swept = got = 0
+    for skew, allowed, want_rows in ((True, None, want[0]),
+                                     (False, sorted(rowsum_components(rowsums)), want[1])):
+        rows = np.array(sorted(candidates._sweep(n // 3, skew, 4 * n + slack, allowed)))
+        table = preimage_table(rows, skew, bound=4 * n + slack)
+        kept = {tuple(row) for row, c in zip(rows.tolist(), np.diff(table.offsets)) if c}
+        assert kept == want_rows
+        swept, got = swept + len(rows), got + len(kept)
+    assert got < swept
 
 
 def test_every_row_has_a_preimage_within_the_bound():
@@ -163,6 +166,18 @@ def test_every_row_has_a_preimage_within_the_bound():
             above.setdefault(compress3(row), []).append(row)
         for crow in rows:
             assert any(psd_ok(row) for row in above.get(crow, [])), crow
+
+
+@pytest.mark.parametrize("n", [27, 33, 39])
+def test_every_row_has_a_nonempty_preimage_group(n):
+    # the sweep screens compressed rows only; the full-length row bound of
+    # uncompression leaves every row it keeps at least one preimage.  With the
+    # rowsum filter on, test_frozen_sets_n27_to_n57 already pins this: its sets
+    # were recorded from full-length sweeps that kept only such rows.
+    got = generate_candidates(n, signed_rowsums(n), rowsum_filter=False)
+    for rows, skew in ((got.s_sk, True), (got.s_sy, False)):
+        table = preimage_table(np.array(sorted(rows)), skew, bound=psd_bound(n, True))
+        assert np.diff(table.offsets).all()
 
 
 @pytest.mark.parametrize("n, sizes, digest", [
@@ -192,7 +207,7 @@ def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
         prepare_instances(99, allow_large=True)
 
 
-# ── the preimage screen: choice triples, gathered rows, witness order ──────
+# ── the preimage screen of uncompression: choice triples, gathered rows ────
 
 def scatter_rows(layout, skew, owner, local):
     """Preimage number local[i] of compressed row owner[i] of a _layout as an
@@ -202,8 +217,8 @@ def scatter_rows(layout, skew, owner, local):
     free = value.shape[1]
     m = 2 * free - 1
     value = value[owner]
-    digit = local[:, None] // stride[owner] % candidates._CHOICE_COUNTS[value]
-    triples = candidates._CHOICES.reshape(12, 3, 3)[value, digit]  # [line, group, 3]
+    digit = local[:, None] // stride[owner] % uncompress_module._CHOICE_COUNTS[value]
+    triples = uncompress_module._CHOICES.reshape(12, 3, 3)[value, digit]  # [line, group, 3]
     pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
     rows = np.empty((len(owner), 3 * m), dtype=np.int8)
     rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
@@ -224,137 +239,63 @@ def image_rows(n, skew, sample=None):
     return candidates._image_rows(index, m, skew)
 
 
-def every_line(layout, skew, bound=np.inf):
-    """(owner, triples) of every preimage of a _layout's rows in order, kept
-    against bound."""
-    owners = np.arange(len(layout[2]))
-    blocks = list(candidates._preimage_blocks(layout, skew, bound, owners, layout[2], 0 * owners))
-    return np.concatenate([o for o, _ in blocks]), np.concatenate([c for _, c in blocks])
+def lines(count):
+    """Per preimage of rows with `count` preimages each: its row and its
+    number among that row's preimages."""
+    return np.repeat(np.arange(len(count)), count), np.concatenate([np.arange(c) for c in count])
 
 
 @pytest.mark.parametrize("n, sample", [(9, None), (15, None), (21, None), (27, None),
                                        (45, 12), (57, 4)])
 @pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
 def test_choice_screen_equals_mirror_psd(n, sample, skew):
-    layout = candidates._layout(image_rows(n, skew, sample), skew)
-    owner, triples = every_line(layout, skew)
-    assert len(owner) == layout[2].sum()
-    proj = triples.astype(float) @ candidates._choice_maps(n // 3, skew)[0]
-    got = 1 + proj**2 if skew else (1 + proj) ** 2
-    want = mirror_psd(candidates._preimage_rows(triples, skew), skew)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-    # the screen keeps exactly the lines whose built row is within the bound
-    bound = 4 * n + EPS
-    assert np.abs(want.max(axis=1) - bound).min() > 1e-6
-    kept = every_line(layout, skew, bound)
-    passes = (want <= bound).all(axis=1)
-    assert np.array_equal(kept[0], owner[passes])
-    assert np.array_equal(kept[1], triples[passes])
+    # the choice-triple projection equals mirror_psd of the built row, and
+    # preimage_table's screen keeps exactly the preimages whose built row is
+    # within the bound: at 4n + EPS, and at 4n − 30 and
+    # 4n − 40, where some rows that pass their own compressed PSD screen keep
+    # no preimage
+    crows = image_rows(n, skew, sample)
+    full = preimage_table(crows, skew, bound=np.inf)
+    count = np.diff(full.offsets)
+    assert np.array_equal(count, uncompress_module._layout(crows, skew)[2])
+    # each preimage's choice triples times _choice_maps' basis give its PSD
+    m = n // 3
+    pos = np.arange((m + 1) // 2)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
+    proj = full.rows[:, pos.ravel()].astype(float) @ uncompress_module._choice_maps(m, skew)[0]
+    want = mirror_psd(full.rows, skew)
+    np.testing.assert_allclose(1 + proj**2 if skew else (1 + proj) ** 2, want, rtol=0, atol=1e-9)
+    worst = want.max(axis=1)
+    own = mirror_psd(crows, skew).max(axis=1)
+    emptied = []
+    for bound in (4 * n + EPS, 4 * n - 30, 4 * n - 40):
+        assert np.abs(worst - bound).min() > 1e-6
+        passes = worst <= bound
+        table = preimage_table(crows, skew, bound=bound)
+        kept = np.bincount(lines(count)[0][passes], minlength=len(crows))
+        assert np.array_equal(table.offsets, np.concatenate([[0], np.cumsum(kept)]))
+        assert np.array_equal(table.rows, full.rows[passes])
+        emptied.append(((count > 0) & (own <= bound) & (kept == 0)).sum())
+    assert emptied[0] == 0
+    assert sum(emptied) > 0 or sample is not None
 
 
 @pytest.mark.parametrize("n", [3, 9, 15, 21])
 @pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
 def test_gathered_rows_equal_the_scatter_construction(n, skew):
-    layout = candidates._layout(image_rows(n, skew), skew)
-    count = layout[2]
-    owner, triples = every_line(layout, skew)
-    local = np.concatenate([np.arange(c) for c in count])
-    want = scatter_rows(layout, skew, np.repeat(np.arange(len(count)), count), local)
-    assert np.array_equal(candidates._preimage_rows(triples, skew), want)
+    crows = image_rows(n, skew)
+    layout = uncompress_module._layout(crows, skew)
+    got = preimage_table(crows, skew, bound=np.inf)
+    assert np.array_equal(np.diff(got.offsets), layout[2])
+    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))
 
 
 @pytest.mark.parametrize("n", [45, 57])
 @pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
 def test_gathered_rows_equal_the_scatter_construction_sampled(n, skew):
-    # sampled rows, each from a random first preimage for a random number of
-    # lines that may wrap round past its last preimage
-    layout = candidates._layout(image_rows(n, skew, 64), skew)
-    count = layout[2]
-    rng = np.random.default_rng(n + skew)
-    first = rng.integers(0, count)
-    take = rng.integers(1, 2 * count + 1)
-    blocks = list(candidates._preimage_blocks(layout, skew, np.inf, np.arange(64), take, first))
-    owner = np.concatenate([o for o, _ in blocks])
-    triples = np.concatenate([t for _, t in blocks])
-    assert np.array_equal(owner, np.repeat(np.arange(64), take))
-    local = np.concatenate([(f + np.arange(t)) % c for f, t, c in zip(first, take, count)])
-    assert np.array_equal(candidates._preimage_rows(triples, skew),
-                          scatter_rows(layout, skew, owner, local))
-
-
-def worst_psd(layout, skew):
-    """Per row of a _layout, the largest PSD of each of its preimages in
-    order, from a DFT of the scatter-built rows."""
-    count = layout[2]
-    rows = scatter_rows(layout, skew, np.repeat(np.arange(len(count)), count),
-                        np.concatenate([np.arange(c) for c in count]))
-    worst = (np.abs(np.fft.fft(rows, axis=1)) ** 2).max(axis=1)
-    return np.split(worst, np.cumsum(count)[:-1])
-
-
-@pytest.mark.parametrize("n", [15, 21])
-@given(data=st.data())
-def test_witness_search_equals_the_brute_force(n, data):
-    # one line per block and a first round of one preimage, so the wrap from
-    # count // 2 crosses every block and round edge; the batch mixes image
-    # rows (1 and 2 preimages among them) with rows that have none
-    skew = data.draw(st.booleans(), label="skew")
-    m = n // 3
-    pool = np.concatenate([image_rows(n, skew), [(1,) * m, (3,) + (-1,) * (m - 1)]])
-    pick = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))
-    crows = pool[pick]
-    layout = candidates._layout(crows, skew)
-    worst = worst_psd(layout, skew)
-    bound = data.draw(st.floats(4 * n - 40, 4 * n + EPS), label="bound")
-    assume(all(np.abs(w - bound).min() > 1e-6 for w in worst if len(w)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(candidates, "_ROW_BLOCK", 1)
-        patch.setattr(candidates, "_FIRST_ROUND", 1)
-        got = candidates._witnessed(crows, skew, bound)
-    assert got.tolist() == [bool((w <= bound).any()) for w in worst]
-
-
-@pytest.mark.parametrize("n", [15, 21])
-@given(data=st.data())
-def test_witness_search_finds_a_lone_passing_preimage(n, data):
-    # the real PSD rarely singles out one preimage (the compression units
-    # permute a row's preimages and keep their largest PSD), so the screen
-    # is replaced by one that passes only drawn preimages: none, the first,
-    # the last or a few others of each row
-    skew = data.draw(st.booleans(), label="skew")
-    pool = image_rows(n, skew)
-    crows = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=24))]
-    layout = candidates._layout(crows, skew)
-    count = layout[2]
-    owner, triples = every_line(layout, skew)
-    number = {(o, tuple(t)): i
-              for o, t, i in zip(owner.tolist(), triples.tolist(),
-                                 np.concatenate([np.arange(c) for c in count]).tolist())}
-    passing = [data.draw(st.one_of(st.just(set()), st.just({0}), st.just({c - 1}),
-                                   st.sets(st.integers(0, c - 1), max_size=3)))
-               for c in count.tolist()]
-    screen, tried = candidates._preimage_blocks, []
-
-    def drawn_screen(layout, skew, bound, owners, take, first):
-        for o, c in screen(layout, skew, np.inf, owners, take, first):
-            lines = [(r, number[r, tuple(t)]) for r, t in zip(o.tolist(), c.tolist())]
-            tried.extend(lines)
-            keep = np.array([i in passing[r] for r, i in lines], dtype=bool)
-            yield o[keep], c[keep]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(candidates, "_ROW_BLOCK", 1)
-        patch.setattr(candidates, "_FIRST_ROUND", 1)
-        patch.setattr(candidates, "_preimage_blocks", drawn_screen)
-        got = candidates._witnessed(crows, skew, 0.0)
-    assert got.tolist() == [bool(p) for p in passing]
-    assert len(set(tried)) == len(tried)  # no preimage is tried twice
-    for r, c in enumerate(count.tolist()):
-        # from the middle preimage, wrapping round, up to the end of the round
-        # (1, 3, 7, … lines) that meets the first passing one, or every line
-        wrap = [(c // 2 + j) % c for j in range(c)]
-        hit = next((j for j, i in enumerate(wrap) if i in passing[r]), c)
-        edge = 1
-        while edge <= hit and edge < c:
-            edge = 2 * edge + 1
-        assert [i for row, i in tried if row == r] == wrap[:edge]
+    # every preimage of 64 sampled rows, across several blocks of lines
+    crows = image_rows(n, skew, 64)
+    layout = uncompress_module._layout(crows, skew)
+    got = preimage_table(crows, skew, bound=np.inf)
+    assert layout[2].sum() > uncompress_module._ROW_BLOCK
+    assert np.array_equal(np.diff(got.offsets), layout[2])
+    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))
