@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))  # the runs import goodmat from here too
 
+from goodmat.errors import InvalidInputError
+from goodmat.pipeline import check_run
 from goodmat.seqcore import write_file
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -64,8 +66,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    try:
+        check_run(None, args.jobs)
+    except InvalidInputError as exc:
+        parser.error(f"argument --jobs: {exc}")
 
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

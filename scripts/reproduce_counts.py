@@ -15,7 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from goodmat.pipeline import CHECKS, enumerate_good_matrices
+from goodmat.errors import InvalidInputError
+from goodmat.pipeline import CHECKS, check_run, enumerate_good_matrices
 from goodmat.seqcore import write_file, write_quads
 
 EXPECTED = {3: 1, 9: 1, 15: 11, 21: 10, 27: 13}
@@ -29,8 +30,10 @@ def main() -> int:
                         help="include n = 33, 39 (about 20 s on one core)")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    try:
+        check_run(None, args.jobs)
+    except InvalidInputError as exc:
+        parser.error(f"argument --jobs: {exc}")
 
     expected = dict(EXPECTED)
     if args.stretch:

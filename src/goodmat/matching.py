@@ -7,19 +7,20 @@ integers): Σ PAF′(k) = 0 for 1 ≤ k < m together with the k = 0 identity
 1 + row(B′)² + row(C′)² + row(D′)² = 4n.
 
 Testing all |s_sy|³ combinations directly is wasteful, so match_codes runs
-the quad join (join_blocks) over one join_table per side (rows, plane-major
-PSD, PAF table, packed keys) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
+the quad join (join_blocks) over one join_table per skewness (rows,
+plane-major PSD, PAF table) on A′×B′ ⊆ s_sk × s_sy and C′×D′ ⊆ s_sy × s_sy,
 pairing only the rowsum groups of s_sy that can meet the k = 0 identity.
 Both identities and s_sy are symmetric in B′, C′, D′, so S_q is closed under
-permuting them; match_codes emits one arrangement of each quad, and
+permuting them; the join keeps one arrangement of each quad, and
 all_arrangements expands these to S_q.  Quads are kept as rows of integer
 codes (equiv's row code), whose lexicographic order is quad_key order, so
 one unique_rows yields the sorted set.
 
-join_blocks joins blocks, each a pair of groups of two tables with an
-owner, a batch of owners at a time: matching's owners are the rowsum groups
-of B′, uncompression's its instances (groups: one compressed row's
-preimages).  join_equal_keys, a sort-merge join, yields hits in chunks.
+join_blocks joins an A table and a symmetric one (B, C, D) over blocks, each
+an owner and a group of each table, a batch of owners at a time: matching's
+owners are the rowsum groups of B′, uncompression's its instances (groups:
+one compressed row's preimages).  join_equal_keys, a sort-merge join,
+yields hits in chunks.
 
 The pair screen (_screen_blocks) is plane-major: PSD tables hold one line
 per frequency and one column per row, and for each chunk of _PAIR_CHUNK left
@@ -33,7 +34,7 @@ every PSD value is finite, so the screen then keeps every pair, in the same
 row-major order.
 
 Packing is exact, not hashing.  Cauchy–Schwarz bounds |PAF(k)| by PAF(0),
-so with B the largest PAF(0) in the tables, every column of a pair sum lies
+so with B the largest PAF(0) of both tables, every column of a pair sum lies
 in [−2B, 2B], a complete set of balanced digits for the radix R = 4B + 1.
 P_x + P_y is therefore the unique balanced base-R number of the pair's first
 K columns, and equal packed keys mean equal columns 1..K.  K is the largest
@@ -72,7 +73,6 @@ class JoinTable(NamedTuple):
     rows: np.ndarray     # (N × L) the rows
     psd: np.ndarray      # (F × N) float64, plane-major PSD on the screened planes
     paf: np.ndarray      # (N × (⌊L/2⌋ + 1)) int16 PAF table, columns k = 0..⌊L/2⌋
-    keys: np.ndarray     # (N) int64 packed PAF keys
 
 
 def match_quadruples(
@@ -114,12 +114,12 @@ def match_codes(
     One join_blocks call: s_sy is sorted by (rowsum, row code) into one group
     per rowsum, and each B′ group r_B is an owner: its A′×B′ block (s_sk is
     one group) against the C′×D′ blocks of each triple r_B ≤ r_C ≤ r_D of
-    signed_rowsums(n) with a group for all three, upper when r_C = r_D.  A
+    signed_rowsums(n) with a group for all three.  The join keeps B′ ≤ C′ ≤ D′
+    within a rowsum group, and rows of two groups are in rowsum order.  A
     row of s_sy has rowsum ≡ n (mod 4), the sign rule's residue, so these
     are all the groups with 1 + r_B² + r_C² + r_D² = 4n, and a quad outside
     them fails the k = 0 identity, with or without the sweep's rowsum
-    filter.  A hit is kept if (r_B, B′) ≤ (r_C, C′), which only removes hits
-    with r_B = r_C, and if it meets the k = 0 identity, the exact check.
+    filter.  A hit is kept if it meets the k = 0 identity, the exact check.
     A block also fixes the k = 0 PSD plane of its pairs (1 + r_B² for A′×B′,
     r_C² + r_D² for C′×D′, both ≤ 4n), so the screens skip that plane.
     pair_filter=False screens against the bound +inf, which keeps every pair.
@@ -129,90 +129,86 @@ def match_codes(
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
     sk_arr = np.array(list(cands.s_sk), dtype=np.int64)
-    sk_arr = sk_arr[np.argsort(row_codes(sk_arr))]  # row code order
     sk_arr = sk_arr[orbit_minimal(sk_arr, multipliers)]  # no multipliers keep every row
     sy_arr = np.array(list(cands.s_sy), dtype=np.int64)
     sy_arr = sy_arr[np.lexsort((row_codes(sy_arr), sy_arr.sum(axis=1)))]  # (rowsum, row code)
     code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
-    # the largest PAF(0) = Σ e² of either table: ≥ |PAF(k)| by Cauchy–Schwarz
-    paf_bound = max(int((rows * rows).sum(axis=1).max()) for rows in (sk_arr, sy_arr))
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
     planes = np.arange(1, cands.m // 2 + 1)
     sums, first = np.unique(rs_sy, return_index=True)
-    sy = join_table(sy_arr, False, planes, paf_bound, [*first, len(sy_arr)])
-    tables = (join_table(sk_arr, True, planes, paf_bound, [0, len(sk_arr)]), sy, sy, sy)
+    tables = (join_table(sk_arr, True, planes, [0, len(sk_arr)]),
+              join_table(sy_arr, False, planes, [*first, len(sy_arr)]))
     group = {rowsum: g for g, rowsum in enumerate(sums.tolist())}
-    blocks_ab = [(g, 0, g, False) for g in group.values()]
-    blocks_cd = [(group[x], group[y], group[z], y == z) for x, y, z in sorted(signed_rowsums(n))
+    blocks_ab = [(g, 0, g) for g in group.values()]
+    blocks_cd = [(group[x], group[y], group[z]) for x, y, z in sorted(signed_rowsums(n))
                  if {x, y, z} <= group.keys()]
     _, ia, jb, ic, jd = join_blocks(tables, blocks_ab, blocks_cd, psd_bound(n, pair_filter),
                                     Counter()).T
     ok = 1 + rs_sy[jb] ** 2 + rs_sy[ic] ** 2 + rs_sy[jd] ** 2 == 4 * n  # k = 0
-    ok &= jb <= ic  # (r_B, B′) ≤ (r_C, C′): the order of s_sy's rows
     return unique_rows(np.stack([code_sk[ia], code_sy[jb], code_sy[ic], code_sy[jd]], axis=1)[ok])
 
 
-def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray, bound: int,
+def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray,
                offsets: Sequence[int]) -> JoinTable:
     """The JoinTable of an (N × L) array of skew (or symmetric) mirror rows
     whose groups are rows offsets[g]..offsets[g+1], filled in blocks of
     _ROW_BLOCK rows: the plane-major PSD on planes (one line per k of
-    planes), the int16 PAF table and the packed PAF keys with bound
-    (packed_keys).
+    planes) and the int16 PAF table.
 
-    Matching passes planes k ≥ 1 and the largest PAF(0) of its two tables,
-    uncompression planes k ≢ 0 (mod 3) and PAF(0) = n.  int16 holds every
-    PAF value, and every sum of four, of rows with entries in ±1, ±3 and
-    length at most 93.
+    Matching passes planes k ≥ 1, uncompression planes k ≢ 0 (mod 3).
+    int16 holds every PAF value, and every sum of four, of rows with entries
+    in ±1, ±3 and length at most 93.
     """
     psd = np.empty((len(planes), len(rows)))
     paf = np.empty((len(rows), rows.shape[1] // 2 + 1), dtype=np.int16)
-    keys = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
         paf[block] = paf_matrix(rows[block].astype(np.int16))
-        keys[block] = packed_keys(paf[block], bound)
-    return JoinTable(np.asarray(offsets, dtype=np.int64), rows, psd, paf, keys)
+    return JoinTable(np.asarray(offsets, dtype=np.int64), rows, psd, paf)
 
 
 def join_blocks(
-    tables: Sequence[JoinTable],
+    tables: tuple[JoinTable, JoinTable],
     blocks_ab: Sequence[tuple],
     blocks_cd: Sequence[tuple],
     bound: float,
     stats: Counter,
 ) -> np.ndarray:
-    """The quad join over the JoinTables (A, B, C, D): a line (owner, a, b,
-    c, d) of table rows for every A×B pair of blocks_ab and C×D pair of
-    blocks_cd of one owner whose four PAF rows sum to zero at every column
-    k ≥ 1, sorted by owner.  A block is a pair of groups, (owner, group of
-    the left table, group of the right one, upper): the pairs of the two
-    groups' rows, only i ≤ j counted from each group's first row with upper.
-    An owner with no A×B or no C×D product is skipped; the others are joined
-    in ascending order, in batches of consecutive owners whose full A×B plus
-    C×D products reach _BATCH_PAIRS (a batch closes with the owner that
-    reaches it).  Per batch (_join_batch):
+    """The quad join over the JoinTables (A, S), S the table of B, C and D:
+    a line (owner, a, b, c, d) of table rows for every A×B pair of blocks_ab
+    and C×D pair of blocks_cd of one owner whose four PAF rows sum to zero
+    at every column k ≥ 1, sorted by owner.  A block is (owner, group of the
+    left table, group of the right one).  Rows of one group keep one
+    arrangement: c ≤ d in a C×D block of one group, b ≤ c in a hit whose B
+    and C rows share a group.  An owner with no A×B or no C×D product is
+    skipped; the others are joined in ascending order, in batches of
+    consecutive owners whose full A×B plus C×D products reach _BATCH_PAIRS
+    (each closed by the owner that reaches it).  Per batch (_join_batch):
 
       (i)   screen each block's pairs against bound (_screen_blocks);
       (ii)  key each A×B pair by P_a + P_b and each C×D pair by
-            −(P_c + P_d), where P is the packed key of one row (packed_keys;
-            all four tables packed with the same bound), and join equal keys
+            −(P_c + P_d), where P is the packed key of one row (packed_keys,
+            one radix from both tables' largest PAF(0)), and join equal keys
             (join_equal_keys): equal keys mean the PAF sums cancel at
             columns 1..K;
       (iii) per chunk of about _EMIT_CHUNK hits in key order, find each
-            pair's owner from the blocks' pair offsets, drop the hits across
-            owners and confirm the rest with the full exact PAF sum, which
-            covers the columns past K; a hit differing only there is dropped.
+            pair's block from the blocks' pair offsets, drop the hits across
+            owners or with b > c in one group, and confirm the rest with the
+            full exact PAF sum, which covers the columns past K; a hit
+            differing only there is dropped.
 
     stats gains pairs_ab and pairs_cd (the screened pairs) and key_hits
-    (the packed-key matches of one owner, kept for the exact check).
+    (the packed-key matches kept for the exact check).
     """
+    paf_bound = max(int(t.paf[:, 0].max(initial=0)) for t in tables)  # ≥ every |PAF(k)|
+    keys = [packed_keys(t.paf, paf_bound) for t in tables]
     by_owner: dict = {}  # owner → its A×B blocks, its C×D blocks, their products
     for side, blocks in enumerate((blocks_ab, blocks_cd)):
-        left, right = (t.offsets.tolist() for t in tables[2 * side : 2 * side + 2])
-        for owner, g_l, g_r, upper in blocks:  # groups as (lo, hi) row ranges
+        left, right = (tables[t].offsets.tolist() for t in (side, 1))
+        for owner, g_l, g_r in blocks:  # _screen_blocks reads groups as (lo, hi) row ranges
             entry = by_owner.setdefault(owner, ([], [], [0, 0]))
+            upper = side == 1 and g_l == g_r  # c ≤ d
             entry[side].append((owner, left[g_l : g_l + 2], right[g_r : g_r + 2], upper))
             entry[2][side] += (left[g_l + 1] - left[g_l]) * (right[g_r + 1] - right[g_r])
     live = sorted(owner for owner, (_, _, work) in by_owner.items() if all(work))
@@ -222,25 +218,28 @@ def join_blocks(
     found = [np.empty((0, 5), dtype=np.int64)]
     for lo, hi in zip(edges, edges[1:]):
         ab_cd = [[b for owner in live[lo:hi] for b in by_owner[owner][side]] for side in (0, 1)]
-        found.append(_join_batch(tables, *ab_cd, bound, stats))
+        found.append(_join_batch(tables, keys, *ab_cd, bound, stats))
     found = np.concatenate(found)
     return found[np.argsort(found[:, 0], kind="stable")]
 
 
-def _join_batch(tables: Sequence[JoinTable], blocks_ab: Sequence[tuple],
+def _join_batch(tables: Sequence[JoinTable], keys: list[np.ndarray], blocks_ab: Sequence[tuple],
                 blocks_cd: Sequence[tuple], bound: float, stats: Counter) -> np.ndarray:
     """join_blocks' steps (i)–(iii) on one batch; its pairs are freed on return."""
-    ia, jb, ends_ab = _screen_blocks(tables[0].psd, tables[1].psd, blocks_ab, bound)
-    ic, jd, ends_cd = _screen_blocks(tables[2].psd, tables[3].psd, blocks_cd, bound)
-    keys_a, keys_b, keys_c, keys_d = (t.keys for t in tables)
-    owners_ab, owners_cd = (np.array([b[0] for b in bs]) for bs in (blocks_ab, blocks_cd))
+    (table_a, table_s), (keys_a, keys_s) = tables, keys
+    ia, jb, ends_ab = _screen_blocks(table_a.psd, table_s.psd, blocks_ab, bound)
+    ic, jd, ends_cd = _screen_blocks(table_s.psd, table_s.psd, blocks_cd, bound)
+    owner_ab, first_b = np.array([(o, r[0]) for o, _, r, _ in blocks_ab]).T  # B group's 1st row
+    owner_cd = np.array([b[0] for b in blocks_cd])
     found, key_hits = [np.empty((0, 5), dtype=np.int64)], 0
-    for ab, cd in join_equal_keys(keys_a[ia] + keys_b[jb], -(keys_c[ic] + keys_d[jd])):
-        owner = owners_ab[np.searchsorted(ends_ab, ab, side="right")]
-        same = owner == owners_cd[np.searchsorted(ends_cd, cd, side="right")]
-        quads = np.stack([owner, ia[ab], jb[ab], ic[cd], jd[cd]], axis=1)[same]
+    for ab, cd in join_equal_keys(keys_a[ia] + keys_s[jb], -(keys_s[ic] + keys_s[jd])):
+        x = np.searchsorted(ends_ab, ab, side="right")  # each pair's block
+        b, c = jb[ab], ic[cd]
+        keep = owner_ab[x] == owner_cd[np.searchsorted(ends_cd, cd, side="right")]
+        keep &= (b <= c) | (c < first_b[x])  # b ≤ c unless c lies before B's group
+        quads = np.stack([owner_ab[x], ia[ab], b, c, jd[cd]], axis=1)[keep]
         key_hits += len(quads)
-        total = sum(t.paf[quads[:, s + 1]] for s, t in enumerate(tables))
+        total = table_a.paf[quads[:, 1]] + sum(table_s.paf[quads[:, s]] for s in (2, 3, 4))
         found.append(quads[(total[:, 1:] == 0).all(axis=1)])
     stats.update(pairs_ab=len(ia), pairs_cd=len(ic), key_hits=key_hits)
     return np.concatenate(found)
@@ -289,7 +288,8 @@ def packed_keys(paf: np.ndarray, bound: int) -> np.ndarray:
     width = 0
     while width < paf.shape[1] - 1 and radix ** (width + 1) < 1 << 62:
         width += 1
-    return paf[:, 1 : width + 1] @ radix ** np.arange(width, dtype=np.int64)
+    weights = radix ** np.arange(width, dtype=np.int64)
+    return np.einsum("nk,k->n", paf[:, 1 : width + 1], weights, dtype=np.int64)  # no int64 copy
 
 
 def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> Iterator[tuple]:

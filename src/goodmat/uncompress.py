@@ -16,12 +16,11 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
         equiv.orbit_minimal under equiv.compression_units(n), whose
         docstring says why that is exact; the table is a join_table whose
         group r holds the kept preimages of compressed row r, with their
-        PSD, PAF table and packed PAF key (PAF(0) = n bounds every other
-        PAF value of a ±1 row);
-  (iii) join every instance in one join_blocks call, which batches them:
-        one block per instance and side, the ordered A×B and C×D products
-        of the groups of its four compressed rows.  Every quad found must
-        pass the PAF certificate, checked for a whole run in one exact
+        PSD and PAF table;
+  (iii) join every instance in one join_blocks call over the A table and
+        the symmetric one, which batches them: one block per instance and
+        side, the groups of its four compressed rows.  Every quad found
+        must pass the PAF certificate, checked for a whole run in one exact
         integer pass (spectral.paf_sums); a failure is a bug: InternalError.
 
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
@@ -31,7 +30,9 @@ full profile keeps.  The row filter reads every plane.  uncompress_all turns
 each disabled filter into the bound +inf, which every row and pair meets.
 The quads found are exactly the certified models of the instance's SAT
 encoding (satsearch, kept as the reference and for DIMACS export) whose A
-is orbit-minimal.  C×D is the ordered product even when C′ = D′.
+is orbit-minimal and whose B, C, D preimages of one compressed row are in
+table order (join_blocks): reordering B, C and D maps a solution to a
+solution of the same instance and class and leaves A alone.
 
 A compressed row's preimages are the mixed-radix numbers over the choices of
 its free groups 0..(m−1)/2, the last group varying fastest: group 0 (x_0 = +1,
@@ -89,10 +90,8 @@ def preimage_table(crows: np.ndarray, skew: bool, *, bound: float,
     whose PSD stays within bound at every k and that are orbit_minimal under
     multipliers (all for none), group r those of row r in mixed-radix order."""
     rows, kept = _preimage_rows(crows, skew, bound, multipliers)
-    n = rows.shape[1]
-    planes = np.flatnonzero(np.arange(n // 2 + 1) % 3)  # k ≢ 0 (mod 3)
-    offsets = np.concatenate([[0], np.cumsum(kept)])
-    return join_table(rows, skew, planes, n, offsets)  # |PAF| ≤ PAF(0) = n
+    planes = np.flatnonzero(np.arange(rows.shape[1] // 2 + 1) % 3)  # k ≢ 0 (mod 3)
+    return join_table(rows, skew, planes, np.concatenate([[0], np.cumsum(kept)]))
 
 
 def _preimage_rows(crows: np.ndarray, skew: bool, bound: float,
@@ -188,11 +187,11 @@ def uncompress_all(
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
     table_a = preimage_table(sk, True, bound=row_bound, multipliers=compression_units(n))
-    tables = (table_a, *[preimage_table(sy, False, bound=row_bound)] * 3)  # B, C, D share one
+    table_s = preimage_table(sy, False, bound=row_bound)  # B, C and D
     groups = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)]).tolist()  # A, B, C, D
-    blocks = [[(i, g[x], g[x + 1], False) for i, g in enumerate(groups)] for x in (0, 2)]
-    hits = join_blocks(tables, *blocks, pair_bound, stats)  # instance and the four table rows
-    joined = np.stack([t.rows[hits[:, s + 1]] for s, t in enumerate(tables)], axis=1)
+    blocks = [[(i, g[x], g[x + 1]) for i, g in enumerate(groups)] for x in (0, 2)]
+    hits = join_blocks((table_a, table_s), *blocks, pair_bound, stats)  # instance, 4 rows
+    joined = np.concatenate([table_a.rows[hits[:, 1:2]], table_s.rows[hits[:, 2:]]], axis=1)
     failed = paf_sums(joined).any(axis=1)
     if failed.any():
         bad = joined[np.argmax(failed)].tolist()

@@ -4,6 +4,7 @@ Oracle: a quadruple loop over the candidate sets applying the exact
 compressed goodness conditions directly (pure Python PAF + rowsums).
 """
 
+import bisect
 import itertools
 import weakref
 from collections import Counter
@@ -122,13 +123,12 @@ def test_join_equals_the_nested_loop(left, right, size):
         assert len(chunk) <= size + max(run[key] for key in in_chunk) - 1
 
 
-def join_side(rows, length, paf_bound, offsets):
+def join_side(rows, length, offsets):
     """The JoinTable of rows of one length grouped by offsets, with its PSD
     on every plane."""
     table = np.array(rows, dtype=np.int64).reshape(len(rows), length)
-    paf = paf_matrix(table)
     psd = np.abs(np.fft.fft(table, axis=1)).T ** 2
-    return JoinTable(np.array(offsets, dtype=np.int64), table, psd, paf, packed_keys(paf, paf_bound))
+    return JoinTable(np.array(offsets, dtype=np.int64), table, psd, paf_matrix(table))
 
 
 def draw_offsets(data, rows, label):
@@ -138,24 +138,37 @@ def draw_offsets(data, rows, label):
     return [0, *sorted(cuts), rows]
 
 
-def draw_group_blocks(data, groups_l, groups_r, label):
-    """A few blocks of join_blocks over tables of groups_l and groups_r
-    groups, owners drawn as draw_blocks draws them."""
-    return [((k + data.draw(st.integers(0, 2), label=f"{label} owner")) % 3,
-             data.draw(st.integers(0, groups_l - 1), label=f"{label} left"),
-             data.draw(st.integers(0, groups_r - 1), label=f"{label} right"),
-             data.draw(st.booleans(), label=f"{label} upper"))
-            for k in range(data.draw(st.integers(1, 4), label=f"{label} blocks"))]
+def draw_group_blocks(data, offsets_a, offsets_s):
+    """The A×B and C×D blocks of join_blocks over an A and an S table grouped
+    by offsets_a and offsets_s, in a drawn order, so owners interleave: 0 to
+    2 blocks per side of owners 0 and 1, 1 or 2 of owner 2.  Left groups
+    have rows, right groups may be empty."""
+
+    def group(offsets, label, empty=True):
+        rows = st.sampled_from(np.flatnonzero(np.diff(offsets)).tolist())
+        every = st.integers(0, len(offsets) - 2)
+        return data.draw(st.one_of(rows, every) if empty else rows, label=label)
+
+    sides = []
+    for side, offsets_l in (("ab", offsets_a), ("cd", offsets_s)):
+        blocks = [(owner, group(offsets_l, f"{side} left", False),
+                   group(offsets_s, f"{side} right"))
+                  for owner in range(3)
+                  for _ in range(data.draw(st.integers(owner // 2, 2),
+                                           label=f"{side} {owner} blocks"))]
+        sides.append(data.draw(st.permutations(blocks), label=f"{side} order"))
+    return sides
 
 
-def as_ranges(blocks, offsets_l, offsets_r):
-    """Group blocks as row-range blocks: group g is rows offsets[g]..offsets[g + 1]."""
+def as_ranges(blocks, offsets_l, offsets_r, cd):
+    """Group blocks as row-range blocks: group g is rows offsets[g]..offsets[g + 1],
+    and a C×D block (cd) of one group with itself is upper."""
     return [(owner, (offsets_l[g_l], offsets_l[g_l + 1]), (offsets_r[g_r], offsets_r[g_r + 1]),
-             upper) for owner, g_l, g_r, upper in blocks]
+             cd and g_l == g_r) for owner, g_l, g_r in blocks]
 
 
 def draw_blocks(data, rows_l, rows_r, label):
-    """A few blocks of join_blocks over tables of rows_l and rows_r rows:
+    """A few blocks of _screen_blocks over tables of rows_l and rows_r rows:
     owners from a small set, so they repeat (the simplest draw is 0, 1, 2,
     0), and empty ranges among them."""
 
@@ -183,45 +196,47 @@ def test_quad_join_equals_the_nested_loop(data):
     # several blocks per side, as uncompression passes one per instance and
     # matching one per rowsum group: hits only join pairs of one owner, come
     # back sorted by owner, and an owner without an A×B or a C×D product
-    # counts no pairs; joined in batches of any size.  A block was once
-    # (owner, (lo, hi) rows of the left table, (lo, hi) rows of the right
-    # one, upper); it now names a group of each table, and the oracle reads
-    # the ranges the groups stand for (as_ranges)
+    # counts no pairs; joined in batches of any size.  B, C and D come from
+    # the one S table, and where they come from one group the join keeps one
+    # arrangement: c ≤ d in a C×D block of a group with itself, b ≤ c for a
+    # hit whose B and C rows lie in one group.  The A and S entries are drawn
+    # from ±1 or from ±1, ±3 each, so their largest PAF(0) differ; with the
+    # radix of both the keys are exact on their columns, and key_hits counts
+    # exactly the kept quads whose PAF sums vanish there
     length = data.draw(st.integers(1, 7), label="length")
-    row = st.lists(st.sampled_from([-3, -1, 1, 3]), min_size=length, max_size=length)
-    rows = [data.draw(st.lists(row, min_size=1, max_size=4), label=name) for name in "abcd"]
-    offsets = [draw_offsets(data, len(t), name) for t, name in zip(rows, "abcd")]
-    if data.draw(st.booleans(), label="d is c"):
-        rows[3], offsets[3] = rows[2], offsets[2]  # as in matching and uncompression
+    rows, offsets = [], []
+    for name in "as":
+        entries = data.draw(st.sampled_from([[-1, 1], [-3, -1, 1, 3]]), label=f"{name} entries")
+        row = st.lists(st.sampled_from(entries), min_size=length, max_size=length)
+        rows.append(data.draw(st.lists(row, min_size=1, max_size=4), label=name))
+        offsets.append(draw_offsets(data, len(rows[-1]), name))
     owner_4 = data.draw(st.booleans(), label="owner 4")
     if owner_4:  # one more group, empty, at the end of each table
         offsets = [[*o, o[-1]] for o in offsets]
     screen = data.draw(st.booleans(), label="screen")  # or the bound +inf
     bound = data.draw(st.floats(0, 400), label="bound") if screen else np.inf
-    paf_bound = max((sum(e * e for e in r) for t in rows for r in t), default=1)
-    if data.draw(st.booleans(), label="one-column keys"):
-        paf_bound = 10**9  # R² > 2^62: keys cover column 1 only, the rest is confirmed
-    tables = [join_side(t, length, paf_bound, o) for t, o in zip(rows, offsets)]
-    groups = [len(o) - 1 for o in offsets]
-    blocks_ab = draw_group_blocks(data, groups[0], groups[1], "ab")
-    blocks_cd = draw_group_blocks(data, groups[2], groups[3], "cd")
+    one_column = data.draw(st.booleans(), label="one-column keys")
+    tables = [join_side(t, length, o) for t, o in zip(rows, offsets)]
+    groups_a, groups_s = (len(o) - 1 for o in offsets)
+    blocks_ab, blocks_cd = draw_group_blocks(data, *offsets)
     # owner 3 has blocks on one side only (its largest groups), owner 4 only
     # empty groups
-    one_side = data.draw(st.sampled_from([None, 0, 2]), label="owner 3")
+    one_side = data.draw(st.sampled_from([None, 0, 1]), label="owner 3")
     if one_side is not None:
-        largest = [int(np.argmax(np.diff(o))) for o in offsets[one_side : one_side + 2]]
-        (blocks_ab, blocks_cd)[one_side // 2].append((3, *largest, False))
+        largest = [int(np.argmax(np.diff(o))) for o in offsets]
+        (blocks_ab, blocks_cd)[one_side].append((3, largest[one_side], largest[1]))
     if owner_4:
-        blocks_ab.append((4, groups[0] - 1, 0, False))
-        blocks_cd.append((4, groups[2] - 1, groups[3] - 1, True))
+        blocks_ab.append((4, groups_a - 1, 0))
+        blocks_cd.append((4, groups_s - 1, groups_s - 1))
     batch = data.draw(st.sampled_from([1, 5, matching._BATCH_PAIRS]), label="batch")
     stats = Counter()
-    with mock.patch.object(matching, "_BATCH_PAIRS", batch):
+    with mock.patch.object(matching, "_BATCH_PAIRS", batch), \
+            mock.patch.object(matching, "packed_keys", wide_keys if one_column else packed_keys):
         got = join_blocks(tables, blocks_ab, blocks_cd, bound, stats)
     assert got.shape[1] == 5
     assert (np.diff(got[:, 0]) >= 0).all()  # sorted by owner
-    ranges_ab = as_ranges(blocks_ab, offsets[0], offsets[1])
-    ranges_cd = as_ranges(blocks_cd, offsets[2], offsets[3])
+    ranges_ab = as_ranges(blocks_ab, offsets[0], offsets[1], False)
+    ranges_cd = as_ranges(blocks_cd, offsets[1], offsets[1], True)
 
     def products(blocks):
         work = Counter()
@@ -232,24 +247,54 @@ def test_quad_join_equals_the_nested_loop(data):
     live = products(ranges_ab) & products(ranges_cd)
     assert not live & {3, 4}  # so neither counts a pair nor gives a hit
 
-    def screened(blocks, x, y):
+    def screened(blocks, x):
         return block_pairs([b for b in blocks if b[0] in live],
-                           lambda i, j: not (tables[x].psd[:, i] + tables[y].psd[:, j]
+                           lambda i, j: not (tables[x].psd[:, i] + tables[1].psd[:, j]
                                              > bound).any())
 
-    ab, cd = screened(ranges_ab, 0, 1), screened(ranges_cd, 2, 3)
-    want = Counter((o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd)
-                   if o == p and all(sum(oracle_paf(t[x], s) for t, x in zip(rows, (a, b, c, d)))
-                                     == 0 for s in range(1, length // 2 + 1)))
+    def group(row):  # the S group of a row: the one with offsets[g] ≤ row < offsets[g + 1]
+        return bisect.bisect_right(offsets[1], row) - 1
+
+    def hits(columns):
+        """The quads of one owner and kept arrangement whose PAF sums vanish on columns."""
+        return Counter(
+            (o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd)
+            if o == p and (group(b) != group(c) or b <= c)
+            and all(sum(oracle_paf(r, s) for r in (rows[0][a], *(rows[1][x] for x in (b, c, d))))
+                    == 0 for s in columns))
+
+    ab, cd = screened(ranges_ab, 0), screened(ranges_cd, 1)
+    columns = range(1, length // 2 + 1)
+    want = hits(columns)
     assert Counter(map(tuple, got.tolist())) == want  # a repeated group pair repeats its hits
     assert (stats["pairs_ab"], stats["pairs_cd"]) == (len(ab), len(cd))
-    assert stats["key_hits"] >= sum(want.values())
+    # keys cover every column (R ≤ 4·63 + 1, R³ < 2^62), or column 1 only
+    assert stats["key_hits"] == sum(hits(columns[:1] if one_column else columns).values())
     # all-zero PAF tables make every pair of one owner a hit, however rare
     # cancelling rows are: the owner and block bookkeeping alone decide
-    zero = [t._replace(paf=0 * t.paf, keys=0 * t.keys) for t in tables]
+    zero = [t._replace(paf=0 * t.paf) for t in tables]
     every = join_blocks(zero, blocks_ab, blocks_cd, bound, Counter())
-    assert Counter(map(tuple, every.tolist())) == Counter(
-        (o, a, b, c, d) for (o, a, b), (p, c, d) in itertools.product(ab, cd) if o == p)
+    assert Counter(map(tuple, every.tolist())) == hits(())
+
+
+def wide_keys(paf, bound):
+    """packed_keys with bound 10⁹: R² > 2^62, so keys cover column 1 only and
+    the exact check confirms the rest."""
+    return packed_keys(paf, 10**9)
+
+
+def test_join_keys_take_the_radix_of_both_tables():
+    # A of ±1 rows (PAF(0) = 6), S of ±1, ±3 rows (PAF(0) up to 46): with the
+    # radix 4·6 + 1 of A alone the PAF sums (0, 100, −4) of this quad pack to
+    # 100·25 − 4·625 = 0 and would match; with 4·46 + 1 the keys cover every
+    # column exactly, so every key hit is a hit
+    a = [[1, -1, -1, -1, -1, -1]]
+    s = [[1, -3, -1, -3, -1, -3], [1, -3, 3, -3, 3, -3], [1, 1, 3, 3, 3, 3]]
+    tables = [join_side(a, 6, [0, 1]), join_side(s, 6, [0, 1, 2, 3])]
+    stats = Counter()
+    got = join_blocks(tables, [(0, 0, 0)], [(0, 1, 2)], np.inf, stats)
+    assert len(got) == stats["key_hits"] == 0
+    assert stats["pairs_ab"] == stats["pairs_cd"] == 1
 
 
 def capture_join(monkeypatch):
@@ -276,31 +321,34 @@ def test_cd_blocks_are_the_signed_rowsum_triples_present(n, filters, monkeypatch
                                 rowsum_filter=filters.rowsum_candidates)
     calls = capture_join(monkeypatch)
     match_codes(cands, n, pair_filter=filters.psd_pairs)
-    ((_, sy, _, _), blocks_ab, blocks_cd), = calls
+    (((_, sy), blocks_ab, blocks_cd),) = calls
     present = sorted({sum(row) for row in cands.s_sy})
     assert all((r - n) % 4 == 0 for r in present)
     group_sum = [int(sy.rows[lo].sum()) for lo in sy.offsets[:-1].tolist()]
     assert group_sum == present  # one group per rowsum, in rowsum order
-    assert blocks_ab == [(g, 0, g, False) for g in range(len(present))]
+    assert blocks_ab == [(g, 0, g) for g in range(len(present))]
     want = [(x, y, z) for x in present for y in present for z in present
             if x <= y <= z and 1 + x * x + y * y + z * z == 4 * n]
-    assert want and [tuple(group_sum[g] for g in block[:3]) for block in blocks_cd] == want
-    assert [block[3] for block in blocks_cd] == [y == z for _, y, z in want]
+    assert want and [tuple(group_sum[g] for g in block) for block in blocks_cd] == want
+    # one C′×D′ group, which the join pairs c ≤ d, exactly when r_C = r_D
+    assert [g_c == g_d for _, g_c, g_d in blocks_cd] == [y == z for _, y, z in want]
 
 
 @pytest.mark.parametrize("n", [9, 21])
 def test_join_tables_are_grouped_join_tables(n, monkeypatch):
-    # every table of both lengths is a JoinTable whose offsets partition its rows
+    # every table of both lengths is a JoinTable whose offsets partition its
+    # rows; matching joins two, s_sk and s_sy
     cands = generate_candidates(n, signed_rowsums(n))
     crows = np.array(sorted(cands.s_sk))
     calls = capture_join(monkeypatch)
     match_codes(cands, n)
     ((tables, _, _),) = calls
     preimages = preimage_table(crows, True, bound=np.inf)
+    assert len(tables) == 2
     for table in (*tables, preimages):
         assert isinstance(table, JoinTable)
         assert table.offsets[0] == 0 and (np.diff(table.offsets) >= 0).all()
-        assert table.offsets[-1] == len(table.rows) == len(table.paf) == len(table.keys)
+        assert table.offsets[-1] == len(table.rows) == len(table.paf)
         assert table.psd.shape[1] == len(table.rows)
     assert len(tables[0].offsets) == 2  # s_sk is one group
     assert len(preimages.offsets) == len(crows) + 1  # one group per compressed row

@@ -1,6 +1,7 @@
 """Uncompression by the full-length PAF-key join, against a brute force over the
 preimage product and against the SAT reference."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from goodmat.equiv import (
     units,
 )
 from goodmat.errors import InternalError
-from goodmat.matching import match_codes
+from goodmat.matching import match_codes, packed_keys
 from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.satsearch import build_instance, solve_all
 from goodmat.seqcore import (
@@ -81,7 +82,7 @@ def test_preimage_table_slices_one_mixed_batch(n):
     for skew in (True, False):
         table = preimage_table(np.array(batch), skew, bound=np.inf)
         assert table.offsets[0] == 0 and len(table.offsets) == len(batch) + 1
-        assert table.offsets[-1] == len(table.rows) == len(table.keys) == table.psd.shape[1]
+        assert table.offsets[-1] == len(table.rows) == len(table.paf) == table.psd.shape[1]
         for r, crow in enumerate(batch):
             got = table.rows[table.offsets[r] : table.offsets[r + 1]].tolist()
             assert len(set(map(tuple, got))) == len(got)  # no row twice
@@ -94,7 +95,8 @@ def test_preimage_table_slices_one_mixed_batch(n):
 def test_preimage_table_cut_is_the_orbit_minimal_mask(n):
     # no multipliers keep every preimage (at bound +inf, all 2^⌊n/2⌋ skew
     # rows); the cut inside the table equals the uncut table cut afterwards:
-    # the same rows in the same order, CSR offsets and join columns
+    # the same rows in the same order, CSR offsets and join columns, and the
+    # same packed keys with the radix of PAF(0) = n, which join_blocks picks
     crows = np.array(sorted({compress3(make_skew(half, n)) for half in iter_halves(n // 2)}))
     bound = 4 * n + EPS
     assert len(preimage_table(crows, True, bound=np.inf, multipliers=()).rows) == 2 ** (n // 2)
@@ -108,15 +110,23 @@ def test_preimage_table_cut_is_the_orbit_minimal_mask(n):
     assert np.array_equal(cut.rows, full.rows[keep])
     assert np.array_equal(cut.psd, full.psd[:, keep])
     assert np.array_equal(cut.paf, full.paf[keep])
-    assert np.array_equal(cut.keys, full.keys[keep])
+    assert (full.paf[:, 0] == n).all()
+    assert np.array_equal(packed_keys(cut.paf, n), packed_keys(full.paf, n)[keep])
 
 
 def closure(quads):
-    """The quads and their images under every compression unit; and a check
-    that each quad's A is the minimum of its orbit, as uncompress_all keeps."""
+    """The quads, their reorderings of the B, C, D rows whose compressed rows
+    coincide, and the images of these under every compression unit; and a
+    check that each quad's A is the minimum of its orbit, as uncompress_all
+    keeps."""
+    reordered = set()
     for q in quads:
         assert q.a == min((permute_row(q.a, u) for u in compression_units(q.n)), key=row_key)
-    return {apply_automorphism(q, u) for q in quads for u in compression_units(q.n)}
+        bcd = (q.b, q.c, q.d)
+        for order in itertools.permutations(range(3)):
+            if all(compress3(bcd[i]) == compress3(row) for i, row in zip(order, bcd)):
+                reordered.add(DefiningQuad(q.a, *(bcd[i] for i in order)))
+    return {apply_automorphism(q, u) for q in reordered for u in compression_units(q.n)}
 
 
 @pytest.mark.parametrize("cfg", [FilterConfig(), FilterConfig.no_filters()],
@@ -134,6 +144,22 @@ def test_join_equals_sat_per_instance(n, cfg):
         solve_all(inst, prefix_checks=cfg.prefix_checks)
         assert closure(got) == set(inst.solutions), f"instance {cq}"
         assert len(set(inst.solutions)) == len(inst.solutions)
+
+
+@pytest.mark.parametrize("n, ids", [(3, [0]), (27, [14]), (33, [213, 290, 351, 594])])
+def test_join_equals_sat_where_compressed_rows_coincide(n, ids):
+    # every instance up to n = 45 with B′ = C′ or C′ = D′: the join keeps
+    # b ≤ c ≤ d of their preimages, and the reorderings in closure restore
+    # every SAT model; n = 3's models have C = D
+    instances = prepare_instances(n)[0]
+    for i in ids:
+        cq = instances[i]
+        assert cq.bc == cq.cc or cq.cc == cq.dc, f"instance {i}"
+        inst = build_instance(cq)
+        solve_all(inst)
+        assert closure(uncompress_all([cq])[0][0]) == set(inst.solutions), f"instance {i}"
+    if n == 3:
+        assert inst.solutions and all(q.c == q.d for q in inst.solutions)
 
 
 def full_paf(rows):
@@ -167,12 +193,14 @@ def test_join_equals_the_preimage_product_per_instance(n, filters):
 #: key_hits) with the full-length pair screen on the PSD planes k ≢ 0 (mod 3)
 #: only and the cut A table: the cut leaves pairs_cd as it was and shrinks
 #: pairs_ab and key_hits (36486 and 39 at n = 27, 470272 and 248 at n = 33
-#: without it).  n = 39 was recorded with all of these in place.
+#: without it).  n = 39 was recorded with all of these in place.  The join
+#: pairs only c ≤ d of a C′ = D′ instance (n = 33: #213, #290, #594), which
+#: took pairs_cd at n = 33 from 152413 to 152218; those instances have no model.
 RAW_MODELS = {
     27: (186, {1: 3, 10: 6, 32: 3, 60: 3, 66: 3, 68: 3, 72: 3, 75: 3, 83: 3, 85: 3,
                135: 3, 168: 3}, (12262, 12081, 13)),
     33: (840, {134: 2, 169: 2, 301: 2, 405: 2, 473: 2, 499: 2, 504: 2, 549: 2, 575: 2,
-               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (235136, 152413, 138)),
+               664: 2, 719: 2, 722: 2, 811: 2, 819: 2, 835: 2}, (235136, 152218, 138)),
     39: (1934, {129: 2, 404: 2, 694: 2, 1051: 2, 1859: 2}, (1598851, 981523, 1248)),
 }
 
