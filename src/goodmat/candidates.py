@@ -8,11 +8,14 @@ The mirror x_{n−j} = ±x_j ties group k to group m − k, so only groups
 1 in a skew row, 3 or −1 in a symmetric row; every other group is ±1 or ±3.
 So the sweep
 
-  (i)   enumerates every image row (4^((m−1)/2) skew, twice as many
-        symmetric), _ROW_BLOCK at a time;
-  (ii)  keeps a skew row in s_sk iff its own PSD stays within 4n + EPS at
-        every k′, and a symmetric row in s_sy iff it does AND its rowsum
-        occurs as a component of some signed rowsum triple.
+  (i)   tabulates, once, the half-basis projection and rowsum of the low
+        L = ⌊log₄ _ROW_BLOCK⌋ base-4 digits of an image row's number and of
+        its high index: both are affine in the digits, so a row's is the sum;
+  (ii)  screens the 4^L lines of each high index (4^((m−1)/2) skew rows,
+        twice as many symmetric) from the tables, keeping a skew row in s_sk
+        iff its own PSD stays within 4n + EPS at every k′, and a symmetric
+        row in s_sy iff it does AND its rowsum occurs as a component of some
+        signed rowsum triple; it builds rows only for the lines it keeps.
 
 Both screens drop no row with a good preimage X: PSD_X(3k′) = PSD_X′(k′) and
 rowsum(X) = rowsum(X′).  The full-length PSD bound is applied where
@@ -20,7 +23,8 @@ uncompression builds the preimages (uncompress.preimage_table); a kept row
 none of whose preimages passes it gets an empty group there and reaches no
 quad.  At every order 3 … 69 each kept row has such a preimage.  Both sets are
 deduplicated by exact entrywise equality only — equivalence-level reduction
-happens later, at the compressed-quad stage.  The float masks only screen.
+happens later, at the compressed-quad stage.  The float masks only screen: a
+table sum reorders mirror_psd's terms (≈ 1e-12 ≪ EPS); test digests pin the sets.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import numpy as np
 from .diophantine import RowsumTriple, rowsum_components
 from .errors import InvalidInputError
 from .seqcore import Row
-from .spectral import mirror_psd, psd_bound
+from .spectral import half_basis, psd_bound
 
 #: Compressed rows per screen block, and preimage rows per block of lines.
 _ROW_BLOCK = 4096
@@ -78,22 +82,31 @@ def generate_candidates(
 
 def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> frozenset[Row]:
     """The compressed rows of one skewness whose PSD stays within bound at
-    every k and, unless rowsums is None, whose rowsum is one of rowsums."""
+    every k and, unless rowsums is None, whose rowsum is one of rowsums;
+    line h·4^L + l joins low digits l (groups 1..L) to high index h."""
     free = (m - 1) // 2
-    total = (1 if skew else 2) << 2 * free  # group 0 choices × 4 per free group
+    low = min(free, (_ROW_BLOCK.bit_length() - 1) // 2)  # L = ⌊log₄ _ROW_BLOCK⌋
+    basis = half_basis(m)[:, free + 1 :] if skew else half_basis(m)[:, : free + 1]
+    lows = _image_rows(np.arange(1 << 2 * low), m, skew)[:, 1 : low + 1]
+    highs = _image_rows(np.arange((1 if skew else 2) << 2 * (free - low)) << 2 * low, m, skew)
+    t_low = (lows @ basis[:low]).T  # plane-major: one line per k
+    t_high = highs[:, low + 1 : free + 1] @ basis[low:] + (0 if skew else highs[:, :1])
+    allowed = np.isin(np.arange(-3 * m, 3 * m + 1), rowsums or [])  # rowsum r at 3m + r
+    rs_low = 3 * m + 2 * lows.sum(axis=1)
+    rs_high = highs[:, 0] + 2 * highs[:, low + 1 : free + 1].sum(axis=1)
     kept = []
-    for lo in range(0, total, _ROW_BLOCK):
-        crows = _image_rows(np.arange(lo, min(lo + _ROW_BLOCK, total)), m, skew)
-        keep = (mirror_psd(crows, skew) <= bound).all(axis=1)
+    for h in range(len(highs)):
+        keep = ((t_low + t_high[h, :, None]) ** 2 <= bound - skew).all(axis=0)  # skew: 1 + proj²
         if rowsums is not None:
-            keep &= np.isin(crows.sum(axis=1, dtype=np.int64), rowsums)
-        kept.append(crows[keep])
-    return frozenset(map(tuple, np.concatenate(kept).tolist()))
+            keep &= allowed[rs_low + rs_high[h]]
+        kept.append((h << 2 * low) + np.flatnonzero(keep))
+    return frozenset(zip(*_image_rows(np.concatenate(kept), m, skew).T.tolist()))
 
 
 def _image_rows(index: np.ndarray, m: int, skew: bool) -> np.ndarray:
     """Compressed image rows number `index`: base-4 digit k − 1 gives free
-    group k the value 3 − 2·digit, the bit above them picks 3 or −1 for B′_0."""
+    group k the value 3 − 2·digit, the bit above them picks 3 or −1 for B′_0.
+    The sweep reads its digit tables off such rows and builds the kept ones."""
     free = (m - 1) // 2
     rows = np.empty((len(index), m), dtype=np.int8)
     rows[:, 0] = 1 if skew else 3 - 4 * (index >> 2 * free)

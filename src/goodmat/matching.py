@@ -128,9 +128,10 @@ def match_codes(
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
     if not cands.s_sk or not cands.s_sy:
         return np.empty((0, 4), dtype=np.int64)
-    sk_arr = np.array(list(cands.s_sk), dtype=np.int64)
+    sk_arr, sy_arr = (np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                                  count=len(rows) * cands.m).reshape(-1, cands.m)
+                      for rows in (cands.s_sk, cands.s_sy))
     sk_arr = sk_arr[orbit_minimal(sk_arr, multipliers)]  # no multipliers keep every row
-    sy_arr = np.array(list(cands.s_sy), dtype=np.int64)
     sy_arr = sy_arr[np.lexsort((row_codes(sy_arr), sy_arr.sum(axis=1)))]  # (rowsum, row code)
     code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]

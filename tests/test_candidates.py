@@ -126,14 +126,23 @@ def sets_digest(cands):
 @pytest.mark.parametrize("filters", [(True, True), (False, False), (True, False), (False, True)],
                          ids=["True", "False", "psd_only", "rowsum_only"])
 def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
-    # one compressed row per screen block, so every block boundary runs
-    monkeypatch.setattr(candidates, "_ROW_BLOCK", 1)
+    # the sweep splits a row's number into L = ⌊log₄ _ROW_BLOCK⌋ low digits
+    # and a high index: L = 0 (one line per high index), 1, 2, and every free
+    # digit (n = 15 has 2, n = 21 has 3), where only B′_0's choice is high
     psd_filter, rowsum_filter = filters
     rowsums = signed_rowsums(n)
-    got = generate_candidates(n, rowsums, psd_filter=psd_filter, rowsum_filter=rowsum_filter)
     want_sk, want_sy = oracle_candidates(n, rowsums, psd_filter=psd_filter,
                                          rowsum_filter=rowsum_filter)
-    assert got.s_sk == want_sk and got.s_sy == want_sy
+    for block in (1, 4, 16, 4096):
+        monkeypatch.setattr(candidates, "_ROW_BLOCK", block)
+        got = generate_candidates(n, rowsums, psd_filter=psd_filter, rowsum_filter=rowsum_filter)
+        assert got.s_sk == want_sk and got.s_sy == want_sy, block
+
+
+@pytest.mark.parametrize("allowed", [[], [-100, -46, 46, 100]], ids=["none", "beyond_3m"])
+def test_sweep_without_an_allowed_rowsum_keeps_nothing(allowed):
+    # n = 45: every rowsum of a compressed row lies within ±3m = ±45
+    assert candidates._sweep(15, False, psd_bound(45, True), allowed) == frozenset()
 
 
 @pytest.mark.parametrize("n", [15, 21])
@@ -189,6 +198,9 @@ def test_every_row_has_a_nonempty_preimage_group(n):
     (45, (4712, 6233), "b81fe1b983ec0e386a0bf79b735bf91fd86b747390d830b2e1b6177158125eaf"),
     (51, (15008, 19333), "a582f8932c1c2a997617979e00e12e72769bfcdf3efbe9d6254dbf44669f746d"),
     (57, (49348, 80323), "0164969a0cf40c067b48866ab79271ae08807afedaebc3485f65542ad2989074"),
+    # recorded from the compressed sweep that screened _ROW_BLOCK built rows
+    # at a time, which the two-digit-table sweep replaced
+    (63, (173604, 245097), "1ab24cedf5ea4ddb94ba868f7401285d3bb55b02ddf6751a9209dab53834b76e"),
 ])
 def test_frozen_sets_n27_to_n57(n, sizes, digest):
     got = generate_candidates(n, signed_rowsums(n))
