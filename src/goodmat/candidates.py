@@ -21,10 +21,12 @@ Both screens drop no row with a good preimage X: PSD_X(3k′) = PSD_X′(k′) a
 rowsum(X) = rowsum(X′).  The full-length PSD bound is applied where
 uncompression builds the preimages (uncompress.preimage_table); a kept row
 none of whose preimages passes it gets an empty group there and reaches no
-quad.  At every order 3 … 69 each kept row has such a preimage.  Both sets are
-deduplicated by exact entrywise equality only — equivalence-level reduction
-happens later, at the compressed-quad stage.  The float masks only screen: a
-table sum reorders mirror_psd's terms (≈ 1e-12 ≪ EPS); test digests pin the sets.
+quad.  At every order 3 … 69 each kept row has such a preimage.  The kept
+rows stay int8 arrays in sweep order, and they are distinct by construction:
+_image_rows is injective in the index and the sweep visits each index once.
+Equivalence-level reduction happens later, at the compressed-quad stage.  The
+float masks only screen: a table sum reorders mirror_psd's terms (≈ 1e-12 ≪
+EPS); test digests pin the sets.
 """
 from __future__ import annotations
 
@@ -41,14 +43,25 @@ from .spectral import half_basis, psd_bound
 _ROW_BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSets:
-    """Compressed candidate rows surviving step 2: s_sk skew, s_sy symmetric."""
+    """Compressed candidate rows surviving step 2 as int8 (N × m) arrays of
+    distinct rows in sweep order (no consumer reads the order): sk skew, sy
+    symmetric.  s_sk and s_sy build their frozensets of row tuples on each
+    call, for callers that want sets; the pipeline reads the arrays."""
 
-    s_sk: frozenset[Row]
-    s_sy: frozenset[Row]
+    sk: np.ndarray
+    sy: np.ndarray
     n: int
     m: int
+
+    @property
+    def s_sk(self) -> frozenset[Row]:
+        return frozenset(zip(*self.sk.T.tolist()))
+
+    @property
+    def s_sy(self) -> frozenset[Row]:
+        return frozenset(zip(*self.sy.T.tolist()))
 
 
 def check_order(n: int) -> None:
@@ -74,16 +87,18 @@ def generate_candidates(
     check_order(n)
     m = n // 3
     if not rowsums:
-        return CandidateSets(frozenset(), frozenset(), n, m)
+        none = np.empty((0, m), dtype=np.int8)
+        return CandidateSets(none, none, n, m)
     bound = psd_bound(n, psd_filter)
     allowed = sorted(rowsum_components(rowsums)) if rowsum_filter else None
     return CandidateSets(_sweep(m, True, bound, None), _sweep(m, False, bound, allowed), n, m)
 
 
-def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> frozenset[Row]:
+def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> np.ndarray:
     """The compressed rows of one skewness whose PSD stays within bound at
-    every k and, unless rowsums is None, whose rowsum is one of rowsums;
-    line h·4^L + l joins low digits l (groups 1..L) to high index h."""
+    every k and, unless rowsums is None, whose rowsum is one of rowsums, as
+    an int8 (N × m) array in line order; line h·4^L + l joins low digits l
+    (groups 1..L) to high index h."""
     free = (m - 1) // 2
     low = min(free, (_ROW_BLOCK.bit_length() - 1) // 2)  # L = ⌊log₄ _ROW_BLOCK⌋
     basis = half_basis(m)[:, free + 1 :] if skew else half_basis(m)[:, : free + 1]
@@ -100,7 +115,7 @@ def _sweep(m: int, skew: bool, bound: float, rowsums: list[int] | None) -> froze
         if rowsums is not None:
             keep &= allowed[rs_low + rs_high[h]]
         kept.append((h << 2 * low) + np.flatnonzero(keep))
-    return frozenset(zip(*_image_rows(np.concatenate(kept), m, skew).T.tolist()))
+    return _image_rows(np.concatenate(kept), m, skew)
 
 
 def _image_rows(index: np.ndarray, m: int, skew: bool) -> np.ndarray:

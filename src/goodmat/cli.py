@@ -157,7 +157,7 @@ def _cmd_rowsums(args) -> int:
 
 def _cmd_candidates(args) -> int:
     cands = generate_candidates(args.n, signed_rowsums(args.n))
-    print(f"n={args.n}: |s_sk|={len(cands.s_sk)} |s_sy|={len(cands.s_sy)}")
+    print(f"n={args.n}: |s_sk|={len(cands.sk)} |s_sy|={len(cands.sy)}")
     if args.out is not None:
         for name, rows in (("s_sk.txt", cands.s_sk), ("s_sy.txt", cands.s_sy)):
             _write(args.out / name, lambda fp: fp.writelines(

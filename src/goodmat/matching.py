@@ -111,10 +111,11 @@ def match_codes(
     rearrangement of each (all_arrangements restores S_q).  A′ is never
     moved, so the cut on the A′ rows stays exact.
 
-    One join_blocks call: s_sy is sorted by (rowsum, row code) into one group
-    per rowsum, and each B′ group r_B is an owner: its A′×B′ block (s_sk is
-    one group) against the C′×D′ blocks of each triple r_B ≤ r_C ≤ r_D of
-    signed_rowsums(n) with a group for all three.  The join keeps B′ ≤ C′ ≤ D′
+    One join_blocks call on the sweep's int8 arrays, read as they are:
+    cands.sy is sorted by (rowsum, row code) into one group per rowsum, and
+    each B′ group r_B is an owner: its A′×B′ block (cands.sk, in sweep
+    order, is one group) against the C′×D′ blocks of each triple
+    r_B ≤ r_C ≤ r_D of signed_rowsums(n) with a group for all three.  The join keeps B′ ≤ C′ ≤ D′
     within a rowsum group, and rows of two groups are in rowsum order.  A
     row of s_sy has rowsum ≡ n (mod 4), the sign rule's residue, so these
     are all the groups with 1 + r_B² + r_C² + r_D² = 4n, and a quad outside
@@ -126,13 +127,8 @@ def match_codes(
     """
     if n != cands.n:
         raise InvalidInputError(f"candidate sets were generated for n={cands.n}, not {n}")
-    if not cands.s_sk or not cands.s_sy:
-        return np.empty((0, 4), dtype=np.int64)
-    sk_arr, sy_arr = (np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                                  count=len(rows) * cands.m).reshape(-1, cands.m)
-                      for rows in (cands.s_sk, cands.s_sy))
-    sk_arr = sk_arr[orbit_minimal(sk_arr, multipliers)]  # no multipliers keep every row
-    sy_arr = sy_arr[np.lexsort((row_codes(sy_arr), sy_arr.sum(axis=1)))]  # (rowsum, row code)
+    sk_arr = cands.sk[orbit_minimal(cands.sk, multipliers)]  # no multipliers keep every row
+    sy_arr = cands.sy[np.lexsort((row_codes(cands.sy), cands.sy.sum(axis=1)))]  # (rowsum, code)
     code_sk, code_sy, rs_sy = row_codes(sk_arr), row_codes(sy_arr), sy_arr.sum(axis=1)
     # 3-compression keeps the mirror: A′[m−i] = −A′[i], B′[m−i] = B′[i]
     planes = np.arange(1, cands.m // 2 + 1)

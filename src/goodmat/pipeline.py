@@ -3,7 +3,7 @@
 The enumeration pipeline for an odd order n divisible by 3:
 
   1. signed_rowsums(n):      solve row(B)²+row(C)²+row(D)² = 4n−1 with signs;
-  2. generate_candidates:    compressed sweep → candidate sets s_sk, s_sy;
+  2. generate_candidates:    compressed sweep → kept rows as int8 arrays sk, sy;
   3. match_codes:            the quad join at compressed length, one owner
                              per rowsum group of B′ → one arrangement per
                              {B′, C′, D′} of each S_q quad whose A′ is

@@ -94,8 +94,23 @@ def test_compressed_alphabet_and_first_entries():
     assert {row[0] for row in cands.s_sy} <= {3, -1}
 
 
+@pytest.mark.parametrize("n, filters", [
+    *[(n, True) for n in (9, 15, 21, 27, 33, 39, 45)],
+    *[(n, False) for n in (9, 15, 21, 27)],
+])
+def test_candidate_arrays_hold_distinct_rows(n, filters):
+    # the sweep's kept rows stay int8 arrays in sweep order; the set views
+    # are built from them on each call
+    got = generate_candidates(n, signed_rowsums(n), psd_filter=filters, rowsum_filter=filters)
+    for rows, view in ((got.sk, got.s_sk), (got.sy, got.s_sy)):
+        assert rows.dtype == np.int8 and rows.ndim == 2 and rows.shape[1] == n // 3
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert view == frozenset(map(tuple, rows.tolist()))
+
+
 def test_empty_rowsums_short_circuits():
     got = generate_candidates(9, frozenset())
+    assert got.sk.shape == got.sy.shape == (0, 3)
     assert got.s_sk == frozenset() and got.s_sy == frozenset()
 
 
@@ -142,7 +157,8 @@ def test_many_high_blocks_match_oracle(monkeypatch, n, filters):
 @pytest.mark.parametrize("allowed", [[], [-100, -46, 46, 100]], ids=["none", "beyond_3m"])
 def test_sweep_without_an_allowed_rowsum_keeps_nothing(allowed):
     # n = 45: every rowsum of a compressed row lies within ±3m = ±45
-    assert candidates._sweep(15, False, psd_bound(45, True), allowed) == frozenset()
+    got = candidates._sweep(15, False, psd_bound(45, True), allowed)
+    assert got.shape == (0, 15) and got.dtype == np.int8
 
 
 @pytest.mark.parametrize("n", [15, 21])
@@ -157,7 +173,7 @@ def test_tight_bounds_match_oracle(n, slack):
     swept = got = 0
     for skew, allowed, want_rows in ((True, None, want[0]),
                                      (False, sorted(rowsum_components(rowsums)), want[1])):
-        rows = np.array(sorted(candidates._sweep(n // 3, skew, 4 * n + slack, allowed)))
+        rows = candidates._sweep(n // 3, skew, 4 * n + slack, allowed)
         table = preimage_table(rows, skew, bound=4 * n + slack)
         kept = {tuple(row) for row, c in zip(rows.tolist(), np.diff(table.offsets)) if c}
         assert kept == want_rows

@@ -1,5 +1,6 @@
 """The goodmat command line: outputs, exit codes, sharding, and merging."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -30,12 +31,17 @@ def test_rowsums(capsys):
 
 
 def test_candidates_writes_files(tmp_path, capsys):
-    code, out, _ = run(capsys, "candidates", 9, "--out", tmp_path)
+    code, out, _ = run(capsys, "candidates", 21, "--out", tmp_path)
     assert code == 0
-    assert "|s_sk|=4 |s_sy|=6" in out
+    assert "|s_sk|=34 |s_sy|=64" in out
     lines = (tmp_path / "s_sk.txt").read_text().splitlines()
-    assert len(lines) == 4 and all(len(line.split(",")) == 3 for line in lines)
-    assert (tmp_path / "s_sy.txt").exists()
+    assert len(lines) == 34 and all(len(line.split(",")) == 7 for line in lines)
+    # the files' bytes, recorded when the candidate sets were frozensets
+    for name, digest in (
+        ("s_sk.txt", "50c06dd85e48a72ed689de2f165661cec6d994df2b428108e757613a1319eb57"),
+        ("s_sy.txt", "38e9f1f3c208501ed8adeb285c1ef95c17cefdccbf2c4c3bae4ed37d4bceaefb"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_match_writes_file(tmp_path, capsys):

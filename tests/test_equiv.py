@@ -287,12 +287,10 @@ def test_canonical_quads_have_orbit_minimal_a(n):
     # (multipliers) equals matching the cut candidate sets
     cands = generate_candidates(n, signed_rowsums(n))
     a = {q.ac for q in decode_quads(canonical_codes(match_codes(cands, n), n // 3), n // 3)}
-    sk = sorted(cands.s_sk)
-    minimal = orbit_minimal(np.array(sk), units(n // 3))
-    cut = {row for row, keep in zip(sk, minimal) if keep}
-    assert a and a <= cut
+    cut = cands.sk[orbit_minimal(cands.sk, units(n // 3))]
+    assert a and a <= set(map(tuple, cut.tolist()))
     assert np.array_equal(match_codes(cands, n, multipliers=units(n // 3)),
-                          match_codes(replace(cands, s_sk=frozenset(cut)), n))
+                          match_codes(replace(cands, sk=cut), n))
 
 
 code_arrays = st.one_of(

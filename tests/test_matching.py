@@ -8,6 +8,7 @@ import bisect
 import itertools
 import weakref
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -485,3 +486,7 @@ def test_rejects_mismatched_order():
 def test_empty_candidates_give_empty_match():
     cands = generate_candidates(9, frozenset())
     assert match_quadruples(cands, 9) == []
+    # one empty side: the join finds no owner with both products
+    full = generate_candidates(15, signed_rowsums(15))
+    for one_side in (replace(full, sk=full.sk[:0]), replace(full, sy=full.sy[:0])):
+        assert match_codes(one_side, 15).shape == (0, 4)

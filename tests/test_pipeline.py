@@ -9,7 +9,7 @@ import pytest
 
 from goodmat import pipeline
 from goodmat.cli import run_cli
-from goodmat.candidates import generate_candidates
+from goodmat.candidates import CandidateSets, generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_codes, canonical_form, decode_quads, quad_key
 from goodmat.errors import ConstructionError, InternalError, InvalidInputError, ParseError
@@ -163,6 +163,20 @@ def test_prepare_instances_fingerprint(n, count, fingerprint):
     assert len(instances) == count
     assert instances == sorted(instances, key=quad_key)
     assert instances_fingerprint(instances) == fingerprint
+
+
+def test_pipeline_reads_candidate_arrays_not_sets(monkeypatch):
+    # the set views cost a tuple per row; no pipeline path may build them
+    def refuse(self):
+        raise AssertionError("a pipeline path built a candidate set")
+
+    for name in ("s_sk", "s_sy"):
+        monkeypatch.setattr(CandidateSets, name, property(refuse))
+    instances = prepare_instances(27)[0]
+    assert instances_fingerprint(instances) == (
+        "140c0b498fd848c79e080f9449c0c06bd9de76d26601cbeb1f6b58f6364f042d")
+    assert enumerate_good_matrices(15)[1].digest == (
+        "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146")
 
 
 @pytest.mark.parametrize("filters", [FilterConfig(), FilterConfig.no_filters()],
