@@ -6,9 +6,10 @@ The search pipeline factors the problem as
     uncompression by an exact PAF-key join → canonicalization
 
 and every reported matrix is re-certified by exact integer arithmetic plus
-the skew Hadamard construction of order 4n.  The paper's SAT route to the
-uncompression step (CNF + CDCL with a spectral theory callback) is kept as
-the reference implementation and DIMACS exporter.
+the skew Hadamard construction of order 4n.  The paper does the
+uncompression step with a SAT solver and a spectral callback; here the
+exact join does it, and the paper's CNF encoding of each instance is kept
+as a DIMACS exporter (satsearch).
 
 The package exports the names README's Library section lists; everything
 else is reached through its module.

@@ -18,6 +18,10 @@ clause falsified entirely at level 0 makes the instance unsatisfiable,
 which is how enumeration runs terminate.
 
 Literals are nonzero signed integers with |lit| in 1..nvars, DIMACS style.
+
+No search path runs the solver; the join in `uncompress` does the
+uncompression.  It stays as an independent solver that the tests run on the
+DIMACS text `--dimacs` exports.
 """
 
 from __future__ import annotations

@@ -86,15 +86,17 @@ class FilterConfig:
     disabled PSD filter becomes the bound +inf, which every row and pair
     meets, and an enabled one the bound 4n + spectral.EPS.
 
-    prefix_checks and parity_clauses only affect the SAT reference path
-    (satsearch.build_instance / solve_all), which the search never runs.
+    prefix_checks and parity_clauses only affect the one-instance path
+    (satsearch.build_instance / solve_all), which the search never runs:
+    prefix_checks is solve_all's row and pair filter, parity_clauses adds
+    the product-rule clauses to the CNF encoding.
     """
 
     psd_candidates: bool = True   # row PSD bound: compressed in the sweep, full in uncompression
     rowsum_candidates: bool = True  # rowsum membership for symmetric rows
     psd_pairs: bool = True        # pairwise PSD bound before both joins
-    prefix_checks: bool = True    # SAT reference only: PSD checks in the callback
-    parity_clauses: bool = True   # SAT reference only: product-rule clauses
+    prefix_checks: bool = True    # solve_all only: its row and pair PSD bounds
+    parity_clauses: bool = True   # build_instance only: product-rule clauses
 
     @classmethod
     def no_filters(cls) -> "FilterConfig":
@@ -125,7 +127,7 @@ class SearchReport:
     run agree on it and shards of different runs do not.  solver_stats holds
     uncompress_all's join counters (pairs_ab, pairs_cd, key_hits) and
     raw_models, the quads it certified: one per orbit of the maps that fix
-    every compressed row, not every model of the instances' SAT encodings.
+    every compressed row, not every certified quad of the preimage products.
     """
 
     n: int
@@ -303,7 +305,7 @@ def enumerate_prepared(
     timings["solving"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # one representative per class and instance, as the SAT path's solve_all returns
+    # one representative per class and instance, as solve_all returns
     forms = iter(canonical_forms([quad for quads in found for quad in quads]))
     per_instance = [dedup([next(forms) for _ in quads], lambda c: c) for quads in found]
     canonical = dedup((c for classes in per_instance for c in classes), lambda c: c)

@@ -1,4 +1,5 @@
-"""CNF encoding of one compressed quadruple and its exhaustive solution.
+"""CNF encoding of one compressed quadruple, its DIMACS text, and its
+uncompression.
 
 Variable layout.  Rows A, B, C, D are numbered 0..3; each row owns d+1
 Boolean variables for its entries at indices 0..d (d = ⌊n/2⌋), with
@@ -22,15 +23,12 @@ forbidding each odd-true pattern.  At k = m the skew relation makes
 a_m·a_{2m} = −1, leaving b_m·c_m·d_m = +1: an ODD number of {b_m, c_m, d_m}
 true, i.e. the four clauses (b∨c∨d), (¬b∨¬c∨d), (¬b∨c∨¬d), (b∨¬c∨¬d).
 
-Theory callback.  At every conflict-free propagation fixpoint the callback
-collects the fully-assigned rows, sorts them by descending peak PSD, and
-checks the cumulative PSD sums of the 1-, 2- and 3-row prefixes against
-4n + EPS; a violation yields a clause negating the current values of the
-violating rows' free variables.  When all four rows are assigned, the exact
-integer PAF certificate decides whether to record the quad as a solution,
-and in every such case a blocking clause over all 4d free literals is
-returned, so the solver enumerates the instance exhaustively and finishes
-with an unsatisfiable clause database.
+Uncompression.  The paper hands these clauses to a SAT solver whose
+programmatic callback adds the PSD and PAF conditions.  Here they are only
+exported as DIMACS (`goodmat enumerate --dimacs`): solve_all uncompresses an
+instance with uncompress_all, the exact PAF-key join the pipeline runs, whose
+row and pair screens do the callback's PSD checks and whose PAF certificate
+decides every quad.
 """
 
 from __future__ import annotations
@@ -38,15 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-import numpy as np
-
-from .cdcl import Solver
 from .equiv import canonical_form
-from .errors import InfeasibleInstanceError, InternalError, InvalidInputError, ParseError
-from .seqcore import CompressedQuad, DefiningQuad, compress3
-from .spectral import paf_certificate, psd_bound, psd_values
+from .errors import InfeasibleInstanceError, InvalidInputError, ParseError
+from .seqcore import CompressedQuad, DefiningQuad
+from .uncompress import uncompress_all
 
 ROW_LABELS = ("A", "B", "C", "D")
 
@@ -185,200 +180,31 @@ def build_instance(cq: CompressedQuad, *, parity: bool = True) -> CnfInstance:
     return CnfInstance(n=n, m=m, d=d, source=cq, clauses=clauses, num_vars=4 * (d + 1))
 
 
-# ── the theory callback ─────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class LearnedClause:
-    """A theory clause plus the reason it was produced."""
-
-    lits: Clause
-    origin: str  # "psd_prefix_1" | "psd_prefix_2" | "psd_prefix_3" | "blocking"
-
-
-@dataclass
-class AuditRecord:
-    """Book-keeping for the callback-soundness properties."""
-
-    origin: str
-    lits: Clause
-    falsified_at_creation: bool
-    certified: Optional[bool] = None  # blocking clauses only
-    recorded: Optional[bool] = None
-
-
-class _ProfileCache:
-    """PSD profiles of completed rows, keyed by (is_skew, folded values)."""
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.data: dict[tuple[bool, tuple[int, ...]], tuple[np.ndarray, float]] = {}
-
-    def get(self, is_skew: bool, vals: tuple[int, ...]) -> tuple[np.ndarray, float]:
-        key = (is_skew, vals)
-        hit = self.data.get(key)
-        if hit is None:
-            row = _unfold(is_skew, vals, self.n)
-            profile = psd_values(row)
-            hit = (profile, float(profile.max()))
-            self.data[key] = hit
-        return hit
-
-
-def _unfold(is_skew: bool, vals: Sequence[int], n: int) -> tuple[int, ...]:
-    """Reconstruct the full ±1 row from values at indices 0..d."""
-    d = n // 2
-    tail = range(d + 1, n)
-    if is_skew:
-        return tuple(vals[: d + 1]) + tuple(-vals[n - j] for j in tail)
-    return tuple(vals[: d + 1]) + tuple(vals[n - j] for j in tail)
-
-
-def _callback_core(
-    row_values: list[Optional[tuple[int, ...]]],
-    instance: CnfInstance,
-    *,
-    bound: float,
-    record: Optional[Callable[[DefiningQuad], None]],
-    cache: _ProfileCache,
-) -> tuple[Optional[LearnedClause], Optional[bool]]:
-    """Steps of the PSD theory check on the four rows' folded values.
-
-    row_values[r] is a tuple of ±1 of length d+1 when row r is fully
-    assigned, else None.  bound is the prefix PSD bound (+inf with the
-    prefix checks off).  Returns (clause, certified) where certified is
-    only meaningful for blocking clauses.
-    """
-    n, d = instance.n, instance.d
-    assigned = [(r, vals) for r, vals in enumerate(row_values) if vals is not None]
-    if not assigned:
-        return None, None
-
-    profiled = [(cache.get(r == 0, vals), r, vals) for r, vals in assigned]
-    profiled.sort(key=lambda item: -item[0][1])  # descending peak PSD
-
-    total = np.zeros(d + 1)
-    for t in range(min(3, len(profiled))):
-        total = total + profiled[t][0][0]
-        if (total > bound).any():
-            violators = [(r, vals) for _, r, vals in profiled[: t + 1]]
-            return _negation_clause(violators, d), None
-
-    if len(assigned) < 4:
-        return None, None
-
-    quad = DefiningQuad(*(_unfold(r == 0, vals, n) for r, vals in assigned))
-    certified = paf_certificate(quad)
-    if certified:
-        if CompressedQuad(*(compress3(row) for row in quad.rows())) != instance.source:
-            raise InternalError(f"model {quad} does not compress to {instance.source}")
-        if record is not None:
-            record(quad)
-    return _negation_clause(assigned, d, origin="blocking"), certified
-
-
-def _negation_clause(
-    rows: Sequence[tuple[int, tuple[int, ...]]], d: int, origin: Optional[str] = None
-) -> LearnedClause:
-    """Clause negating the current values of the rows' free variables."""
-    lits = []
-    for r, vals in rows:
-        base = r * (d + 1) + 1
-        for i in range(1, d + 1):
-            var = base + i
-            lits.append(-var if vals[i] == 1 else var)
-    return LearnedClause(tuple(lits), origin or f"psd_prefix_{len(rows)}")
-
-
-class UncompressionTheory:
-    """Solver-facing adapter: fast value extraction + audit trail."""
-
-    def __init__(
-        self,
-        instance: CnfInstance,
-        *,
-        bound: float,
-        sink: Optional[Callable[[DefiningQuad], None]] = None,
-        audit: Optional[list[AuditRecord]] = None,
-    ):
-        self.instance = instance
-        self.bound = bound
-        self.sink = sink
-        self.audit = audit
-        self.cache = _ProfileCache(instance.n, instance.d)
-
-    def __call__(self, solver: Solver) -> Optional[list[int]]:
-        d = self.instance.d
-        nv = solver.nvars
-        val = solver.val
-        row_values: list[Optional[tuple[int, ...]]] = []
-        for r in range(4):
-            base = r * (d + 1) + 1 + nv
-            vals = tuple(val[base : base + d + 1])
-            row_values.append(vals if 0 not in vals else None)
-        recorded = []
-        sink = None if self.sink is None else (lambda q: (recorded.append(q), self.sink(q)))
-        clause, certified = _callback_core(
-            row_values, self.instance, bound=self.bound, record=sink, cache=self.cache,
-        )
-        if clause is None:
-            return None
-        if self.audit is not None:
-            falsified = all(val[lit + nv] == -1 for lit in clause.lits)
-            self.audit.append(
-                AuditRecord(
-                    origin=clause.origin,
-                    lits=clause.lits,
-                    falsified_at_creation=falsified,
-                    certified=certified if clause.origin == "blocking" else None,
-                    recorded=bool(recorded) if clause.origin == "blocking" else None,
-                )
-            )
-        return list(clause.lits)
-
-
-# ── exhaustive per-instance search ──────────────────────────────────────────
+# ── one instance, uncompressed ──────────────────────────────────────────────
 
 def solve_all(
     instance: CnfInstance,
     *,
     seed: int = 0,
     prefix_checks: bool = True,
-    audit: Optional[list[AuditRecord]] = None,
 ) -> list[DefiningQuad]:
-    """Enumerate the instance exhaustively; one quad per equivalence class.
+    """Uncompress the instance's source; one quad per equivalence class.
 
-    Every certified raw model is recorded on instance.solutions (several raw
-    models may be equivalent quads); the return value keeps the first model
-    of each class.
+    The quads come from uncompress_all, the join the pipeline runs, with
+    prefix_checks as both its row and its pair filter.  They are recorded
+    on instance.solutions, and instance.stats holds the join counters and
+    raw_models, their number; the return value keeps the first quad of each
+    class.  seed no longer affects anything (a deterministic join); it is
+    kept for callers that pass it.
     """
-    raw: list[DefiningQuad] = []
-    bound = psd_bound(instance.n, prefix_checks)
-    theory = UncompressionTheory(instance, bound=bound, sink=raw.append, audit=audit)
-    solver = Solver(instance.num_vars, instance.clauses, seed=seed, theory=theory)
-    if solver.solve():
-        raise InternalError("the blocking theory must reject every full assignment")
+    (raw,), stats = uncompress_all([instance.source], row_filter=prefix_checks,
+                                   pair_filter=prefix_checks)
     instance.solutions.extend(raw)
-    instance.stats = {
-        "conflicts": solver.conflicts,
-        "decisions": solver.decisions,
-        "propagations": solver.propagations,
-        "restarts": solver.restarts,
-        "theory_clauses": solver.theory_clauses,
-        "raw_models": len(raw),
-    }
-    return _first_per_class(raw)
-
-
-def _first_per_class(raw: Sequence[DefiningQuad]) -> list[DefiningQuad]:
-    seen = set()
-    out = []
+    instance.stats = {**stats, "raw_models": len(raw)}
+    first: dict = {}
     for quad in raw:
-        key = canonical_form(quad)
-        if key not in seen:
-            seen.add(key)
-            out.append(quad)
-    return out
+        first.setdefault(canonical_form(quad), quad)
+    return list(first.values())
 
 
 # ── DIMACS export / import ──────────────────────────────────────────────────
@@ -386,9 +212,9 @@ def _first_per_class(raw: Sequence[DefiningQuad]) -> list[DefiningQuad]:
 def export_dimacs(instance: CnfInstance) -> str:
     """Standard CNF text for the clause part of the instance.
 
-    The PSD callback is not expressible in CNF, so exported instances
-    over-approximate the search: external models must be cross-checked
-    against recorded solutions / the PAF certificate.
+    The PSD and PAF conditions are not in the CNF, so its models
+    over-approximate the instance's solutions: an external model is one
+    only if it passes the PAF certificate.
     """
     lines = [f"p cnf {instance.num_vars} {len(instance.clauses)}"]
     lines += [" ".join(map(str, c)) + " 0" for c in instance.clauses]

@@ -28,11 +28,12 @@ PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
 screen has already bounded those sums; dropping them keeps every pair the
 full profile keeps.  The row filter reads every plane.  uncompress_all turns
 each disabled filter into the bound +inf, which every row and pair meets.
-The quads found are exactly the certified models of the instance's SAT
-encoding (satsearch, kept as the reference and for DIMACS export) whose A
-is orbit-minimal and whose B, C, D preimages of one compressed row are in
-table order (join_blocks): reordering B, C and D maps a solution to a
-solution of the same instance and class and leaves A alone.
+The quads found are exactly the certified quads of the instance's preimage
+product whose A is orbit-minimal and whose B, C, D preimages of one
+compressed row are in table order (join_blocks): reordering B, C and D maps
+a solution to a solution of the same instance and class and leaves A alone.
+They are also the models of the instance's CNF encoding (satsearch, kept
+for DIMACS export) that pass the PAF certificate, under those two cuts.
 
 A compressed row's preimages are the mixed-radix numbers over the choices of
 its free groups 0..(m−1)/2, the last group varying fastest: group 0 (x_0 = +1,

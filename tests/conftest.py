@@ -54,7 +54,8 @@ def pytest_runtest_makereport(item, call):
     num, text = marker.args
     if report.when == "call":
         status = "PASS" if report.passed else "FAIL"
-        _CRITERION_RESULTS[str(num)] = (status, text)
+        if _CRITERION_RESULTS.get(str(num), ("",))[0] != "FAIL":  # one failed case fails it
+            _CRITERION_RESULTS[str(num)] = (status, text)
     elif report.when == "setup" and (report.failed or report.skipped):
         status = "SKIP" if report.skipped else "FAIL"
         _CRITERION_RESULTS.setdefault(str(num), (status, text))

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from goodmat import candidates
-from goodmat import uncompress as uncompress_module
 from goodmat.candidates import CandidateSets, generate_candidates
 from goodmat.diophantine import rowsum_components, signed_rowsums
 from goodmat.errors import InvalidInputError
 from goodmat.pipeline import prepare_instances
 from goodmat.seqcore import compress3, iter_halves, make_skew, make_symmetric
-from goodmat.spectral import EPS, mirror_psd, psd_bound
+from goodmat.spectral import psd_bound
 from goodmat.uncompress import preimage_table
 
 
@@ -233,97 +232,3 @@ def test_row_codes_past_int64_refused_before_sweeping(monkeypatch):
         generate_candidates(99, signed_rowsums(99))  # m = 33
     with pytest.raises(InvalidInputError, match="exceeds 31"):  # the same rule at both entries
         prepare_instances(99, allow_large=True)
-
-
-# ── the preimage screen of uncompression: choice triples, gathered rows ────
-
-def scatter_rows(layout, skew, owner, local):
-    """Preimage number local[i] of compressed row owner[i] of a _layout as an
-    int8 row, by the construction the gathered rows replaced: mixed-radix
-    digits, a [value, digit] triple lookup and two column scatters."""
-    value, stride, _ = layout
-    free = value.shape[1]
-    m = 2 * free - 1
-    value = value[owner]
-    digit = local[:, None] // stride[owner] % uncompress_module._CHOICE_COUNTS[value]
-    triples = uncompress_module._CHOICES.reshape(12, 3, 3)[value, digit]  # [line, group, 3]
-    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
-    rows = np.empty((len(owner), 3 * m), dtype=np.int8)
-    rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
-    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
-    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
-        len(owner), pos.size - 3)
-    return rows
-
-
-def image_rows(n, skew, sample=None):
-    """Every compressed image row of order n and one skewness, or `sample`
-    of them drawn without replacement."""
-    m = n // 3
-    total = (1 if skew else 2) << 2 * ((m - 1) // 2)
-    index = np.arange(total)
-    if sample is not None:
-        index = np.sort(np.random.default_rng(n).choice(total, sample, replace=False))
-    return candidates._image_rows(index, m, skew)
-
-
-def lines(count):
-    """Per preimage of rows with `count` preimages each: its row and its
-    number among that row's preimages."""
-    return np.repeat(np.arange(len(count)), count), np.concatenate([np.arange(c) for c in count])
-
-
-@pytest.mark.parametrize("n, sample", [(9, None), (15, None), (21, None), (27, None),
-                                       (45, 12), (57, 4)])
-@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
-def test_choice_screen_equals_mirror_psd(n, sample, skew):
-    # the choice-triple projection equals mirror_psd of the built row, and
-    # preimage_table's screen keeps exactly the preimages whose built row is
-    # within the bound: at 4n + EPS, and at 4n − 30 and
-    # 4n − 40, where some rows that pass their own compressed PSD screen keep
-    # no preimage
-    crows = image_rows(n, skew, sample)
-    full = preimage_table(crows, skew, bound=np.inf)
-    count = np.diff(full.offsets)
-    assert np.array_equal(count, uncompress_module._layout(crows, skew)[2])
-    # each preimage's choice triples times _choice_maps' basis give its PSD
-    m = n // 3
-    pos = np.arange((m + 1) // 2)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
-    proj = full.rows[:, pos.ravel()].astype(float) @ uncompress_module._choice_maps(m, skew)[0]
-    want = mirror_psd(full.rows, skew)
-    np.testing.assert_allclose(1 + proj**2 if skew else (1 + proj) ** 2, want, rtol=0, atol=1e-9)
-    worst = want.max(axis=1)
-    own = mirror_psd(crows, skew).max(axis=1)
-    emptied = []
-    for bound in (4 * n + EPS, 4 * n - 30, 4 * n - 40):
-        assert np.abs(worst - bound).min() > 1e-6
-        passes = worst <= bound
-        table = preimage_table(crows, skew, bound=bound)
-        kept = np.bincount(lines(count)[0][passes], minlength=len(crows))
-        assert np.array_equal(table.offsets, np.concatenate([[0], np.cumsum(kept)]))
-        assert np.array_equal(table.rows, full.rows[passes])
-        emptied.append(((count > 0) & (own <= bound) & (kept == 0)).sum())
-    assert emptied[0] == 0
-    assert sum(emptied) > 0 or sample is not None
-
-
-@pytest.mark.parametrize("n", [3, 9, 15, 21])
-@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
-def test_gathered_rows_equal_the_scatter_construction(n, skew):
-    crows = image_rows(n, skew)
-    layout = uncompress_module._layout(crows, skew)
-    got = preimage_table(crows, skew, bound=np.inf)
-    assert np.array_equal(np.diff(got.offsets), layout[2])
-    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))
-
-
-@pytest.mark.parametrize("n", [45, 57])
-@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
-def test_gathered_rows_equal_the_scatter_construction_sampled(n, skew):
-    # every preimage of 64 sampled rows, across several blocks of lines
-    crows = image_rows(n, skew, 64)
-    layout = uncompress_module._layout(crows, skew)
-    got = preimage_table(crows, skew, bound=np.inf)
-    assert layout[2].sum() > uncompress_module._ROW_BLOCK
-    assert np.array_equal(np.diff(got.offsets), layout[2])
-    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))

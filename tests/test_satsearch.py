@@ -1,15 +1,17 @@
-"""SAT encoding, theory callback, and exhaustive per-instance search.
+"""CNF encoding, DIMACS interchange, and the one-instance uncompression.
 
 Key oracles:
   * truth-table semantics of the folded encoding at n = 3 (256 assignments);
   * semantic equivalence of the product-rule clauses with the product rule
     itself, per shift, over all 2^5 local assignments;
-  * model enumeration cross-checked against decoding + exact certificates.
+  * the models of an n = 9 instance's DIMACS text, by evaluating its clauses
+    on all 2^16 free assignments, against the preimage quads that satisfy
+    the product rule, and against an independent CDCL solver (cdcl.Solver).
 """
 
-import io
 import itertools
 
+import numpy as np
 import pytest
 
 from goodmat.candidates import generate_candidates
@@ -20,10 +22,6 @@ from goodmat.errors import InfeasibleInstanceError, InvalidInputError, ParseErro
 from goodmat.matching import match_quadruples
 from goodmat.pipeline import product_rule_holds
 from goodmat.satsearch import (
-    CnfInstance,
-    UncompressionTheory,
-    _callback_core,
-    _ProfileCache,
     build_instance,
     encode_compression,
     encode_parity,
@@ -34,7 +32,8 @@ from goodmat.satsearch import (
     var_id,
 )
 from goodmat.seqcore import CompressedQuad, DefiningQuad, compress3, make_skew, make_symmetric
-from goodmat.spectral import EPS, paf_certificate
+from goodmat.spectral import paf_certificate
+from goodmat.uncompress import preimage_table
 
 
 def instance_for(n, idx=0, parity=True):
@@ -196,62 +195,7 @@ def test_build_instance_shape():
     assert len(no_parity.clauses) < len(inst.clauses)
 
 
-# ── the PSD theory callback ──────────────────────────────────────────────────
-
-def callback(values, inst, record=None):
-    """The theory check on a partial assignment {var: bool}, through
-    _callback_core: a row is passed once all its variables are set."""
-    d = inst.d
-    rows = []
-    for r in range(4):
-        vals = [values.get(var_id(r, i, d)) for i in range(d + 1)]
-        rows.append(None if None in vals else tuple(1 if v else -1 for v in vals))
-    clause, _ = _callback_core(rows, inst, bound=4 * inst.n + EPS, record=record,
-                               cache=_ProfileCache(inst.n, d))
-    return clause
-
-
-def test_callback_flags_overshooting_row():
-    inst = instance_for(9)
-    d = inst.d
-    values = {var_id(1, i, d): True for i in range(d + 1)}  # B ≡ all +1
-    clause = callback(values, inst)
-    assert clause is not None
-    assert clause.origin == "psd_prefix_1"
-    b_free = [var_id(1, i, d) for i in range(1, d + 1)]
-    assert sorted(clause.lits) == sorted(-v for v in b_free)
-
-
-def test_callback_silent_on_partial_ok_assignment(known3):
-    cands = generate_candidates(3, signed_rowsums(3))
-    source = match_quadruples(cands, 3)[0]
-    inst = build_instance(source)
-    values = {var_id(0, i, 1, ): known3.a[i] == 1 for i in (0, 1)}
-    assert callback(values, inst) is None
-
-
-def test_callback_blocks_and_records_certified_model(known3):
-    source = CompressedQuad(*(compress3(r) for r in known3.rows()))
-    inst = build_instance(source)
-    d = inst.d
-    values = {
-        var_id(r, i, d): row[i] == 1
-        for r, row in enumerate(known3.rows())
-        for i in range(d + 1)
-    }
-    seen = []
-    clause = callback(values, inst, record=seen.append)
-    assert seen == [known3]
-    assert clause is not None and clause.origin == "blocking"
-    # The clause must be falsified by the generating assignment...
-    assert all(values[abs(l)] != (l > 0) for l in clause.lits)
-    # ...and mention exactly the free variables.
-    assert sorted(abs(l) for l in clause.lits) == sorted(
-        var_id(r, i, d) for r in range(4) for i in range(1, d + 1)
-    )
-
-
-# ── exhaustive search ────────────────────────────────────────────────────────
+# ── one-instance uncompression ───────────────────────────────────────────────
 
 def test_solve_all_n3():
     inst = instance_for(3)
@@ -259,7 +203,8 @@ def test_solve_all_n3():
     assert len(classes) == 1
     assert paf_certificate(canonical_form(classes[0]).quad)
     assert inst.stats["raw_models"] == len(inst.solutions) >= 1
-    assert inst.stats["theory_clauses"] >= inst.stats["raw_models"]
+    assert inst.stats["pairs_ab"] >= 1 and inst.stats["pairs_cd"] >= 1
+    assert inst.stats["key_hits"] >= inst.stats["raw_models"]
 
 
 def test_solve_all_union_matches_pipeline_oracle():
@@ -303,17 +248,6 @@ def test_solve_all_prefix_checks_off_same_classes():
     assert on == off
 
 
-def test_audit_records_are_sound():
-    inst = instance_for(15, idx=4)
-    audit = []
-    solve_all(inst, audit=audit)
-    assert audit
-    assert all(rec.falsified_at_creation for rec in audit)
-    for rec in audit:
-        if rec.origin == "blocking" and rec.certified:
-            assert rec.recorded
-
-
 # ── DIMACS interchange ───────────────────────────────────────────────────────
 
 def test_dimacs_round_trip():
@@ -323,6 +257,32 @@ def test_dimacs_round_trip():
     assert nvars == inst.num_vars
     assert sorted(clauses) == sorted(inst.clauses)
     assert text.splitlines()[0] == f"p cnf {inst.num_vars} {len(inst.clauses)}"
+
+
+def test_dimacs_models_are_the_product_rule_preimage_quads():
+    """Every model of the DIMACS text, by evaluating its clauses on all 2^16
+    assignments of the free variables, decodes to a preimage quad of the
+    source that satisfies the product rule, and every such quad is a model."""
+    n, d = 9, 4
+    inst = instance_for(n, idx=1)
+    nvars, clauses = parse_dimacs(export_dimacs(inst))
+    free = [var_id(r, i, d) for r in range(4) for i in range(1, d + 1)]
+    assert nvars == 20 and len(free) == 16
+    value = np.zeros((1 << 16, nvars + 1), dtype=bool)  # column v: variable v true
+    value[:, [var_id(r, 0, d) for r in range(4)]] = True
+    value[:, free] = (np.arange(1 << 16)[:, None] >> np.arange(16)) & 1
+    satisfied = np.ones(len(value), dtype=bool)
+    for clause in clauses:
+        lits = np.array(clause)
+        satisfied &= (value[:, np.abs(lits)] == (lits > 0)).any(axis=1)
+    models = [decode([v if row[v] else -v for v in range(1, nvars + 1)], n)
+              for row in value[satisfied]]
+    tables = [preimage_table(np.array([crow]), r == 0, bound=np.inf).rows.tolist()
+              for r, crow in enumerate(inst.source.rows())]
+    want = {DefiningQuad(*map(tuple, rows)) for rows in itertools.product(*tables)}
+    want = {quad for quad in want if product_rule_holds(quad)}
+    assert want and len(set(models)) == len(models)
+    assert set(models) == want
 
 
 def test_dimacs_cross_solver_check():

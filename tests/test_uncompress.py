@@ -1,5 +1,5 @@
-"""Uncompression by the full-length PAF-key join, against a brute force over the
-preimage product and against the SAT reference."""
+"""Uncompression by the full-length PAF-key join, against brute forces over the
+preimage product, and its preimage screen against the row it builds."""
 
 import itertools
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goodmat import matching
+from goodmat import candidates, matching
 from goodmat import uncompress as uncompress_module
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
@@ -26,8 +26,7 @@ from goodmat.equiv import (
 )
 from goodmat.errors import InternalError
 from goodmat.matching import match_codes, packed_keys
-from goodmat.pipeline import FilterConfig, SearchReport, enumerate_good_matrices, prepare_instances
-from goodmat.satsearch import build_instance, solve_all
+from goodmat.pipeline import SearchReport, enumerate_good_matrices, prepare_instances
 from goodmat.seqcore import (
     CompressedQuad,
     DefiningQuad,
@@ -36,7 +35,7 @@ from goodmat.seqcore import (
     make_skew,
     make_symmetric,
 )
-from goodmat.spectral import EPS, paf_certificate
+from goodmat.spectral import EPS, mirror_psd, paf_certificate
 from goodmat.uncompress import preimage_table, uncompress_all
 
 DIGEST_15 = "81a5dcfcc5c92095cffd418d577a391e7d14f92962fa6238d20db1c8ca066146"
@@ -129,45 +128,48 @@ def closure(quads):
     return {apply_automorphism(q, u) for q in reordered for u in compression_units(q.n)}
 
 
-@pytest.mark.parametrize("cfg", [FilterConfig(), FilterConfig.no_filters()],
-                         ids=["filters", "no_filters"])
-@pytest.mark.parametrize("n", [9, 15, 21])
-def test_join_equals_sat_per_instance(n, cfg):
-    # uncompress_all keeps one quad per orbit of the maps that fix every
-    # compressed row; their closure is every SAT model
-    instances = prepare_instances(n, filters=cfg)[0]
-    joined, _ = uncompress_all(instances, row_filter=cfg.psd_candidates,
-                               pair_filter=cfg.psd_pairs)
-    assert len(joined) == len(instances)
-    for cq, got in zip(instances, joined):
-        inst = build_instance(cq, parity=cfg.parity_clauses)
-        solve_all(inst, prefix_checks=cfg.prefix_checks)
-        assert closure(got) == set(inst.solutions), f"instance {cq}"
-        assert len(set(inst.solutions)) == len(inst.solutions)
-
-
-@pytest.mark.parametrize("n, ids", [(3, [0]), (27, [14]), (33, [213, 290, 351, 594])])
-def test_join_equals_sat_where_compressed_rows_coincide(n, ids):
-    # every instance up to n = 45 with B′ = C′ or C′ = D′: the join keeps
-    # b ≤ c ≤ d of their preimages, and the reorderings in closure restore
-    # every SAT model; n = 3's models have C = D
-    instances = prepare_instances(n)[0]
-    for i in ids:
-        cq = instances[i]
-        assert cq.bc == cq.cc or cq.cc == cq.dc, f"instance {i}"
-        inst = build_instance(cq)
-        solve_all(inst)
-        assert closure(uncompress_all([cq])[0][0]) == set(inst.solutions), f"instance {i}"
-    if n == 3:
-        assert inst.solutions and all(q.c == q.d for q in inst.solutions)
-
-
 def full_paf(rows):
     """PAF at every lag 1..n−1 of each row, by the definition."""
     return np.stack([(rows * np.roll(rows, -k, axis=1)).sum(axis=1)
                      for k in range(1, rows.shape[1])], axis=1)
 
 
+def pair_sum_join(cq):
+    """Every quad of cq's unfiltered preimages whose PAF sums vanish at the
+    lags 1..⌊n/2⌋, two-sided: all A×B sums against all C×D sums, joined
+    through a dict.  No screen, no packing, no orbit cut."""
+    tables = [preimages(crow, r == 0) for r, crow in enumerate(cq.rows())]
+    pa, pb, pc, pd = (full_paf(t)[:, : 3 * cq.m // 2] for t in tables)
+    cd: dict = {}
+    for (k, l), key in zip(itertools.product(range(len(pc)), range(len(pd))),
+                           -(pc[:, None] + pd[None]).reshape(-1, pc.shape[1])):
+        cd.setdefault(key.tobytes(), []).append((k, l))
+    found = set()
+    for (i, j), key in zip(itertools.product(range(len(pa)), range(len(pb))),
+                           (pa[:, None] + pb[None]).reshape(-1, pa.shape[1])):
+        for k, l in cd.get(key.tobytes(), ()):
+            found.add(DefiningQuad(*(tuple(t[x].tolist()) for t, x in zip(tables, (i, j, k, l)))))
+    return found
+
+
+@pytest.mark.parametrize("n, ids", [(3, [0]), (27, [14]), (33, [213, 290, 351, 594])])
+def test_join_equals_the_pair_sums_where_compressed_rows_coincide(n, ids):
+    # every instance up to n = 45 with B′ = C′ or C′ = D′: the join keeps
+    # b ≤ c ≤ d of their preimages, and the reorderings in closure restore
+    # every quad of the preimage product; n = 3's two quads have C = D
+    instances = prepare_instances(n)[0]
+    for i in ids:
+        cq = instances[i]
+        assert cq.bc == cq.cc or cq.cc == cq.dc, f"instance {i}"
+        want = pair_sum_join(cq)
+        assert all(paf_certificate(quad) for quad in want)
+        assert closure(uncompress_all([cq])[0][0]) == want, f"instance {i}"
+    if n == 3:
+        assert len(want) == 2 and all(q.c == q.d for q in want)
+
+
+@pytest.mark.criterion("6f", "join soundness: per instance at n = 9, 15, 21, the join "
+                             "equals the preimage-product brute force, filters on and off")
 @pytest.mark.parametrize("filters", [True, False], ids=["filters", "no_filters"])
 @pytest.mark.parametrize("n", [9, 15, 21])
 def test_join_equals_the_preimage_product_per_instance(n, filters):
@@ -285,3 +287,97 @@ def test_enumerate_under_python_O(tmp_path):
     report = SearchReport.from_json((tmp_path / "report-n15.json").read_text())
     assert report.exhaustive and report.inequivalent_count == 11
     assert report.digest == DIGEST_15
+
+
+# ── the preimage screen of uncompression: choice triples, gathered rows ────
+
+def scatter_rows(layout, skew, owner, local):
+    """Preimage number local[i] of compressed row owner[i] of a _layout as an
+    int8 row, by the construction the gathered rows replaced: mixed-radix
+    digits, a [value, digit] triple lookup and two column scatters."""
+    value, stride, _ = layout
+    free = value.shape[1]
+    m = 2 * free - 1
+    value = value[owner]
+    digit = local[:, None] // stride[owner] % uncompress_module._CHOICE_COUNTS[value]
+    triples = uncompress_module._CHOICES.reshape(12, 3, 3)[value, digit]  # [line, group, 3]
+    pos = np.arange(free)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
+    rows = np.empty((len(owner), 3 * m), dtype=np.int8)
+    rows[:, pos.ravel()] = triples.reshape(len(owner), pos.size)
+    # group m − k mirrors group k: x_{n−j} = ±x_j; group 0 mirrors itself
+    rows[:, (3 * m - pos[1:]).ravel()] = (-1 if skew else 1) * triples[:, 1:].reshape(
+        len(owner), pos.size - 3)
+    return rows
+
+
+def image_rows(n, skew, sample=None):
+    """Every compressed image row of order n and one skewness, or `sample`
+    of them drawn without replacement."""
+    m = n // 3
+    total = (1 if skew else 2) << 2 * ((m - 1) // 2)
+    index = np.arange(total)
+    if sample is not None:
+        index = np.sort(np.random.default_rng(n).choice(total, sample, replace=False))
+    return candidates._image_rows(index, m, skew)
+
+
+def lines(count):
+    """Per preimage of rows with `count` preimages each: its row and its
+    number among that row's preimages."""
+    return np.repeat(np.arange(len(count)), count), np.concatenate([np.arange(c) for c in count])
+
+
+@pytest.mark.parametrize("n, sample", [(9, None), (15, None), (21, None), (27, None),
+                                       (45, 12), (57, 4)])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_choice_screen_equals_mirror_psd(n, sample, skew):
+    # the choice-triple projection equals mirror_psd of the built row, and
+    # preimage_table's screen keeps exactly the preimages whose built row is
+    # within the bound: at 4n + EPS, and at 4n − 30 and
+    # 4n − 40, where some rows that pass their own compressed PSD screen keep
+    # no preimage
+    crows = image_rows(n, skew, sample)
+    full = preimage_table(crows, skew, bound=np.inf)
+    count = np.diff(full.offsets)
+    assert np.array_equal(count, uncompress_module._layout(crows, skew)[2])
+    # each preimage's choice triples times _choice_maps' basis give its PSD
+    m = n // 3
+    pos = np.arange((m + 1) // 2)[:, None] + m * np.arange(3)  # group k: k, k + m, k + 2m
+    proj = full.rows[:, pos.ravel()].astype(float) @ uncompress_module._choice_maps(m, skew)[0]
+    want = mirror_psd(full.rows, skew)
+    np.testing.assert_allclose(1 + proj**2 if skew else (1 + proj) ** 2, want, rtol=0, atol=1e-9)
+    worst = want.max(axis=1)
+    own = mirror_psd(crows, skew).max(axis=1)
+    emptied = []
+    for bound in (4 * n + EPS, 4 * n - 30, 4 * n - 40):
+        assert np.abs(worst - bound).min() > 1e-6
+        passes = worst <= bound
+        table = preimage_table(crows, skew, bound=bound)
+        kept = np.bincount(lines(count)[0][passes], minlength=len(crows))
+        assert np.array_equal(table.offsets, np.concatenate([[0], np.cumsum(kept)]))
+        assert np.array_equal(table.rows, full.rows[passes])
+        emptied.append(((count > 0) & (own <= bound) & (kept == 0)).sum())
+    assert emptied[0] == 0
+    assert sum(emptied) > 0 or sample is not None
+
+
+@pytest.mark.parametrize("n", [3, 9, 15, 21])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_gathered_rows_equal_the_scatter_construction(n, skew):
+    crows = image_rows(n, skew)
+    layout = uncompress_module._layout(crows, skew)
+    got = preimage_table(crows, skew, bound=np.inf)
+    assert np.array_equal(np.diff(got.offsets), layout[2])
+    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))
+
+
+@pytest.mark.parametrize("n", [45, 57])
+@pytest.mark.parametrize("skew", [True, False], ids=["skew", "symmetric"])
+def test_gathered_rows_equal_the_scatter_construction_sampled(n, skew):
+    # every preimage of 64 sampled rows, across several blocks of lines
+    crows = image_rows(n, skew, 64)
+    layout = uncompress_module._layout(crows, skew)
+    got = preimage_table(crows, skew, bound=np.inf)
+    assert layout[2].sum() > uncompress_module._ROW_BLOCK
+    assert np.array_equal(np.diff(got.offsets), layout[2])
+    assert np.array_equal(got.rows, scatter_rows(layout, skew, *lines(layout[2])))
