@@ -1,36 +1,21 @@
-"""A conflict-driven clause-learning SAT solver with a theory callback hook.
+"""A conflict-driven clause-learning SAT solver.
 
 Standard architecture: two watched literals per clause, first-UIP conflict
 analysis, VSIDS branching with phase saving, Luby-scheduled restarts, and a
 seeded RNG for initial phases plus occasional random decisions.  Learned
-clauses are never deleted: the solver is used for exhaustive model
-enumeration via blocking clauses, and a monotonically growing clause
-database gives a direct termination argument (no clause can be learned or
-injected twice, and the variable set is finite).
-
-The theory hook is a callable invoked at every conflict-free propagation
-fixpoint (including full assignments, which are never reported as models
-before the theory has passed on them).  It may return a list of literals —
-a clause that must be falsified by the current assignment — or None.  A
-returned clause is added permanently, conflict analysis runs on it as if
-propagation had found it falsified, and the search continues.  A theory
-clause falsified entirely at level 0 makes the instance unsatisfiable,
-which is how enumeration runs terminate.
+clauses are never deleted.
 
 Literals are nonzero signed integers with |lit| in 1..nvars, DIMACS style.
 
-No search path runs the solver; the join in `uncompress` does the
-uncompression.  It stays as an independent solver that the tests run on the
-DIMACS text `--dimacs` exports.
+No module of the package imports the solver; the join in `uncompress` does
+the uncompression.  It is a plain CDCL solver that only its own tests run.
 """
 
 from __future__ import annotations
 
 import random
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Optional, Sequence
-
-from .errors import InternalError
+from typing import Iterable, Optional, Sequence
 
 _ACTIVITY_RESCALE = 1e100
 _VAR_DECAY = 0.95
@@ -53,18 +38,10 @@ def luby(i: int) -> int:
 
 
 class Solver:
-    """CDCL solver over variables 1..nvars with optional theory callback."""
+    """CDCL solver over variables 1..nvars."""
 
-    def __init__(
-        self,
-        nvars: int,
-        clauses: Iterable[Sequence[int]] = (),
-        *,
-        seed: int = 0,
-        theory: Optional[Callable[["Solver"], Optional[Sequence[int]]]] = None,
-    ):
+    def __init__(self, nvars: int, clauses: Iterable[Sequence[int]] = (), *, seed: int = 0):
         self.nvars = nvars
-        self.theory = theory
         self.rng = random.Random(seed)
 
         v = nvars
@@ -90,7 +67,6 @@ class Solver:
         self.decisions = 0
         self.propagations = 0
         self.restarts = 0
-        self.theory_clauses = 0
         self._conflicts_since_restart = 0
 
         for c in clauses:
@@ -101,10 +77,6 @@ class Solver:
     @property
     def level(self) -> int:
         return len(self.trail_lim)
-
-    def value_of(self, var: int) -> Optional[bool]:
-        x = self.val[var + self.nvars]
-        return None if x == 0 else x > 0
 
     def _assign(self, lit: int, reason) -> None:
         v = self.nvars
@@ -284,42 +256,6 @@ class Solver:
             assert self.level == 0
             self._assign(learnt[0], None)
 
-    # ── theory clause handling ──────────────────────────────────────────────
-
-    def _add_theory_clause(self, tc: list[int]) -> bool:
-        """Handle a clause injected at a fixpoint; False when UNSAT at level 0.
-
-        Every literal of tc must be false under the current assignment.
-        """
-        if not tc:
-            return False
-        nv = self.nvars
-        if not all(self.val[lit + nv] == -1 for lit in tc):
-            raise InternalError("theory clause not falsified")
-        maxlev = max(self.levels[abs(lit)] for lit in tc)
-        if maxlev == 0:
-            return False
-        if maxlev < self.level:
-            self.backtrack(maxlev)
-        learnt, bt = self.analyze(tc)
-        if len(tc) > 1:
-            # keep the injected clause permanently, watching two deepest literals
-            best = 0
-            for k in range(1, len(tc)):
-                if self.levels[abs(tc[k])] > self.levels[abs(tc[best])]:
-                    best = k
-            tc[0], tc[best] = tc[best], tc[0]
-            best = 1
-            for k in range(2, len(tc)):
-                if self.levels[abs(tc[k])] > self.levels[abs(tc[best])]:
-                    best = k
-            tc[1], tc[best] = tc[best], tc[1]
-            self.clauses.append(tc)
-            self._attach(tc)
-        self.backtrack(bt)
-        self._assert_learnt(learnt)
-        return True
-
     # ── branching ───────────────────────────────────────────────────────────
 
     def _pick_branch_var(self) -> int:
@@ -348,8 +284,8 @@ class Solver:
     # ── main search loop ────────────────────────────────────────────────────
 
     def solve(self) -> bool:
-        """Run to completion: True = satisfying assignment found (and the
-        theory, if any, accepted it); False = clause database unsatisfiable.
+        """Run to completion: True = satisfying assignment found;
+        False = clause database unsatisfiable.
         """
         if not self.ok:
             return False
@@ -366,14 +302,6 @@ class Solver:
                 self._assert_learnt(learnt)
                 self.var_inc /= _VAR_DECAY
                 continue
-            if self.theory is not None:
-                tc = self.theory(self)
-                if tc is not None:
-                    self.theory_clauses += 1
-                    if not self._add_theory_clause(list(tc)):
-                        self.ok = False
-                        return False
-                    continue
             if len(self.trail) == self.nvars:
                 return True
             if self._conflicts_since_restart >= _RESTART_BASE * luby(self.restarts + 1):

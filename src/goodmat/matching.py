@@ -57,7 +57,7 @@ from .diophantine import signed_rowsums
 from .equiv import decode_quads, orbit_minimal, row_codes, unique_rows
 from .errors import InvalidInputError
 from .seqcore import CompressedQuad
-from .spectral import mirror_psd, psd_bound
+from .spectral import mirror_psd, paf_matrix, psd_bound
 
 _PAIR_CHUNK = 128
 _EMIT_CHUNK = 1 << 16
@@ -161,7 +161,7 @@ def join_table(rows: np.ndarray, skew: bool, planes: np.ndarray,
     for lo in range(0, len(rows), _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         psd[:, block] = mirror_psd(rows[block], skew)[:, planes].T
-        paf[block] = paf_matrix(rows[block].astype(np.int16))
+        paf[block] = paf_matrix(rows[block])
     return JoinTable(np.asarray(offsets, dtype=np.int64), rows, psd, paf)
 
 
@@ -312,9 +312,3 @@ def join_equal_keys(keys_l: np.ndarray, keys_r: np.ndarray) -> Iterator[tuple]:
         shift = np.repeat(lo[a:b] - before[a:b] + before[a], count[a:b])  # slot → sorted slot
         yield np.repeat(order_l[hit[a:b]], count[a:b]), order_r[shift + np.arange(len(shift))]
 
-
-def paf_matrix(rows: np.ndarray) -> np.ndarray:
-    """Integer PAF values, one row per input row, columns k = 0..⌊len/2⌋."""
-    m = rows.shape[1]
-    shifts = (np.arange(m // 2 + 1)[:, None] + np.arange(m)) % m  # row k: j ↦ j + k
-    return np.einsum("rj,rkj->rk", rows, rows[:, shifts])

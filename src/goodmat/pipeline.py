@@ -86,23 +86,26 @@ class FilterConfig:
     disabled PSD filter becomes the bound +inf, which every row and pair
     meets, and an enabled one the bound 4n + spectral.EPS.
 
-    prefix_checks and parity_clauses only affect the one-instance path
-    (satsearch.build_instance / solve_all), which the search never runs:
-    prefix_checks is solve_all's row and pair filter, parity_clauses adds
-    the product-rule clauses to the CNF encoding.
+    prefix_checks and parity_clauses are read-only: they are the names the
+    benchmark's trace (perfbench/tracing.py) reads for satsearch's
+    one-instance path, which the search never runs.  prefix_checks,
+    solve_all's row and pair filter, is on while both PSD filters are;
+    parity_clauses is build_instance's default, the product-rule clauses.
     """
 
     psd_candidates: bool = True   # row PSD bound: compressed in the sweep, full in uncompression
     rowsum_candidates: bool = True  # rowsum membership for symmetric rows
     psd_pairs: bool = True        # pairwise PSD bound before both joins
-    prefix_checks: bool = True    # solve_all only: its row and pair PSD bounds
-    parity_clauses: bool = True   # build_instance only: product-rule clauses
+    parity_clauses = True         # not a field: build_instance's default
+
+    @property
+    def prefix_checks(self) -> bool:
+        return self.psd_candidates and self.psd_pairs
 
     @classmethod
     def no_filters(cls) -> "FilterConfig":
         """Every float filter off; the exact constraints alone drive the search."""
-        return cls(psd_candidates=False, rowsum_candidates=False,
-                   psd_pairs=False, prefix_checks=False)
+        return cls(psd_candidates=False, rowsum_candidates=False, psd_pairs=False)
 
 
 def _of_type(kind, value) -> bool:

@@ -24,11 +24,12 @@ a_m·a_{2m} = −1, leaving b_m·c_m·d_m = +1: an ODD number of {b_m, c_m, d_m}
 true, i.e. the four clauses (b∨c∨d), (¬b∨¬c∨d), (¬b∨c∨¬d), (b∨¬c∨¬d).
 
 Uncompression.  The paper hands these clauses to a SAT solver whose
-programmatic callback adds the PSD and PAF conditions.  Here they are only
-exported as DIMACS (`goodmat enumerate --dimacs`): solve_all uncompresses an
-instance with uncompress_all, the exact PAF-key join the pipeline runs, whose
-row and pair screens do the callback's PSD checks and whose PAF certificate
-decides every quad.
+programmatic callback adds the PSD and PAF conditions.  Here no solver reads
+them: they are only exported as DIMACS (`goodmat enumerate --dimacs`), and
+the tests check their models by evaluating them on every free assignment.
+solve_all uncompresses an instance with uncompress_all, the exact PAF-key
+join the pipeline runs, whose row and pair screens do the callback's PSD
+checks and whose PAF certificate decides every quad.
 """
 
 from __future__ import annotations

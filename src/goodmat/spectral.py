@@ -126,10 +126,22 @@ def paf_certificate(quad: DefiningQuad) -> bool:
     return True
 
 
+def paf_matrix(rows: np.ndarray) -> np.ndarray:
+    """Integer PAF values, one row per input row, columns k = 0..⌊len/2⌋.
+
+    Rows narrower than int16 are widened first: PAF values of int8 rows
+    overflow int8.
+    """
+    rows = rows.astype(np.promote_types(rows.dtype, np.int16), copy=False)
+    m = rows.shape[1]
+    shifts = (np.arange(m // 2 + 1)[:, None] + np.arange(m)) % m  # row k: j ↦ j + k
+    return np.einsum("rj,rkj->rk", rows, rows[:, shifts])
+
+
 def paf_sums(quads: np.ndarray) -> np.ndarray:
     """PAF_A(k) + PAF_B(k) + PAF_C(k) + PAF_D(k) at k = 1..floor(n/2) of every
     quad of a (Q × 4 × n) array of ±1 entries, exactly, as a (Q × floor(n/2))
     int64 array: a quad passes paf_certificate iff its line is all zero."""
-    rows = np.asarray(quads, dtype=np.int64)
-    shifts = range(1, rows.shape[-1] // 2 + 1)
-    return np.stack([(rows * np.roll(rows, -k, axis=-1)).sum(axis=(1, 2)) for k in shifts], axis=-1)
+    quads = np.asarray(quads)
+    q, _, n = quads.shape
+    return paf_matrix(quads.reshape(-1, n))[:, 1:].reshape(q, 4, n // 2).sum(axis=1, dtype=np.int64)

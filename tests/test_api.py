@@ -42,3 +42,19 @@ def test_the_public_names_are_the_documented_ones():
     assert all(hasattr(goodmat, name) for name in goodmat.__all__)
     top_level = {name for module, name in benchmark_imports() if module == "goodmat"}
     assert top_level <= set(names)
+
+
+def test_only_cdcl_imports_cdcl():
+    """The CDCL solver is on no search path: no other module of the package imports it."""
+    importers = []
+    for path in sorted(ROOT.joinpath("src", "goodmat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if path.name != "cdcl.py" and any(name.split(".")[-1] == "cdcl" for name in names):
+                importers.append(path.name)
+    assert importers == []

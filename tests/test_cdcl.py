@@ -1,9 +1,8 @@
 """The CDCL solver: decisions vs. an exhaustive truth-table oracle.
 
-The solver is the engine under the enumeration, so it gets adversarial
-coverage: random CNFs checked for SAT/UNSAT agreement and model validity,
-full model enumeration through a blocking theory, pigeonhole instances,
-and theory-clause edge cases.
+No search path runs the solver; these tests describe it on its own:
+random CNFs checked for SAT/UNSAT agreement and model validity, pigeonhole
+instances, determinism under a fixed seed, and its statistics.
 """
 
 import itertools
@@ -109,71 +108,21 @@ def test_seeds_agree_on_satisfiability():
         assert Solver(nvars, cnf, seed=seed).solve() == expect
 
 
-# ── all-solutions enumeration through a blocking theory ──────────────────────
-
-class BlockEverything:
-    """Theory callback: record each full assignment, then block it."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.models = []
-
-    def __call__(self, solver):
-        lits = []
-        for v in range(1, self.nvars + 1):
-            b = solver.value_of(v)
-            if b is None:
-                return None
-            lits.append(-v if b else v)
-        self.models.append(tuple(b for b in self._bits(solver)))
-        return lits
-
-    def _bits(self, solver):
-        return (solver.value_of(v) for v in range(1, self.nvars + 1))
-
-
-@pytest.mark.parametrize("trial", range(30))
-def test_enumeration_matches_truth_table(trial):
-    rng = random.Random(4000 + trial)
-    nvars = rng.randint(1, 8)
-    cnf = random_cnf(rng, nvars, rng.randint(1, 4 * nvars))
-    theory = BlockEverything(nvars)
-    solver = Solver(nvars, cnf, seed=trial, theory=theory)
-    assert not solver.solve()  # blocking everything ends in UNSAT
-    assert sorted(theory.models) == sorted(brute_force_models(nvars, cnf))
-    assert len(set(theory.models)) == len(theory.models)  # no repeats
-
-
-def test_enumeration_of_free_space():
-    nvars = 6
-    theory = BlockEverything(nvars)
-    solver = Solver(nvars, [], seed=3, theory=theory)
-    assert not solver.solve()
-    assert len(theory.models) == 2 ** nvars
-
-
-def test_level_zero_theory_clause_is_unsat():
-    # All variables forced at level 0; the theory rejects that assignment.
-    nvars = 3
-    cnf = [(1,), (2,), (3,)]
-    theory = BlockEverything(nvars)
-    solver = Solver(nvars, cnf, theory=theory)
-    assert not solver.solve()
-    assert theory.models == [(True, True, True)]
-
-
 # ── determinism and statistics ───────────────────────────────────────────────
 
 def test_same_seed_same_run():
-    rng = random.Random(5)
-    nvars, cnf = 10, random_cnf(random.Random(5), 10, 40)
+    # random 3-SAT at clause ratio 4: satisfiable, but only after conflicts
+    rng = random.Random(2)
+    nvars = 40
+    cnf = [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3))
+           for _ in range(4 * nvars)]
     runs = []
     for _ in range(2):
-        theory = BlockEverything(nvars)
-        s = Solver(nvars, cnf, seed=42, theory=theory)
-        s.solve()
-        runs.append((theory.models, s.conflicts, s.decisions, s.propagations))
-    assert runs[0] == runs[1]
+        s = Solver(nvars, cnf, seed=42)
+        assert s.solve()
+        check_model(s, nvars, cnf)
+        runs.append((s.model(), s.conflicts, s.decisions, s.propagations))
+    assert runs[0] == runs[1] and runs[0][1] > 0
 
 
 def test_stats_are_populated():

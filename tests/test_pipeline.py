@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -225,6 +225,17 @@ def test_filters_do_not_change_solutions_n9():
     base, _ = enumerate_good_matrices(9)
     got, _ = enumerate_good_matrices(9, filters=FilterConfig.no_filters())
     assert got == base
+
+
+def test_filter_config_sets_only_the_three_filters():
+    assert [f.name for f in fields(FilterConfig)] == [
+        "psd_candidates", "rowsum_candidates", "psd_pairs"]
+    with pytest.raises(TypeError):
+        FilterConfig(prefix_checks=False)
+    # the names perfbench/tracing.py reads for satsearch's one-instance path
+    on, off = FilterConfig(), FilterConfig.no_filters()
+    assert (on.prefix_checks, on.parity_clauses) == (True, True)
+    assert (off.prefix_checks, off.parity_clauses) == (False, True)
 
 
 def test_seed_independence_n9():

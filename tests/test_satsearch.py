@@ -6,7 +6,7 @@ Key oracles:
     itself, per shift, over all 2^5 local assignments;
   * the models of an n = 9 instance's DIMACS text, by evaluating its clauses
     on all 2^16 free assignments, against the preimage quads that satisfy
-    the product rule, and against an independent CDCL solver (cdcl.Solver).
+    the product rule.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from goodmat.candidates import generate_candidates
-from goodmat.cdcl import Solver
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_form
 from goodmat.errors import InfeasibleInstanceError, InvalidInputError, ParseError
@@ -283,32 +282,6 @@ def test_dimacs_models_are_the_product_rule_preimage_quads():
     want = {quad for quad in want if product_rule_holds(quad)}
     assert want and len(set(models)) == len(models)
     assert set(models) == want
-
-
-def test_dimacs_cross_solver_check():
-    """Enumerate CNF models with a fresh bare solver (no theory shortcuts):
-    every model decodes to a quad satisfying compression + product rule."""
-    inst = instance_for(9, idx=1)
-    nvars, clauses = parse_dimacs(export_dimacs(inst))
-
-    models = []
-
-    class Block:
-        def __call__(self, solver):
-            lits = []
-            for v in range(1, nvars + 1):
-                b = solver.value_of(v)
-                if b is None:
-                    return None
-                lits.append(-v if b else v)
-            models.append([-l for l in lits])
-            return lits
-
-    assert not Solver(nvars, clauses, theory=Block()).solve()
-    for model in models:
-        quad = decode(model, 9)
-        assert CompressedQuad(*(compress3(r) for r in quad.rows())) == inst.source
-        assert product_rule_holds(quad)
 
 
 def test_parse_dimacs_validation():

@@ -20,6 +20,7 @@ from goodmat.spectral import (
     mirror_psd,
     paf,
     paf_certificate,
+    paf_matrix,
     paf_sums,
     paf_vector,
     psd_values,
@@ -129,6 +130,11 @@ def test_certificate_rejects_single_flip(known27):
     a[27 - 3] = -a[27 - 3]  # keep the row skew so only goodness breaks
     broken = DefiningQuad(tuple(a), known27.b, known27.c, known27.d)
     assert not paf_certificate(broken)
+
+
+def test_paf_matrix_widens_int8_rows():
+    # compressed rows are int8; fifteen entries of 3 give PAF values of 135 > 127
+    assert paf_matrix(np.full((1, 15), 3, dtype=np.int8)).tolist() == [[135] * 8]
 
 
 def test_paf_sums_agree_with_paf_certificate(known27, known57):
