@@ -66,7 +66,7 @@ from .spectral import paf_certificate, paf_vector
 from .uncompress import uncompress_all
 
 #: Orders above this need an explicit opt-in (allow_large / --allow-large).
-#: n = 45 runs in about 25 s and 250 MB on one core of a 2-core Xeon;
+#: n = 45 runs in about 30 s and 250 MB on one core of a 2-core Xeon;
 #: n = 51 takes minutes on two cores and over 1 GB in a worker.
 UNLIMITED_MAX_ORDER = 45
 

@@ -40,7 +40,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .equiv import canonical_form
-from .errors import InfeasibleInstanceError, InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError
 from .seqcore import CompressedQuad, DefiningQuad
 from .uncompress import uncompress_all
 
@@ -97,7 +97,7 @@ def encode_compression(cq: CompressedQuad) -> list[Clause]:
             if value not in (-3, -1, 1, 3):
                 raise InvalidInputError(f"bad compressed entry {value} in row {ROW_LABELS[row]}")
     if cq.ac[0] != 1:
-        raise InfeasibleInstanceError(
+        raise InvalidInputError(
             "compressed skew row must start with +1 (a_0 + a_m + a_2m = 1 is forced)"
         )
     clauses: list[Clause] = []

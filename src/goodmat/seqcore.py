@@ -149,7 +149,9 @@ def parse_row(text: str) -> Row:
         try:
             out.append(_GLYPHS[ch])
         except KeyError:
-            raise ParseError(f"invalid character {ch!r} in row string", pos) from None
+            raise ParseError(
+                f"invalid character {ch!r} in row string (at position {pos})"
+            ) from None
     if not out:
         raise ParseError("empty row string")
     return tuple(out)

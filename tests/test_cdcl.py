@@ -41,17 +41,18 @@ def check_model(solver, nvars, cnf):
 
 # ── SAT/UNSAT agreement with the truth table ─────────────────────────────────
 
-@pytest.mark.parametrize("trial", range(60))
-def test_random_cnf_against_truth_table(trial):
-    rng = random.Random(1000 + trial)
-    nvars = rng.randint(1, 10)
-    cnf = random_cnf(rng, nvars, rng.randint(1, 5 * nvars))
-    expect = bool(brute_force_models(nvars, cnf))
-    solver = Solver(nvars, cnf, seed=trial)
-    got = solver.solve()
-    assert got == expect
-    if got:
-        check_model(solver, nvars, cnf)
+@pytest.mark.parametrize("block", range(12))
+def test_random_cnf_against_truth_table(block):
+    for trial in range(5 * block, 5 * block + 5):
+        rng = random.Random(1000 + trial)
+        nvars = rng.randint(1, 10)
+        cnf = random_cnf(rng, nvars, rng.randint(1, 5 * nvars))
+        expect = bool(brute_force_models(nvars, cnf))
+        solver = Solver(nvars, cnf, seed=trial)
+        got = solver.solve()
+        assert got == expect, f"trial {trial}"
+        if got:
+            check_model(solver, nvars, cnf)
 
 
 def test_empty_cnf_and_trivial_cases():

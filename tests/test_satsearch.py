@@ -9,6 +9,7 @@ Key oracles:
     the product rule.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,9 +18,9 @@ import pytest
 from goodmat.candidates import generate_candidates
 from goodmat.diophantine import signed_rowsums
 from goodmat.equiv import canonical_form
-from goodmat.errors import InfeasibleInstanceError, InvalidInputError, ParseError
+from goodmat.errors import InvalidInputError, ParseError
 from goodmat.matching import match_quadruples
-from goodmat.pipeline import product_rule_holds
+from goodmat.pipeline import prepare_instances, product_rule_holds
 from goodmat.satsearch import (
     build_instance,
     encode_compression,
@@ -131,7 +132,7 @@ def test_compression_clauses_semantics_sampled_n9():
 
 
 def test_infeasible_first_entry():
-    with pytest.raises(InfeasibleInstanceError):
+    with pytest.raises(InvalidInputError):
         encode_compression(CompressedQuad((-1,), (3,), (-1,), (-1,)))
     with pytest.raises(InvalidInputError):
         encode_compression(CompressedQuad((2,), (3,), (-1,), (-1,)))
@@ -282,6 +283,21 @@ def test_dimacs_models_are_the_product_rule_preimage_quads():
     want = {quad for quad in want if product_rule_holds(quad)}
     assert want and len(set(models)) == len(models)
     assert set(models) == want
+
+
+# SHA-256 of every instance's DIMACS text, concatenated in prepare_instances'
+# order; at n = 9 it equals `cat instance-n9-*.cnf | sha256sum` after
+# `goodmat enumerate 9 --dimacs`.
+DIMACS_SHA256 = {
+    9: "a5635cf570df2f84018fd42295b34d270f45765323231171e60361d9c6a99b54",
+    15: "80d3bd0cd7245a720a348a2a612244cf8d95aa99d7f968ccb88bef4108d83a65",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIMACS_SHA256))
+def test_dimacs_export_bytes_frozen(n):
+    text = "".join(export_dimacs(build_instance(cq)) for cq in prepare_instances(n)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == DIMACS_SHA256[n]
 
 
 def test_parse_dimacs_validation():
