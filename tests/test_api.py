@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -15,6 +16,12 @@ def documented_names():
     library = ROOT.joinpath("README.md").read_text().split("\n## Library\n")[1].split("\n## ")[0]
     listing = library.split("Public names")[1].split(":\n\n", 1)[1].split("\n\n")[0]
     return re.findall(r"`(\w+)`", listing)
+
+
+def module_map_names():
+    """The backquoted names of README's paragraph that starts "Module map:"."""
+    paragraph = ROOT.joinpath("README.md").read_text().split("\nModule map:", 1)[1].split("\n\n")[0]
+    return re.findall(r"`(\w+)`", paragraph)
 
 
 def benchmark_imports():
@@ -44,17 +51,18 @@ def test_the_public_names_are_the_documented_ones():
     assert top_level <= set(names)
 
 
-def test_only_cdcl_imports_cdcl():
-    """The CDCL solver is on no search path: no other module of the package imports it."""
-    importers = []
-    for path in sorted(ROOT.joinpath("src", "goodmat").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or "", *(alias.name for alias in node.names)]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if path.name != "cdcl.py" and any(name.split(".")[-1] == "cdcl" for name in names):
-                importers.append(path.name)
-    assert importers == []
+def test_no_cdcl_module_exists():
+    """The CDCL solver is deleted: the package has no `goodmat.cdcl` module."""
+    assert not ROOT.joinpath("src", "goodmat", "cdcl.py").exists()
+    assert importlib.util.find_spec("goodmat.cdcl") is None
+
+
+def test_module_map_names_every_module():
+    """README's module map names every module, and every name in it is a module or one's attribute."""
+    modules = {path.stem for path in ROOT.joinpath("src", "goodmat").glob("*.py")} - {"__init__", "__main__"}
+    names = module_map_names()
+    assert sorted(modules - set(names)) == []
+    loaded = [importlib.import_module(f"goodmat.{module}") for module in sorted(modules)]
+    unknown = [name for name in names
+               if name not in modules and not any(hasattr(module, name) for module in loaded)]
+    assert unknown == []
