@@ -15,8 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from goodmat.errors import InvalidInputError
-from goodmat.pipeline import CHECKS, check_run, enumerate_good_matrices
+from goodmat.pipeline import CHECKS, enumerate_good_matrices
 from goodmat.seqcore import write_file, write_quads
 
 EXPECTED = {3: 1, 9: 1, 15: 11, 21: 10, 27: 13}
@@ -28,12 +27,7 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("runs"))
     parser.add_argument("--stretch", action="store_true",
                         help="include n = 33, 39 (about 20 s on one core)")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
-    try:
-        check_run(None, args.jobs)
-    except InvalidInputError as exc:
-        parser.error(f"argument --jobs: {exc}")
 
     expected = dict(EXPECTED)
     if args.stretch:
@@ -44,7 +38,7 @@ def main() -> int:
           f"{'verified':>9} {'seconds':>9}")
     for n, want in expected.items():
         start = time.perf_counter()
-        quads, report = enumerate_good_matrices(n, jobs=args.jobs)
+        quads, report = enumerate_good_matrices(n)
         elapsed = time.perf_counter() - start
 
         verified = sum(all(check(c.quad) for _, check in CHECKS) for c in quads)

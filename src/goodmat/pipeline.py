@@ -31,7 +31,6 @@ import io
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Optional, Sequence, get_args, get_origin, get_type_hints
@@ -73,39 +72,35 @@ UNLIMITED_MAX_ORDER = 45
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Switches for every pruning device that is not part of the exact core.
+    """The one switch for every pruning device that is not part of the exact core.
 
-    psd_candidates, rowsum_candidates and psd_pairs are *filters*: float
-    spectral/rowsum screens that discard candidates early, at compressed
-    length in the sweep and matching and, for the two PSD flags, at full
-    length in uncompression (row and pair screens before the join).  They
-    are redundant with the exact integer checks (PAF certificate, exact
+    The filters are float spectral/rowsum screens that discard candidates
+    early: the row PSD bound and the rowsum membership of symmetric rows in
+    the sweep, the pairwise PSD bound in matching, and the row and pair PSD
+    screens before the full-length join in uncompression.  They are
+    redundant with the exact integer checks (PAF certificate, exact
     matching identity), so disabling them (``no_filters``) must not change
-    the solution set, only the running time.  Each flag is read once, where
-    its layer starts (generate_candidates, match_codes, uncompress_all): a
-    disabled PSD filter becomes the bound +inf, which every row and pair
-    meets, and an enabled one the bound 4n + spectral.EPS.
+    the solution set, only the running time; they are all on or all off.
+    enabled is read once where each layer starts (generate_candidates,
+    match_codes, uncompress_all): a disabled PSD filter becomes the bound
+    +inf, which every row and pair meets, and an enabled one the bound
+    4n + spectral.EPS.
 
-    prefix_checks and parity_clauses are read-only: they are the names the
-    benchmark's trace (perfbench/tracing.py) reads for satsearch's
-    one-instance path, which the search never runs.  prefix_checks,
-    solve_all's row and pair filter, is on while both PSD filters are;
-    parity_clauses is build_instance's default, the product-rule clauses.
+    psd_candidates, rowsum_candidates, psd_pairs, prefix_checks and
+    parity_clauses are read-only and exist only because the benchmark's
+    trace (perfbench/tracing.py) reads them: the first four are enabled,
+    and parity_clauses is build_instance's default, the product-rule clauses.
     """
 
-    psd_candidates: bool = True   # row PSD bound: compressed in the sweep, full in uncompression
-    rowsum_candidates: bool = True  # rowsum membership for symmetric rows
-    psd_pairs: bool = True        # pairwise PSD bound before both joins
-    parity_clauses = True         # not a field: build_instance's default
-
-    @property
-    def prefix_checks(self) -> bool:
-        return self.psd_candidates and self.psd_pairs
+    enabled: bool = True
+    parity_clauses = True  # not a field: build_instance's default
+    psd_candidates = rowsum_candidates = psd_pairs = prefix_checks = property(
+        lambda self: self.enabled)
 
     @classmethod
     def no_filters(cls) -> "FilterConfig":
         """Every float filter off; the exact constraints alone drive the search."""
-        return cls(psd_candidates=False, rowsum_candidates=False, psd_pairs=False)
+        return cls(enabled=False)
 
 
 def _of_type(kind, value) -> bool:
@@ -216,15 +211,12 @@ def prepare_instances(
     timings["rowsums"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cands = generate_candidates(
-        n, rowsums,
-        psd_filter=filters.psd_candidates,
-        rowsum_filter=filters.rowsum_candidates,
-    )
+    cands = generate_candidates(n, rowsums, psd_filter=filters.enabled,
+                                rowsum_filter=filters.enabled)
     timings["candidates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    s_q = match_codes(cands, n, pair_filter=filters.psd_pairs, multipliers=units(cands.m))
+    s_q = match_codes(cands, n, pair_filter=filters.enabled, multipliers=units(cands.m))
     timings["matching"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -294,9 +286,10 @@ def enumerate_prepared(
     instance_quads = [instance_quads[i] for i in shard_ids(len(instance_quads), shard)]
 
     t0 = time.perf_counter()
-    run = partial(uncompress_all, row_filter=filters.psd_candidates,
-                  pair_filter=filters.psd_pairs)
+    run = partial(uncompress_all, filters=filters.enabled)
     if jobs > 1:
+        # imported here, so that `import goodmat` does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(run, [instance_quads[j::jobs] for j in range(jobs)]))
     else:
@@ -323,7 +316,7 @@ def enumerate_prepared(
         stage_seconds=timings,
         solver_stats={"raw_models": sum(map(len, found)), **join_stats},
         shard=shard,
-        exhaustive=shard is None,
+        exhaustive=shard is None or shard[1] == 1,  # shard 0 of 1 covers every id
         digest=solution_digest(canonical),
         instances_fingerprint=fingerprint,
     )

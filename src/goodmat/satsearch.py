@@ -192,14 +192,12 @@ def solve_all(
     """Uncompress the instance's source; one quad per equivalence class.
 
     The quads come from uncompress_all, the join the pipeline runs, with
-    prefix_checks as both its row and its pair filter.  They are recorded
-    on instance.solutions, and instance.stats holds the join counters and
-    raw_models, their number; the return value keeps the first quad of each
-    class.  seed no longer affects anything (a deterministic join); it is
+    filters=prefix_checks.  They are recorded on instance.solutions, and
+    instance.stats holds the join counters and raw_models, their number;
+    the return value keeps the first quad of each class.  seed no longer affects anything (a deterministic join); it is
     kept for callers that pass it.
     """
-    (raw,), stats = uncompress_all([instance.source], row_filter=prefix_checks,
-                                   pair_filter=prefix_checks)
+    (raw,), stats = uncompress_all([instance.source], filters=prefix_checks)
     instance.solutions.extend(raw)
     instance.stats = {**stats, "raw_models": len(raw)}
     first: dict = {}

@@ -26,8 +26,9 @@ Codes Cryptogr. 2015), run with matching's exact PAF-key quad join
 The pair screen reads only the PSD planes k ≢ 0 (mod 3).  PSD_X(3k′) =
 PSD_X′(k′) is the same for every preimage of X′, and matching's compressed
 screen has already bounded those sums; dropping them keeps every pair the
-full profile keeps.  The row filter reads every plane.  uncompress_all turns
-each disabled filter into the bound +inf, which every row and pair meets.
+full profile keeps.  The row screen reads every plane.  With its filters
+off, uncompress_all screens against the bound +inf, which every row and
+pair meets.
 The quads found are exactly the certified quads of the instance's preimage
 product whose A is orbit-minimal and whose B, C, D preimages of one
 compressed row are in table order (join_blocks): reordering B, C and D maps
@@ -165,8 +166,7 @@ def _choice_maps(m: int, skew: bool) -> tuple[np.ndarray, np.ndarray]:
 def uncompress_all(
     instances: Sequence[CompressedQuad],
     *,
-    row_filter: bool = True,
-    pair_filter: bool = True,
+    filters: bool = True,
 ) -> tuple[list[list[DefiningQuad]], dict[str, int]]:
     """The certified quads of each instance whose A is orbit_minimal under
     compression_units, from one preimage table per skewness over the
@@ -177,21 +177,22 @@ def uncompress_all(
 
     Returns the quads of each instance, sorted (the join leaves their order
     unspecified), and the join_blocks counters pairs_ab, pairs_cd and
-    key_hits.  A disabled row or pair filter is the bound +inf.
+    key_hits.  filters switches the row and the pair screen together: on,
+    both test psd_bound(n, True); off, the bound +inf.
     """
     stats = Counter(pairs_ab=0, pairs_cd=0, key_hits=0)
     if not instances:
         return [], dict(stats)
     n = 3 * instances[0].m
-    row_bound, pair_bound = psd_bound(n, row_filter), psd_bound(n, pair_filter)
+    bound = psd_bound(n, filters)
     quads = np.array([cq.rows() for cq in instances])  # [instance, A/B/C/D, entry]
     sk, a_index = np.unique(quads[:, 0], axis=0, return_inverse=True)
     sy, bcd_index = np.unique(quads[:, 1:].reshape(-1, n // 3), axis=0, return_inverse=True)
-    table_a = preimage_table(sk, True, bound=row_bound, multipliers=compression_units(n))
-    table_s = preimage_table(sy, False, bound=row_bound)  # B, C and D
+    table_a = preimage_table(sk, True, bound=bound, multipliers=compression_units(n))
+    table_s = preimage_table(sy, False, bound=bound)  # B, C and D
     groups = np.column_stack([a_index.ravel(), bcd_index.reshape(-1, 3)]).tolist()  # A, B, C, D
     blocks = [[(i, g[x], g[x + 1]) for i, g in enumerate(groups)] for x in (0, 2)]
-    hits = join_blocks((table_a, table_s), *blocks, pair_bound, stats)  # instance, 4 rows
+    hits = join_blocks((table_a, table_s), *blocks, bound, stats)  # instance, 4 rows
     joined = np.concatenate([table_a.rows[hits[:, 1:2]], table_s.rows[hits[:, 2:]]], axis=1)
     failed = paf_sums(joined).any(axis=1)
     if failed.any():

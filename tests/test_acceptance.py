@@ -14,6 +14,7 @@ one core (measured; see README).
 import cmath
 import time
 from collections import Counter
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -108,11 +109,12 @@ def test_criterion_4_rowsums():
     assert {tuple(sorted(map(abs, t))) for t in signed} == three_squares(69)
     for n in range(3, 101, 2):
         target = 4 * n - 1
+        top = isqrt(target) + 1  # x, y, z ≤ √target
         oracle = {
             (x, y, z)
-            for x in range(1, target)
-            for y in range(x, target)
-            for z in range(y, target)
+            for x in range(1, top)
+            for y in range(x, top)
+            for z in range(y, top)
             if x * x + y * y + z * z == target
             and x * x + y * y <= target and x * x <= target
         }

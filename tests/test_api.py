@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import goodmat
@@ -55,6 +58,14 @@ def test_no_cdcl_module_exists():
     """The CDCL solver is deleted: the package has no `goodmat.cdcl` module."""
     assert not ROOT.joinpath("src", "goodmat", "cdcl.py").exists()
     assert importlib.util.find_spec("goodmat.cdcl") is None
+
+
+def test_import_loads_no_process_pool():
+    """Only jobs > 1 needs a process pool, so `import goodmat` leaves concurrent.futures unloaded."""
+    probe = "import sys, goodmat; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_map_names_every_module():

@@ -145,6 +145,15 @@ def test_solve_shards_and_report_merge(tmp_path, capsys):
         assert len(read_quads(fp)) == 11
 
 
+def test_solve_one_shard_of_one_is_exhaustive(tmp_path, capsys):
+    code, _, _ = run(capsys, "solve", 15, "--shard", "0/1", "--out", tmp_path)
+    assert code == 0
+    report = SearchReport.from_json((tmp_path / "report-n15-shard0of1.json").read_text())
+    assert report.exhaustive and report.shard == (0, 1)
+    _, out, _ = run(capsys, "report", tmp_path)
+    assert "coverage complete" in out
+
+
 def test_report_flags_missing_shard(tmp_path, capsys):
     for i in (0, 2):
         run(capsys, "solve", 15, "--shard", f"{i}/3", "--out", tmp_path)

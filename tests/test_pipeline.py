@@ -214,6 +214,14 @@ def test_sharded_union_equals_full():
         assert union == set(full)
 
 
+def test_one_shard_split_is_exhaustive():
+    # shard 0 of 1 uncompresses every id, as an unsharded run does
+    whole = enumerate_good_matrices(15)
+    part, report = enumerate_good_matrices(15, shard=(0, 1))
+    assert report.exhaustive and report.shard == (0, 1)
+    assert part == whole[0] and report.digest == whole[1].digest
+
+
 def test_shard_validation():
     with pytest.raises(InvalidInputError):
         enumerate_good_matrices(9, shard=(2, 2))
@@ -228,14 +236,16 @@ def test_filters_do_not_change_solutions_n9():
 
 
 def test_filter_config_sets_only_the_three_filters():
-    assert [f.name for f in fields(FilterConfig)] == [
-        "psd_candidates", "rowsum_candidates", "psd_pairs"]
-    with pytest.raises(TypeError):
-        FilterConfig(prefix_checks=False)
-    # the names perfbench/tracing.py reads for satsearch's one-instance path
+    # one switch; the five names perfbench/tracing.py reads are read-only
+    assert [f.name for f in fields(FilterConfig)] == ["enabled"]
+    aliases = ("psd_candidates", "rowsum_candidates", "psd_pairs", "prefix_checks")
+    for name in aliases:
+        with pytest.raises(TypeError):
+            FilterConfig(**{name: False})
     on, off = FilterConfig(), FilterConfig.no_filters()
-    assert (on.prefix_checks, on.parity_clauses) == (True, True)
-    assert (off.prefix_checks, off.parity_clauses) == (False, True)
+    assert off == FilterConfig(enabled=False) and on.enabled and not off.enabled
+    assert [getattr(on, name) for name in (*aliases, "parity_clauses")] == [True] * 5
+    assert [getattr(off, name) for name in (*aliases, "parity_clauses")] == [False] * 4 + [True]
 
 
 def test_seed_independence_n9():

@@ -184,7 +184,7 @@ def test_join_equals_the_preimage_product_per_instance(n, filters):
         want = [DefiningQuad(*(tuple(t[i].tolist()) for t, i in zip(tables, idx)))
                 for idx in np.argwhere((total == 0).all(axis=-1))]
         assert all(paf_certificate(quad) for quad in want)
-        got = uncompress_all([cq], row_filter=filters, pair_filter=filters)[0][0]
+        got = uncompress_all([cq], filters=filters)[0][0]
         assert closure(got) == set(want) and len(set(want)) == len(want), f"instance {cq}"
 
 
@@ -260,7 +260,7 @@ def test_batch_size_changes_nothing(n, filters, monkeypatch):
         monkeypatch.setattr(matching, "_BATCH_PAIRS", sizes[0])
         monkeypatch.setattr(matching, "_EMIT_CHUNK", sizes[1])
         runs.append((match_codes(cands, n, pair_filter=filters, multipliers=units(n // 3)),
-                     uncompress_all(instances, row_filter=filters, pair_filter=filters)))
+                     uncompress_all(instances, filters=filters)))
     for codes, found in runs[1:]:
         assert np.array_equal(codes, runs[0][0]) and found == runs[0][1]
     assert len(runs[0][0]) and (n == 33 or sum(map(len, runs[0][1][0])) > 0)
